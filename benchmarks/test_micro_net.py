@@ -102,11 +102,11 @@ def test_bench_net_roundtrip_artifact(bench_artifact):
 
     totals = registry.totals()
     assert report.equivalence_checked == 2
-    # The equivalence check replays every round in-process, so the lppa.*
-    # counters see each round twice: once networked, once as the reference.
-    assert totals["lppa.rounds"] == 4
+    # The equivalence check replays every round in-process under its own
+    # registry, so the lppa.* counters see the networked rounds alone.
+    assert totals["lppa.rounds"] == 2
     assert totals["net.clients_joined"] == 8
-    assert totals["lppa.bid_submissions"] == 32  # 8 SUs x 2 rounds x 2 paths
+    assert totals["lppa.bid_submissions"] == 16  # 8 SUs x 2 rounds
     assert report.wire_bytes > 0
     bench_artifact(
         "net_roundtrip",

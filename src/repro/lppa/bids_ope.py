@@ -36,7 +36,7 @@ from repro.lppa.bids_advanced import (
     disguise_and_expand,
 )
 from repro.lppa.bids_basic import encrypt_bid_value
-from repro.lppa.codec import CodecError
+from repro.lppa.messages import U8_MAX, CodecError, check_u16, check_user_id
 from repro.lppa.policies import ZeroDisguisePolicy
 
 __all__ = [
@@ -92,6 +92,9 @@ class OpeBid:
             raise ValueError("ope_value does not fit in ope_bytes")
         if len(self.ciphertext) < 5:
             raise ValueError("ciphertext must be at least 5 bytes")
+        if self.ope_bytes > U8_MAX:
+            raise CodecError("ope_bytes exceeds the u8 length field")
+        check_u16("ciphertext length", len(self.ciphertext))
 
     def wire_bytes(self) -> int:
         """Protocol payload: the OPE value body plus the TTP ciphertext."""
@@ -112,6 +115,8 @@ class OpeBidSubmission:
     def __post_init__(self) -> None:
         if not self.channel_bids:
             raise ValueError("a bid submission must cover at least one channel")
+        check_user_id(self.user_id)
+        check_u16("channel count", len(self.channel_bids))
 
     @property
     def n_channels(self) -> int:

@@ -18,6 +18,10 @@ Format (all integers big-endian):
 Framing overhead (tags, counts, lengths) is deliberately *excluded* from
 ``wire_bytes()``/Theorem-4 accounting, which model payload only; use
 :func:`framing_overhead` when sizing real sockets.
+
+The field bounds (u16 counts and lengths, u32 user ids) are enforced when a
+submission is constructed (:mod:`repro.lppa.messages`), so every submission
+object encodes; :class:`CodecError` is defined there and re-exported here.
 """
 
 from __future__ import annotations
@@ -25,10 +29,17 @@ from __future__ import annotations
 import struct
 from typing import Tuple
 
-from repro.lppa.messages import BidSubmission, LocationSubmission, MaskedBid
+from repro.lppa.messages import (
+    U16_MAX,
+    BidSubmission,
+    CodecError,
+    LocationSubmission,
+    MaskedBid,
+)
 from repro.prefix.membership import MaskedSet
 
 __all__ = [
+    "CodecError",
     "encode_masked_set",
     "decode_masked_set",
     "encode_location",
@@ -42,13 +53,9 @@ _LOCATION_TAG = b"L"
 _BID_TAG = b"B"
 
 
-class CodecError(ValueError):
-    """Malformed wire data."""
-
-
 def encode_masked_set(masked: MaskedSet) -> bytes:
     """Serialize one masked set (canonical digest order)."""
-    if len(masked) > 0xFFFF:
+    if len(masked) > U16_MAX:
         raise CodecError("masked set too large for the u16 count field")
     parts = [struct.pack(">BH", masked.digest_bytes, len(masked))]
     parts.extend(sorted(masked.digests))
@@ -70,8 +77,7 @@ def decode_masked_set(data: bytes, offset: int = 0) -> Tuple[MaskedSet, int]:
     if len(data) < end:
         raise CodecError("truncated masked-set body")
     digests = frozenset(
-        data[offset + i * digest_bytes : offset + (i + 1) * digest_bytes]
-        for i in range(count)
+        [data[i : i + digest_bytes] for i in range(offset, end, digest_bytes)]
     )
     if len(digests) != count:
         raise CodecError("duplicate digests on the wire")
@@ -124,15 +130,11 @@ def decode_location(data: bytes) -> LocationSubmission:
 
 def encode_bids(submission: BidSubmission) -> bytes:
     """Serialize a bid submission."""
-    if submission.n_channels > 0xFFFF:
-        raise CodecError("too many channels for the u16 count field")
     parts = [
         _BID_TAG,
         struct.pack(">IH", submission.user_id, submission.n_channels),
     ]
     for masked_bid in submission.channel_bids:
-        if len(masked_bid.ciphertext) > 0xFFFF:
-            raise CodecError("ciphertext too large for the u16 length field")
         parts.append(encode_masked_set(masked_bid.family))
         parts.append(encode_masked_set(masked_bid.tail))
         parts.append(struct.pack(">H", len(masked_bid.ciphertext)))

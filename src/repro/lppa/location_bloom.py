@@ -32,7 +32,7 @@ from repro.auction.conflict import ConflictGraph
 from repro.crypto.backend import hmac_digest_batch
 from repro.crypto.keys import derive_key
 from repro.geo.grid import Cell, GridSpec
-from repro.lppa.codec import CodecError
+from repro.lppa.messages import U8_MAX, U32_MAX, CodecError, check_user_id
 
 __all__ = [
     "BLOOM_LOCATION_TAG",
@@ -139,6 +139,12 @@ class BloomLocationSubmission:
         k = self.range_filter.n_hashes
         if 2 * (k - 1) + 4 > len(self.cell_token):
             raise ValueError("cell token too short for the filter's hash count")
+        # The codec's field bounds (the hash count is bounded by the token).
+        check_user_id(self.user_id)
+        if len(self.cell_token) > U8_MAX:
+            raise CodecError("cell token longer than the u8 length field")
+        if self.range_filter.n_bits > U32_MAX:
+            raise CodecError("filter n_bits exceeds the u32 field")
 
     def wire_bytes(self) -> int:
         """Protocol payload: user id + token + filter body."""

@@ -18,6 +18,11 @@ Two size accountings coexist deliberately:
   ``tests/lppa/test_messages.py`` pins each ``wire_size()`` to
   ``len(encode_*(message))`` so the accounting cannot drift from the
   encoder.
+
+The constructors enforce the codec's field bounds (u32 user id, u8 digest
+length, u16 set counts, channel count and ciphertext length), raising
+:class:`CodecError`: a message that exists can always be encoded, so the
+round core can take its framed size from ``wire_size()`` without encoding.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Dict, Tuple
 
 from repro.prefix.membership import MaskedSet
 
-__all__ = ["LocationSubmission", "MaskedBid", "BidSubmission"]
+__all__ = ["CodecError", "LocationSubmission", "MaskedBid", "BidSubmission"]
 
 #: Bytes used to carry a user/pseudonym identifier on the wire.
 USER_ID_BYTES = 4
@@ -43,6 +48,35 @@ CHANNEL_COUNT_BYTES = 2
 
 #: ``ct_len: u16`` length prefix per ciphertext.
 CIPHERTEXT_LEN_BYTES = 2
+
+#: Largest value of the codec's u8, u16 and u32 fields.
+U8_MAX = 0xFF
+U16_MAX = 0xFFFF
+U32_MAX = 0xFFFFFFFF
+
+
+class CodecError(ValueError):
+    """Malformed wire data, or a message the wire format cannot carry."""
+
+
+def check_user_id(user_id: int) -> None:
+    """Reject a user id outside the codec's ``u32`` field."""
+    if not 0 <= user_id <= U32_MAX:
+        raise CodecError(f"user id {user_id} outside the u32 field")
+
+
+def check_u16(what: str, value: int) -> None:
+    """Reject a count or length above the codec's ``u16`` fields."""
+    if value > U16_MAX:
+        raise CodecError(f"{what} {value} exceeds the u16 field")
+
+
+def _check_set(what: str, masked: MaskedSet) -> None:
+    if len(masked.digests) > U16_MAX or masked.digest_bytes > U8_MAX:
+        raise CodecError(
+            f"{what}: {len(masked.digests)} digests of {masked.digest_bytes} bytes"
+            " exceed the u16 count or u8 digest-length field"
+        )
 
 
 @dataclass(frozen=True)
@@ -60,6 +94,13 @@ class LocationSubmission:
     x_range: MaskedSet
     y_family: MaskedSet
     y_range: MaskedSet
+
+    def __post_init__(self) -> None:
+        check_user_id(self.user_id)
+        _check_set("x_family", self.x_family)
+        _check_set("x_range", self.x_range)
+        _check_set("y_family", self.y_family)
+        _check_set("y_range", self.y_range)
 
     def wire_bytes(self) -> int:
         """Total serialized size in bytes."""
@@ -101,6 +142,9 @@ class MaskedBid:
     def __post_init__(self) -> None:
         if len(self.ciphertext) < 5:
             raise ValueError("ciphertext must contain a 4-byte nonce and payload")
+        check_u16("ciphertext length", len(self.ciphertext))
+        _check_set("family", self.family)
+        _check_set("tail", self.tail)
 
     def wire_bytes(self) -> int:
         """Serialized size in bytes (masked sets + ciphertext)."""
@@ -122,6 +166,8 @@ class BidSubmission:
     def __post_init__(self) -> None:
         if not self.channel_bids:
             raise ValueError("a bid submission must cover at least one channel")
+        check_user_id(self.user_id)
+        check_u16("channel count", len(self.channel_bids))
 
     @property
     def n_channels(self) -> int:

@@ -37,7 +37,6 @@ from repro.lppa.bids_advanced import (
     disguise_and_expand,
     submit_bids_advanced,
 )
-from repro.lppa.codec import encode_bids, encode_location
 from repro.lppa.location import submit_locations
 from repro.lppa.round import sharding
 from repro.lppa.round.results import FastLppaResult, LppaResult
@@ -257,11 +256,11 @@ class CryptoBackend(ValueBackend):
     def finalize(self, state: RoundState) -> None:
         assert state.location_subs is not None and state.bid_subs is not None
         assert state.outcome is not None
-        # Actual serialized sizes through the wire codec (payload +
-        # framing); encoding also exercises the round-trip invariants in
-        # production runs.
-        framed = sum(len(encode_location(s)) for s in state.location_subs) + sum(
-            len(encode_bids(s)) for s in state.bid_subs
+        # Exact serialized sizes (payload + framing) without encoding:
+        # wire_size() is pinned to len(encode_*()) by the test suite, and
+        # the message constructors enforce the codec's field bounds.
+        framed = sum(s.wire_size() for s in state.location_subs) + sum(
+            s.wire_size() for s in state.bid_subs
         )
         state.framed_bytes = framed
         obs.count("lppa.framed_bytes", framed)

@@ -258,9 +258,10 @@ class BloomBackend(ValueBackend):
     def finalize(self, state: RoundState) -> None:
         assert state.location_subs is not None and state.bid_subs is not None
         assert state.outcome is not None
-        framed = sum(
-            len(encode_location_bloom(s)) for s in state.location_subs
-        ) + sum(len(encode_bids_ope(s)) for s in state.bid_subs)
+        # Exact encoded sizes from wire_size(), as in CryptoBackend.finalize.
+        framed = sum(s.wire_size() for s in state.location_subs) + sum(
+            s.wire_size() for s in state.bid_subs
+        )
         state.framed_bytes = framed
         obs.count("lppa.framed_bytes", framed)
         obs.count("lppa.rounds")

@@ -37,6 +37,7 @@ from repro.net.server import AuctioneerServer, NetRoundReport, ServerConfig
 from repro.net.transport import MemoryTransport, TcpTransport, Transport
 from repro.net.ttp_service import TtpService
 from repro import obs
+from repro.obs import trace
 from repro.obs.clock import monotonic
 from repro.obs.hist import Histogram
 
@@ -324,16 +325,20 @@ def _session_result(
     round_index: int,
     scheme: Optional[str] = None,
 ) -> LppaResult:
-    return run_lppa_auction(
-        users,
-        grid,
-        two_lambda=config.two_lambda,
-        bmax=config.bmax,
-        seed=protocol_seed(config.seed),
-        policy=_policy(config),
-        entropy=_entropy(config, round_index),
-        scheme=config.scheme if scheme is None else scheme,
-    )
+    # Verification, not measurement: the reference round counts into a
+    # throwaway registry and records no trace, so the caller's counters
+    # and trace hold the networked rounds alone.
+    with obs.collecting(obs.MetricsRegistry()), trace.suspended():
+        return run_lppa_auction(
+            users,
+            grid,
+            two_lambda=config.two_lambda,
+            bmax=config.bmax,
+            seed=protocol_seed(config.seed),
+            policy=_policy(config),
+            entropy=_entropy(config, round_index),
+            scheme=config.scheme if scheme is None else scheme,
+        )
 
 
 def check_result_equivalence(net: LppaResult, session: LppaResult) -> None:

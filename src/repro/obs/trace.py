@@ -84,6 +84,7 @@ __all__ = [
     "enable",
     "disable",
     "recording",
+    "suspended",
     "span",
     "message",
     "instant",
@@ -525,6 +526,22 @@ def recording(
     installed = enable(recorder)
     try:
         yield installed
+    finally:
+        _active = previous
+
+
+@contextlib.contextmanager
+def suspended() -> Iterator[None]:
+    """Record nothing for a ``with`` block, restoring the prior recorder.
+
+    For work that is verification rather than measurement (e.g. an
+    in-process reference round), so it never lands in the caller's trace.
+    """
+    global _active
+    previous = _active
+    _active = None
+    try:
+        yield
     finally:
         _active = previous
 

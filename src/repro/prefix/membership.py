@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
@@ -74,11 +75,9 @@ class MaskedSet:
     def __post_init__(self) -> None:
         if self.digest_bytes < 4:
             raise ValueError("digest truncation below 4 bytes is unsafe")
-        for d in self.digests:
-            if len(d) != self.digest_bytes:
-                raise ValueError(
-                    "all digests in a MaskedSet must have digest_bytes length"
-                )
+        lengths = set(map(len, self.digests))
+        if lengths and lengths != {self.digest_bytes}:
+            raise ValueError("all digests in a MaskedSet must have digest_bytes length")
 
     def __len__(self) -> int:
         return len(self.digests)
@@ -122,12 +121,18 @@ class MaskSpec:
         return MaskSpec(key, tuple(prefixes), domain, digest_bytes)
 
     def messages(self) -> Tuple[bytes, ...]:
-        """The exact HMAC inputs, in prefix order."""
-        return tuple(
-            self.domain
-            + numericalized_to_bytes(numericalize(p), p.width)
-            for p in self.prefixes
-        )
+        """The exact HMAC inputs, in prefix order (memoised, see below)."""
+        return _spec_messages(self.domain, self.prefixes)
+
+
+@lru_cache(maxsize=65536)
+def _spec_messages(domain: bytes, prefixes: Tuple[Prefix, ...]) -> Tuple[bytes, ...]:
+    # A pure function of public inputs (no key material), so memoising it
+    # cannot serve a stale mask: the mask cache key still carries the HMAC
+    # key.  Bounded like the prefix_family/range_cover caches it sits on.
+    return tuple(
+        domain + numericalized_to_bytes(numericalize(p), p.width) for p in prefixes
+    )
 
 
 def mask_spec_digests(specs: Sequence[MaskSpec]) -> List[Tuple[bytes, ...]]:

@@ -72,3 +72,81 @@ def test_ctr_rejects_bad_nonce():
     cipher = Speck64128(OFFICIAL_KEY)
     with pytest.raises(ValueError):
         ctr_encrypt(cipher, b"toolong!", b"payload")
+
+
+# --- differential: the optimised cipher == a plain reference --------------
+#
+# A direct transcription of the Speck paper (rotation helpers, one call per
+# rotation, per-byte CTR XOR), kept here so the inlined production rounds
+# can be checked against it on random keys, blocks, nonces and payloads.
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _ref_ror(x, r):
+    return ((x >> r) | (x << (32 - r))) & _MASK32
+
+
+def _ref_rol(x, r):
+    return ((x << r) | (x >> (32 - r))) & _MASK32
+
+
+def _ref_round_keys(key):
+    k0, l0, l1, l2 = struct.unpack("<4I", key)
+    keys, l = [k0], [l0, l1, l2]
+    for i in range(26):
+        new_l = ((keys[i] + _ref_ror(l[i], 8)) & _MASK32) ^ i
+        l.append(new_l)
+        keys.append(_ref_rol(keys[i], 3) ^ new_l)
+    return keys
+
+
+def _ref_encrypt_block(key, block):
+    y, x = struct.unpack("<2I", block)
+    for k in _ref_round_keys(key):
+        x = ((_ref_ror(x, 8) + y) & _MASK32) ^ k
+        y = _ref_rol(y, 3) ^ x
+    return struct.pack("<2I", y, x)
+
+
+def _ref_decrypt_block(key, block):
+    y, x = struct.unpack("<2I", block)
+    for k in reversed(_ref_round_keys(key)):
+        y = _ref_ror(y ^ x, 3)
+        x = _ref_rol(((x ^ k) - y) & _MASK32, 8)
+    return struct.pack("<2I", y, x)
+
+
+def _ref_ctr(key, nonce, data):
+    stream = b""
+    counter = 0
+    while len(stream) < len(data):
+        stream += _ref_encrypt_block(key, nonce + struct.pack("<I", counter))
+        counter += 1
+    return bytes(p ^ s for p, s in zip(data, stream))
+
+
+def test_reference_matches_the_official_vector():
+    assert _ref_encrypt_block(OFFICIAL_KEY, OFFICIAL_PT) == OFFICIAL_CT
+    assert _ref_decrypt_block(OFFICIAL_KEY, OFFICIAL_CT) == OFFICIAL_PT
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.binary(min_size=16, max_size=16), block=st.binary(min_size=8, max_size=8))
+def test_blocks_match_the_reference(key, block):
+    cipher = Speck64128(key)
+    assert cipher.encrypt_block(block) == _ref_encrypt_block(key, block)
+    assert cipher.decrypt_block(block) == _ref_decrypt_block(key, block)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    nonce=st.binary(min_size=4, max_size=4),
+    payload=st.binary(max_size=70),
+)
+def test_ctr_matches_the_reference(key, nonce, payload):
+    cipher = Speck64128(key)
+    expected = _ref_ctr(key, nonce, payload)
+    assert ctr_encrypt(cipher, nonce, payload) == expected
+    assert ctr_decrypt(cipher, nonce, expected) == payload

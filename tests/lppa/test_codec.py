@@ -19,8 +19,17 @@ from repro.lppa.codec import (
     encode_masked_set,
     framing_overhead,
 )
+from repro.lppa.bids_ope import OpeBid, OpeBidSubmission, submit_bids_ope
 from repro.lppa.location import submit_location
-from repro.prefix.membership import mask_range, mask_value
+from repro.lppa.location_bloom import BloomLocationSubmission, submit_location_bloom
+from repro.lppa.messages import (
+    U16_MAX,
+    U32_MAX,
+    BidSubmission,
+    LocationSubmission,
+    MaskedBid,
+)
+from repro.prefix.membership import MaskedSet, mask_range, mask_value
 
 KEYRING = generate_keyring(b"codec-test", 3, rd=4, cr=8)
 SCALE = BidScale(bmax=30, rd=4, cr=8)
@@ -171,3 +180,73 @@ def test_bids_trailing_bytes_rejected():
     blob = encode_bids(_bid_submission())
     with pytest.raises(CodecError):
         decode_bids(blob + b"\x00")
+
+
+# --- the codec's field bounds hold at construction --------------------------
+#
+# The round core sizes submissions with wire_size() instead of encoding
+# them, so a submission the codec would refuse must not exist: each kind
+# below overflows one u8/u16/u32 field and fails when it is built.
+
+
+def _oversized_set():
+    return MaskedSet(
+        frozenset(n.to_bytes(4, "big") for n in range(U16_MAX + 1)), digest_bytes=4
+    )
+
+
+def _location(**overrides):
+    loc = submit_location(6, (12, 25), KEYRING.g0, GRID, 4)
+    fields = dict(
+        user_id=loc.user_id, x_family=loc.x_family, x_range=loc.x_range,
+        y_family=loc.y_family, y_range=loc.y_range,
+    )
+    fields.update(overrides)
+    return LocationSubmission(**fields)
+
+
+def test_every_ppbs_submission_field_bound_fails_at_construction():
+    sub = _bid_submission()
+    good = sub.channel_bids[0]
+    assert _location().wire_size() == len(encode_location(_location()))
+    with pytest.raises(CodecError, match="u16"):
+        _location(x_range=_oversized_set())
+    with pytest.raises(CodecError, match="u32"):
+        _location(user_id=U32_MAX + 1)
+    with pytest.raises(CodecError, match="u16"):
+        MaskedBid(family=_oversized_set(), tail=good.tail, ciphertext=good.ciphertext)
+    with pytest.raises(CodecError, match="ciphertext length"):
+        MaskedBid(family=good.family, tail=good.tail, ciphertext=b"\x00" * (U16_MAX + 1))
+    with pytest.raises(CodecError, match="channel count"):
+        BidSubmission(user_id=1, channel_bids=(good,) * (U16_MAX + 1))
+    with pytest.raises(CodecError, match="u32"):
+        BidSubmission(user_id=-1, channel_bids=(good,))
+    # The standalone masked-set encoder keeps its own count check.
+    with pytest.raises(CodecError):
+        encode_masked_set(_oversized_set())
+
+
+def test_every_bloom_submission_field_bound_fails_at_construction():
+    loc = submit_location_bloom(3, (10, 20), KEYRING.g0, GRID, 4)
+    bids = submit_bids_ope(3, [5, 0, 22], KEYRING, SCALE, random.Random(0))[0]
+    bid = bids.channel_bids[0]
+    with pytest.raises(CodecError, match="u8"):
+        BloomLocationSubmission(
+            user_id=3, cell_token=b"\x00" * 256, range_filter=loc.range_filter
+        )
+    with pytest.raises(CodecError, match="u32"):
+        BloomLocationSubmission(
+            user_id=U32_MAX + 1, cell_token=loc.cell_token, range_filter=loc.range_filter
+        )
+    with pytest.raises(CodecError, match="ciphertext length"):
+        OpeBid(ope_value=1, ope_bytes=bid.ope_bytes, ciphertext=b"\x00" * (U16_MAX + 1))
+    with pytest.raises(CodecError, match="u8"):
+        OpeBid(ope_value=1, ope_bytes=256, ciphertext=bid.ciphertext)
+    with pytest.raises(CodecError, match="channel count"):
+        OpeBidSubmission(user_id=3, channel_bids=(bid,) * (U16_MAX + 1))
+    with pytest.raises(CodecError, match="u32"):
+        OpeBidSubmission(user_id=U32_MAX + 1, channel_bids=(bid,))
+
+
+def test_codec_error_is_a_value_error():
+    assert issubclass(CodecError, ValueError)

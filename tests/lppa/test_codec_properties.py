@@ -4,7 +4,8 @@ Two families:
 
 * **round-trip** — for all three message classes (masked set, location
   submission, bid submission) built from the real submission layer under
-  random inputs, ``decode(encode(m)) == m``;
+  random inputs, ``decode(encode(m)) == m``, and ``wire_size()`` equals
+  the encoded length;
 * **truncation** — any strict prefix of a valid encoding raises
   :class:`CodecError`; it never silently decodes to a *different* valid
   message.  Every length in the format is declared before its bytes, so a
@@ -94,6 +95,29 @@ def test_location_roundtrip(sub):
 @given(sub=bid_submissions)
 def test_bids_roundtrip(sub):
     assert decode_bids(encode_bids(sub)) == sub
+
+
+# --- wire_size() is the encoded length ----------------------------------------
+#
+# The round core takes framed bytes from wire_size() without encoding, so the
+# pin in test_messages.py holds for every random submission, not one example.
+
+
+@settings(max_examples=40, deadline=None)
+@given(sub=locations)
+def test_location_wire_size_is_encoded_length(sub):
+    assert sub.wire_size() == len(encode_location(sub))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sub=bid_submissions)
+def test_bids_wire_size_is_encoded_length(sub):
+    assert sub.wire_size() == len(encode_bids(sub))
+    assert all(
+        mb.wire_size() == len(encode_masked_set(mb.family))
+        + len(encode_masked_set(mb.tail)) + 2 + len(mb.ciphertext)
+        for mb in sub.channel_bids
+    )
 
 
 # --- truncation never yields a value ------------------------------------------

@@ -22,6 +22,8 @@ from repro.net.loadgen import (
     round_entropy,
     run_loadgen,
 )
+from repro import obs
+from repro.obs.trace import TraceRecorder
 from repro.net.client import SUClient
 from repro.net.server import AuctioneerServer, ServerConfig
 from repro.net.transport import MemoryTransport
@@ -67,6 +69,24 @@ def test_scheduled_ttp_windows_do_not_change_the_result():
     )
     report = asyncio.run(run_loadgen(config))
     assert report.equivalence_checked == 2
+
+
+def test_equivalence_reference_stays_out_of_the_measurement():
+    """The in-process reference round behind --check-equivalence is
+    verification: it must not count into the caller's registry or trace."""
+    config = LoadgenConfig(
+        n_users=6, n_channels=6, rounds=2, seed=3,
+        transport="memory", check_equivalence=True,
+    )
+    registry, recorder = obs.MetricsRegistry(), TraceRecorder()
+    with obs.collecting(registry, trace=recorder):
+        report = asyncio.run(run_loadgen(config))
+    assert report.equivalence_checked == config.rounds
+    totals = registry.totals()
+    assert totals["lppa.rounds"] == config.rounds
+    assert totals["lppa.location_submissions"] == config.rounds * config.n_users
+    rankings = [e for e in recorder.events() if e["type"] == "ranking"]
+    assert len(rankings) == config.rounds * config.n_channels
 
 
 def test_loadgen_is_deterministic_across_runs():

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from repro.prefix.membership import (
     MaskedSet,
+    MaskSpec,
+    _spec_messages,
     find_maxima,
     is_member,
     mask_range,
     mask_value,
 )
-from repro.prefix.ranges import max_cover_size
+from repro.prefix.numericalize import numericalize, numericalized_to_bytes
+from repro.prefix.prefixes import prefix_family
+from repro.prefix.ranges import max_cover_size, range_cover
 
 KEY = b"test-key"
 
@@ -70,8 +74,44 @@ def test_padding_preserves_membership_semantics():
 def test_masked_set_validation():
     with pytest.raises(ValueError):
         MaskedSet(frozenset({b"short"}), digest_bytes=16)
+    with pytest.raises(ValueError, match="digest_bytes length"):
+        MaskedSet(frozenset({b"a" * 16, b"b" * 15}), digest_bytes=16)
     with pytest.raises(ValueError):
         MaskedSet(frozenset(), digest_bytes=2)
+    assert len(MaskedSet(frozenset(), digest_bytes=16)) == 0
+
+
+# --- memoised HMAC inputs ---------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    low=st.integers(min_value=0, max_value=255),
+    span=st.integers(min_value=0, max_value=255),
+    domain=st.binary(max_size=12),
+)
+def test_memoised_messages_equal_the_uncached_construction(low, span, domain):
+    width = 9
+    high = min(low + span, (1 << width) - 1)
+    for prefixes in (prefix_family(low, width), range_cover(low, high, width)):
+        spec = MaskSpec.of(KEY, prefixes, domain=domain)
+        expected = tuple(
+            domain + numericalized_to_bytes(numericalize(p), p.width)
+            for p in prefixes
+        )
+        assert spec.messages() == expected
+        assert spec.messages() == expected  # a cache hit returns the same
+
+
+def test_message_memo_is_bounded_and_keyless():
+    info = _spec_messages.cache_info()
+    assert info.maxsize is not None and 0 < info.maxsize <= 65536
+    # The memo is keyed on public inputs only: two HMAC keys share an entry.
+    prefixes = tuple(prefix_family(5, 4))
+    before = _spec_messages.cache_info().hits
+    MaskSpec(b"key-a", prefixes).messages()
+    MaskSpec(b"key-b", prefixes).messages()
+    assert _spec_messages.cache_info().hits >= before + 1
 
 
 def test_wire_bytes():

@@ -5,7 +5,7 @@ wire formats:
 
 * **round-trip** — Bloom location submissions and OPE bid submissions built
   from the real submission layer under random inputs satisfy
-  ``decode(encode(m)) == m``;
+  ``decode(encode(m)) == m``, and ``wire_size()`` equals the encoded length;
 * **truncation** — any strict prefix of a valid encoding raises
   :class:`CodecError`, never silently decoding to a different message;
 * **garbage** — random bytes behind a valid scheme tag either raise
@@ -81,6 +81,18 @@ def test_bloom_location_roundtrip(sub):
 @given(sub=ope_bid_submissions)
 def test_ope_bids_roundtrip(sub):
     assert decode_bids_ope(encode_bids_ope(sub)) == sub
+
+
+@settings(max_examples=40, deadline=None)
+@given(sub=bloom_locations)
+def test_bloom_location_wire_size_is_encoded_length(sub):
+    assert sub.wire_size() == len(encode_location_bloom(sub))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sub=ope_bid_submissions)
+def test_ope_bids_wire_size_is_encoded_length(sub):
+    assert sub.wire_size() == len(encode_bids_ope(sub))
 
 
 # --- truncation never yields a value ------------------------------------------
