@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Sequence, Set, Tuple
 
+from repro.geo.buckets import candidate_pairs
 from repro.geo.grid import Cell
 
 __all__ = ["ConflictGraph", "build_conflict_graph", "cells_conflict"]
@@ -79,14 +80,15 @@ def build_conflict_graph(
 ) -> ConflictGraph:
     """Plaintext conflict graph over users located at ``cells``.
 
-    Quadratic pairwise check; N is a few hundred in every experiment, and
-    the private protocol it is validated against is quadratic anyway.
+    Tests only the grid-bucket candidates of
+    :func:`repro.geo.buckets.candidate_pairs`, a superset of the
+    conflicting pairs, so the graph equals the all-pairs scan's.
     """
     if two_lambda < 1:
         raise ValueError("two_lambda must be >= 1")
-    edges = set()
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            if cells_conflict(cells[i], cells[j], two_lambda):
-                edges.add((i, j))
-    return ConflictGraph(n_users=len(cells), edges=frozenset(edges))
+    edges = frozenset(
+        (i, j)
+        for i, j in candidate_pairs(cells, two_lambda)
+        if cells_conflict(cells[i], cells[j], two_lambda)
+    )
+    return ConflictGraph(n_users=len(cells), edges=edges)

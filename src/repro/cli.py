@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scale = sub.add_parser(
         "scale",
-        help="sharded-round scale sweep (BENCH_scale; see DESIGN.md §9)",
+        help="one-round-per-size scale sweep (BENCH_scale; see DESIGN.md §9)",
     )
     scale.add_argument(
         "--sizes",
@@ -360,27 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N[,N...]",
         help="comma-separated SU population sizes (default: 1000,10000,100000)",
     )
-    scale.add_argument(
-        "--shards",
-        type=int,
-        default=8,
-        metavar="N",
-        help="shard count for the sharded rounds (default: 8); results are "
-        "bit-identical to the single-process path at any count",
-    )
     scale.add_argument("--channels", type=int, default=6, metavar="N")
     scale.add_argument("--seed", type=int, default=0, metavar="N")
     scale.add_argument(
-        "--no-reference",
-        action="store_true",
-        help="skip the single-process reference rounds (no speedup column)",
-    )
-    scale.add_argument(
         "--verify",
         action="store_true",
-        help="run each size traced on both paths and fail unless result, "
-        "trace and Theorem-4 audit are bit-identical (the CI scale-smoke "
-        "check)",
+        help="fail unless each size's conflict graph equals the all-pairs "
+        "masked scan (sizes up to 10000; the CI scale-smoke check)",
     )
     add_metrics_flag(scale)
 
@@ -682,38 +668,23 @@ def _cmd_scale(args) -> int:
         if not sizes or any(n < 1 for n in sizes):
             print("--sizes expects positive integers", file=sys.stderr)
             return 2
-    if args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 2
 
     def progress(size: int) -> None:
-        print(f"scale: running {size} SUs "
-              f"(shards={args.shards})...", file=sys.stderr)
+        print(f"scale: running {size} SUs...", file=sys.stderr)
 
     points = run_scale_sweep(
         sizes,
-        shards=args.shards,
         n_channels=args.channels,
         seed=args.seed,
-        reference=False if args.no_reference else None,
         verify=args.verify,
         progress=progress,
     )
     print(format_scale_table(points))
-    if args.verify:
-        failed = [p for p in points if p.verification is None
-                  or not p.verification.passed]
-        if failed:
-            for p in failed:
-                detail = (
-                    ", ".join(p.verification.failures())
-                    if p.verification is not None
-                    else "no verification ran"
-                )
-                print(f"scale: {p.size} SUs NOT bit-identical: {detail}",
-                      file=sys.stderr)
-            return 1
-    return 0
+    failed = [p.size for p in points if p.verified is False]
+    for size in failed:
+        print(f"scale: {size} SUs: conflict graph differs from the "
+              "all-pairs masked scan", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_baselines(args) -> int:

@@ -1,61 +1,53 @@
-"""Scale sweep: sharded LPPA rounds at 1k–100k SUs (``BENCH_scale``).
+"""Scale sweep: one full-crypto LPPA round at 1k–100k SUs (``BENCH_scale``).
 
-ROADMAP item 2: the paper evaluates 100-SU rounds, but a deployed CRN
-auction clears far larger regions.  This sweep measures one full-crypto
-round per population size through the sharded round core
-(:mod:`repro.lppa.round.sharding`) and — where feasible — the legacy
-single-process path as a reference, so the scaling curve lands in the perf
-trajectory next to the micro benches.
+The paper evaluates 100-SU rounds, but a deployed CRN auction clears far
+larger regions.  This sweep times one in-process round per population
+size, so the scaling curve lands in the perf trajectory next to the micro
+benches.  The in-process round tests only the grid-bucket candidate pairs
+(:mod:`repro.geo.buckets`, DESIGN.md §9) instead of all N² pairs.
 
 What the numbers mean
 ---------------------
 ``round_wall_s`` is the whole round: bidder-side masking, auctioneer-side
 conflict graph + psd allocation, and TTP charging.  ``auctioneer_wall_s``
-isolates the two auctioneer-side phases the tentpole shards (conflict-graph
-construction and psd allocation: the ``lppa.conflict_graph`` timer plus the
-``psd_allocation`` phase) — that is where the Θ(N²) pair scan lives and
-where the grid-bucket prefilter + sharding pay off, so the headline
-``speedup`` compares *those phases* against the single-process reference.
-Bidder-side synthesis is client-side work in a deployment (each SU masks
-its own submission) and is identical in both paths; on a small host the
-whole-round speedup is therefore diluted by it, which the artifact records
-honestly via both wall times.
+isolates the two auctioneer-side phases (the ``lppa.conflict_graph`` timer
+plus the ``psd_allocation`` phase), where the pair tests and the
+per-channel rankings live.  Bidder-side masking is client-side work in a
+deployment (each SU masks its own submission).
 
 The population is synthetic (uniform cells, uniform bids) at the paper's
 density — the grid side grows as ``ceil(sqrt(10 N))`` so ~10% of cells are
 occupied at every size, matching the 100-SU / 100×100-grid evaluation
 setup.  All randomness is label-addressed off ``scale:<seed>:<size>``, so
-any two runs (and the sharded/reference pair) see the same users.
+any two runs see the same users.
 
-``verify=True`` additionally runs the reference round under the flight
-recorder and demands the sharded round be **bit-identical**: equal
-:class:`~repro.lppa.round.results.LppaResult`, equal trace summary, equal
-timestamp-stripped event streams and an equal Theorem-4 communication
-audit.  The CI ``scale-smoke`` matrix runs exactly this at 1k SUs for
-shard counts 1, 2 and 8.
+``verify=True`` checks, up to :data:`REFERENCE_CEILING` SUs, that the
+round's conflict graph equals the networked auctioneer's all-pairs masked
+scan over the same users
+(:func:`~repro.lppa.location.build_private_conflict_graph` without
+candidates).  The CI ``scale-smoke`` job runs exactly this at 1k SUs.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.analysis.trace_audit import audit_comm_cost
 from repro.auction.bidders import SecondaryUser
 from repro.geo.grid import GridSpec
+from repro.lppa.location import build_private_conflict_graph, submit_locations
 from repro.lppa.session import run_lppa_auction
+from repro.lppa.ttp import TrustedThirdParty
 from repro.obs.clock import Stopwatch
 from repro.obs.registry import MetricsRegistry, PHASE_TIMER_PREFIX
-from repro.obs.trace import TraceRecorder
 
 __all__ = [
     "DEFAULT_SIZES",
     "REFERENCE_CEILING",
     "ScalePoint",
-    "ScaleVerification",
     "grid_side",
     "synthesize_population",
     "run_scale_point",
@@ -66,17 +58,14 @@ __all__ = [
 #: The committed-baseline sweep sizes.
 DEFAULT_SIZES = (1_000, 10_000, 100_000)
 
-#: Largest size for which the all-pairs single-process reference is run by
-#: default — beyond this the Θ(N²) scan is hours of wall time.
+#: Largest size ``verify`` checks against the all-pairs masked scan —
+#: beyond this the Θ(N²) scan is hours of wall time.
 REFERENCE_CEILING = 10_000
 
 _TWO_LAMBDA = 6
 _BMAX = 127
 _N_CHANNELS = 6
-
-#: Event keys stripped before comparing sharded vs reference event streams
-#: (wall-clock timestamps/durations are the only legitimately varying fields).
-_TIME_KEYS = frozenset(("ts", "ts_end", "dur"))
+_SEED = b"lppa-session"
 
 
 def grid_side(n_users: int) -> int:
@@ -100,9 +89,8 @@ def synthesize_population(
 ) -> Tuple[List[SecondaryUser], GridSpec]:
     """A uniform synthetic population at the paper's density.
 
-    Deterministic in ``(n_users, n_channels, bmax, seed)`` — the sweep's
-    sharded and reference rounds must audition the same users, and so must
-    any two machines reproducing the committed baseline.
+    Deterministic in ``(n_users, n_channels, bmax, seed)``, so any two
+    machines reproducing the committed baseline see the same users.
     """
     side = grid_side(n_users)
     grid = GridSpec(rows=side, cols=side)
@@ -119,75 +107,22 @@ def synthesize_population(
     return users, grid
 
 
-@dataclass(frozen=True)
-class ScaleVerification:
-    """Bit-exactness verdicts of one sharded-vs-reference comparison."""
-
-    result_equal: bool
-    trace_summary_equal: bool
-    trace_events_equal: bool
-    audit_equal: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.result_equal
-            and self.trace_summary_equal
-            and self.trace_events_equal
-            and self.audit_equal
-        )
-
-    def failures(self) -> List[str]:
-        """Names of the comparisons that did not come out equal."""
-        return [
-            name
-            for name, ok in (
-                ("result", self.result_equal),
-                ("trace summary", self.trace_summary_equal),
-                ("trace events", self.trace_events_equal),
-                ("theorem-4 audit", self.audit_equal),
-            )
-            if not ok
-        ]
-
-
 @dataclass
 class ScalePoint:
-    """One population size's measurements."""
+    """One population size's measurements.
+
+    ``verified`` is ``None`` when the all-pairs check did not run, else
+    whether the round's conflict graph matched it.
+    """
 
     size: int
-    shards: int
     grid_side: int
     n_channels: int
     n_edges: int
     winners: int
     round_wall_s: float
     auctioneer_wall_s: float
-    reference_round_wall_s: Optional[float] = None
-    reference_auctioneer_wall_s: Optional[float] = None
-    verification: Optional[ScaleVerification] = None
-    extras: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> Optional[float]:
-        """Auctioneer-phase speedup vs the single-process reference."""
-        if not self.reference_auctioneer_wall_s or not self.auctioneer_wall_s:
-            return None
-        return self.reference_auctioneer_wall_s / self.auctioneer_wall_s
-
-    @property
-    def round_speedup(self) -> Optional[float]:
-        """Whole-round speedup (diluted by the shared bidder-side work)."""
-        if not self.reference_round_wall_s or not self.round_wall_s:
-            return None
-        return self.reference_round_wall_s / self.round_wall_s
-
-
-def _strip_times(events: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    return [
-        {k: v for k, v in event.items() if k not in _TIME_KEYS}
-        for event in events
-    ]
+    verified: Optional[bool] = None
 
 
 def _auctioneer_seconds(registry: MetricsRegistry) -> float:
@@ -201,99 +136,49 @@ def _auctioneer_seconds(registry: MetricsRegistry) -> float:
     return total
 
 
-def _timed_round(
-    users: Sequence[SecondaryUser],
-    grid: GridSpec,
+def run_scale_point(
+    size: int,
     *,
-    shards: Optional[int],
-    entropy: bytes,
-    traced: bool,
-):
-    """One round under a private registry (and optionally the recorder)."""
-    recorder = (
-        TraceRecorder(capacity=max(65_536, 16 * len(users))) if traced else None
+    n_channels: int = _N_CHANNELS,
+    seed: int = 0,
+    verify: bool = False,
+) -> ScalePoint:
+    """Time one round of ``size`` SUs; optionally verify its conflict graph.
+
+    ``verify`` runs the all-pairs masked scan (unmeasured) for sizes up to
+    :data:`REFERENCE_CEILING` and records whether the graphs are equal.
+    """
+    users, grid = synthesize_population(
+        size, n_channels=n_channels, seed=seed
     )
     watch = Stopwatch()
-    # NB: an empty TraceRecorder is falsy — select on ``traced``, not on
-    # the recorder's truthiness.
-    with obs.collecting(
-        MetricsRegistry(), trace=recorder if traced else None
-    ) as registry:
+    with obs.collecting(MetricsRegistry()) as registry:
         result = run_lppa_auction(
             users,
             grid,
             two_lambda=_TWO_LAMBDA,
             bmax=_BMAX,
-            entropy=entropy,
-            shards=shards,
+            seed=_SEED,
+            entropy=f"scale:{seed}:{size}".encode(),
         )
-    wall = watch.elapsed()
-    return result, wall, _auctioneer_seconds(registry), recorder
-
-
-def _verify(reference_recorder, sharded_recorder, ref_result, sh_result):
-    ref_events = reference_recorder.events()
-    sh_events = sharded_recorder.events()
-    return ScaleVerification(
-        result_equal=ref_result == sh_result,
-        trace_summary_equal=(
-            reference_recorder.summary() == sharded_recorder.summary()
-        ),
-        trace_events_equal=_strip_times(ref_events) == _strip_times(sh_events),
-        audit_equal=(
-            audit_comm_cost(ref_events, strict=False)
-            == audit_comm_cost(sh_events, strict=False)
-        ),
-    )
-
-
-def run_scale_point(
-    size: int,
-    *,
-    shards: int,
-    n_channels: int = _N_CHANNELS,
-    seed: int = 0,
-    reference: Optional[bool] = None,
-    verify: bool = False,
-) -> ScalePoint:
-    """Measure one population size; optionally verify against the reference.
-
-    ``reference=None`` auto-enables the single-process reference up to
-    :data:`REFERENCE_CEILING` SUs.  ``verify`` implies ``reference`` and
-    runs both rounds under the flight recorder.
-    """
-    if reference is None:
-        reference = size <= REFERENCE_CEILING
-    if verify:
-        reference = True
-    users, grid = synthesize_population(
-        size, n_channels=n_channels, seed=seed
-    )
-    entropy = f"scale:{seed}:{size}".encode()
-
-    sh_result, sh_wall, sh_auct, sh_rec = _timed_round(
-        users, grid, shards=shards, entropy=entropy, traced=verify
-    )
     point = ScalePoint(
         size=size,
-        shards=shards,
         grid_side=grid.rows,
         n_channels=n_channels,
-        n_edges=sh_result.conflict_graph.n_edges,
-        winners=len(sh_result.outcome.wins),
-        round_wall_s=sh_wall,
-        auctioneer_wall_s=sh_auct,
+        n_edges=result.conflict_graph.n_edges,
+        winners=len(result.outcome.wins),
+        round_wall_s=watch.elapsed(),
+        auctioneer_wall_s=_auctioneer_seconds(registry),
     )
-    if reference:
-        ref_result, ref_wall, ref_auct, ref_rec = _timed_round(
-            users, grid, shards=None, entropy=entropy, traced=verify
-        )
-        point.reference_round_wall_s = ref_wall
-        point.reference_auctioneer_wall_s = ref_auct
-        if verify:
-            assert ref_rec is not None and sh_rec is not None
-            point.verification = _verify(
-                ref_rec, sh_rec, ref_result, sh_result
+    if verify and size <= REFERENCE_CEILING:
+        _, keyring, _ = TrustedThirdParty.setup(_SEED, n_channels, bmax=_BMAX)
+        with obs.unmeasured():
+            submissions = submit_locations(
+                [user.cell for user in users], keyring.g0, grid, _TWO_LAMBDA
+            )
+            point.verified = (
+                build_private_conflict_graph(submissions)
+                == result.conflict_graph
             )
     _record_point(point)
     return point
@@ -304,37 +189,19 @@ def _record_point(point: ScalePoint) -> None:
     if obs.get_active() is None:
         return
     prefix = f"scale.{point.size}"
-    obs.record_seconds(f"{prefix}.sharded.round", point.round_wall_s)
-    obs.record_seconds(f"{prefix}.sharded.auctioneer", point.auctioneer_wall_s)
-    obs.count(f"{prefix}.shards", point.shards)
+    obs.record_seconds(f"{prefix}.round", point.round_wall_s)
+    obs.record_seconds(f"{prefix}.auctioneer", point.auctioneer_wall_s)
     obs.count(f"{prefix}.edges", point.n_edges)
     obs.count(f"{prefix}.winners", point.winners)
-    if point.reference_round_wall_s is not None:
-        obs.record_seconds(
-            f"{prefix}.reference.round", point.reference_round_wall_s
-        )
-    if point.reference_auctioneer_wall_s is not None:
-        obs.record_seconds(
-            f"{prefix}.reference.auctioneer", point.reference_auctioneer_wall_s
-        )
-    if point.speedup is not None:
-        # Speedups are dimensionless; counters carry them as ×1000 fixed
-        # point so the artifact schema (int counters / seconds timers)
-        # stays untouched.
-        obs.count(f"{prefix}.speedup.auctioneer_x1000", int(point.speedup * 1000))
-    if point.round_speedup is not None:
-        obs.count(f"{prefix}.speedup.round_x1000", int(point.round_speedup * 1000))
-    if point.verification is not None:
-        obs.count(f"{prefix}.verified", 1 if point.verification.passed else 0)
+    if point.verified is not None:
+        obs.count(f"{prefix}.verified", int(point.verified))
 
 
 def run_scale_sweep(
     sizes: Sequence[int] = DEFAULT_SIZES,
     *,
-    shards: int,
     n_channels: int = _N_CHANNELS,
     seed: int = 0,
-    reference: Optional[bool] = None,
     verify: bool = False,
     progress=None,
 ) -> List[ScalePoint]:
@@ -345,12 +212,7 @@ def run_scale_sweep(
             progress(size)
         points.append(
             run_scale_point(
-                size,
-                shards=shards,
-                n_channels=n_channels,
-                seed=seed,
-                reference=reference,
-                verify=verify,
+                size, n_channels=n_channels, seed=seed, verify=verify
             )
         )
     return points
@@ -358,27 +220,15 @@ def run_scale_sweep(
 
 def format_scale_table(points: Sequence[ScalePoint]) -> str:
     """The human-readable sweep summary the CLI prints."""
+    verdicts = {None: "-", True: "ok", False: "MISMATCH"}
     lines = [
         f"{'SUs':>8}  {'grid':>9}  {'edges':>9}  {'winners':>8}  "
-        f"{'round':>9}  {'auctioneer':>11}  {'ref auct':>9}  {'speedup':>8}",
+        f"{'round':>9}  {'auctioneer':>11}  {'all-pairs':>9}",
     ]
     for p in points:
-        ref = (
-            f"{p.reference_auctioneer_wall_s:9.2f}"
-            if p.reference_auctioneer_wall_s is not None
-            else f"{'-':>9}"
-        )
-        speed = f"{p.speedup:7.1f}x" if p.speedup is not None else f"{'-':>8}"
         lines.append(
             f"{p.size:>8}  {p.grid_side:>4}x{p.grid_side:<4}  {p.n_edges:>9}  "
             f"{p.winners:>8}  {p.round_wall_s:8.2f}s  "
-            f"{p.auctioneer_wall_s:10.2f}s  {ref}  {speed}"
+            f"{p.auctioneer_wall_s:10.2f}s  {verdicts[p.verified]:>9}"
         )
-        if p.verification is not None:
-            verdict = (
-                "bit-identical to single-process path"
-                if p.verification.passed
-                else "MISMATCH: " + ", ".join(p.verification.failures())
-            )
-            lines.append(f"{'':>8}  verify({p.shards} shards): {verdict}")
     return "\n".join(lines)

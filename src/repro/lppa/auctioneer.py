@@ -14,7 +14,7 @@ what :mod:`repro.attacks.against_lppa` consumes.
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.auction.allocation import Assignment, greedy_allocate
 from repro.obs import trace
@@ -56,40 +56,19 @@ class Auctioneer:
             raise RuntimeError("allocation has not been run yet")
         return list(self._assignments)
 
-    @property
-    def table(self) -> MaskedBidTable:
-        """The live masked table (sharded rounds rank its columns remotely)."""
-        if self._table is None:
-            raise RuntimeError("bid submissions not received yet")
-        return self._table
-
     def receive_locations(
         self,
         submissions: Sequence[LocationSubmission],
         *,
-        edges: Optional[FrozenSet[Tuple[int, int]]] = None,
+        candidates: Optional[Iterable[Tuple[int, int]]] = None,
     ) -> ConflictGraph:
         """PPBS location phase: masked membership tests -> conflict graph.
 
-        ``edges`` short-circuits the in-process pairwise scan with an edge
-        set already decided elsewhere — the sharded round core computes the
-        same masked membership tests in worker processes
-        (:func:`repro.lppa.round.sharding.sharded_conflict_edges`) and
-        hands the result in here so the auctioneer's bookkeeping and trace
-        emission stay identical to the serial path.
+        ``candidates`` limits the tests to the given pairs (see
+        :func:`~repro.lppa.location.build_private_conflict_graph`); the
+        default tests every pair.
         """
-        if edges is not None:
-            for idx, sub in enumerate(submissions):
-                if sub.user_id != idx:
-                    raise ValueError(
-                        f"submissions must be dense: slot {idx} holds user "
-                        f"{sub.user_id}"
-                    )
-            self._conflict = ConflictGraph(
-                n_users=len(submissions), edges=frozenset(edges)
-            )
-        else:
-            self._conflict = build_private_conflict_graph(submissions)
+        self._conflict = build_private_conflict_graph(submissions, candidates)
         tr = trace.get_active()
         if tr is not None:
             tr.instant(

@@ -41,7 +41,6 @@ from repro.lppa.round import (
     RoundState,
     execute_round,
 )
-from repro.lppa.round.sharding import resolve_shards
 from repro.utils.rng import Seed, fresh_rng
 
 __all__ = [
@@ -64,7 +63,6 @@ def run_fast_lppa(
     conflict: Optional[ConflictGraph] = None,
     revalidate: bool = False,
     pricing: str = "first",
-    shards: Optional[int] = None,
     scheme: Optional[str] = None,
 ) -> FastLppaResult:
     """One LPPA round at integer level: disguise/expand, allocate, charge.
@@ -90,12 +88,6 @@ def run_fast_lppa(
     ``pricing`` selects the charging rule: ``"first"`` (the paper) or
     ``"second"`` (the truthfulness extension of
     :mod:`repro.auction.pricing`, incompatible with ``revalidate``).
-
-    ``shards`` (argument, else ``REPRO_SHARDS``, else off) enables scale
-    mode: conflict-graph construction goes through the grid-bucket
-    prefilter and — with per-channel rankings — fans out over worker
-    processes, bit-identically to the default path (see
-    :mod:`repro.lppa.round.sharding`).
 
     ``scheme`` resolves exactly as in :func:`repro.lppa.session.run_lppa_auction`
     (argument, else active scheme, else ``$REPRO_SCHEME``, else ``ppbs``) and
@@ -149,7 +141,6 @@ def run_fast_lppa(
         revalidate=revalidate,
         conflict=conflict,
         tr=trace.get_active(),
-        shards=resolve_shards(shards),
     )
     execute_round(state)
     result: FastLppaResult = state.result

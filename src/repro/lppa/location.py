@@ -17,7 +17,8 @@ Coordinates are cell indices (non-negative integers, as the paper assumes).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import itertools
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.auction.conflict import ConflictGraph
 from repro.geo.grid import Cell, GridSpec
@@ -122,25 +123,30 @@ def submit_locations(
 
 def build_private_conflict_graph(
     submissions: Sequence[LocationSubmission],
+    candidates: Optional[Iterable[Tuple[int, int]]] = None,
 ) -> ConflictGraph:
     """Auctioneer side: pairwise masked membership tests -> conflict graph.
 
     ``submissions[i].user_id`` must equal ``i`` (the session layer enforces
     the dense numbering; pseudonymised ids are mapped before this point).
+    ``candidates`` restricts the tests to the given ``(i, j)`` pairs,
+    ``i < j``; the default is every pair, the paper's scan.  An in-process
+    round passes :func:`repro.geo.buckets.candidate_pairs` of its plaintext
+    cells, a superset of the conflicting pairs, so the graph is the same.
     """
     for idx, sub in enumerate(submissions):
         if sub.user_id != idx:
             raise ValueError(
                 f"submissions must be dense: slot {idx} holds user {sub.user_id}"
             )
-    edges = set()
     n = len(submissions)
-    for i in range(n):
-        si = submissions[i]
-        for j in range(i + 1, n):
-            sj = submissions[j]
-            if is_member(si.x_family, sj.x_range) and is_member(
-                si.y_family, sj.y_range
-            ):
-                edges.add((i, j))
+    if candidates is None:
+        candidates = itertools.combinations(range(n), 2)
+    edges = set()
+    for i, j in candidates:
+        si, sj = submissions[i], submissions[j]
+        if is_member(si.x_family, sj.x_range) and is_member(
+            si.y_family, sj.y_range
+        ):
+            edges.add((i, j))
     return ConflictGraph(n_users=n, edges=frozenset(edges))

@@ -23,7 +23,7 @@ from repro.auction.table import BidTable
 from repro.lppa.messages import BidSubmission, MaskedBid
 from repro.prefix.membership import is_member
 
-__all__ = ["MaskedBidTable", "rank_by_ge", "rank_masked_column"]
+__all__ = ["MaskedBidTable", "rank_by_ge"]
 
 
 def rank_by_ge(
@@ -33,10 +33,6 @@ def rank_by_ge(
 
     ``ge(i, j)`` answers ``b_i >= b_j``; it must be a total preorder (every
     masked column is, up to the negligible filler-collision probability).
-    This is *the* ranking algorithm — :meth:`MaskedBidTable.ranking` and the
-    sharded per-channel ranking workers both call it, which is what makes a
-    worker-computed ranking bit-identical to an in-table one: same sort,
-    same comparison order, same class grouping.
     """
 
     def compare(i: int, j: int) -> int:
@@ -60,27 +56,6 @@ def rank_by_ge(
         else:
             classes.append([bidder])
     return classes
-
-
-def rank_masked_column(column: Sequence[MaskedBid]) -> List[List[int]]:
-    """Rank one channel's masked column standalone (no table required).
-
-    Used by the sharded psd-allocation workers: a worker receives just the
-    column, memoizes pairwise verdicts locally (mirroring the table's
-    ``_ge_cache``) and returns the classes.  Digest-identical inputs give
-    list-identical classes because :func:`rank_by_ge` is shared.
-    """
-    memo: Dict[Tuple[int, int], bool] = {}
-
-    def ge(i: int, j: int) -> bool:
-        key = (i, j)
-        cached = memo.get(key)
-        if cached is None:
-            cached = is_member(column[i].family, column[j].tail)
-            memo[key] = cached
-        return cached
-
-    return rank_by_ge(len(column), ge)
 
 
 class MaskedBidTable(BidTable):
@@ -211,38 +186,6 @@ class MaskedBidTable(BidTable):
     def rankings(self) -> List[List[List[int]]]:
         """All channels' rankings (the attacker's full view of the table)."""
         return [self.ranking(ch) for ch in range(self._n_channels)]
-
-    def column(self, channel: int) -> List[MaskedBid]:
-        """One channel's masked column in bidder order (sharding transport).
-
-        The sharded psd phase ships columns to worker processes, which rank
-        them with :func:`rank_masked_column` and hand the classes back via
-        :meth:`set_rankings`.
-        """
-        self._check_channel(channel)
-        return list(self._bids[channel])
-
-    def set_rankings(self, rankings: Sequence[List[List[int]]]) -> None:
-        """Install externally computed per-channel rankings.
-
-        Accepts exactly what :meth:`rankings` would return — one class list
-        per channel, each covering every bidder — and caches them so later
-        :meth:`ranking`/:meth:`max_bidders` calls skip the membership-test
-        sort.  Only rankings produced by :func:`rank_masked_column` over
-        this table's own columns are bit-identical to the in-table sort;
-        that contract is what the sharded-vs-serial differential tests pin.
-        """
-        if len(rankings) != self._n_channels:
-            raise ValueError(
-                f"{len(rankings)} rankings for {self._n_channels} channels"
-            )
-        for channel, classes in enumerate(rankings):
-            covered = sorted(b for tie_class in classes for b in tie_class)
-            if covered != list(range(self._n_users)):
-                raise ValueError(
-                    f"channel {channel} ranking must cover every bidder exactly once"
-                )
-            self._rankings[channel] = classes
 
     # Internals -------------------------------------------------------------------
 

@@ -37,7 +37,6 @@ from repro.lppa.round.core import (
 )
 from repro.lppa.round.drivers import IN_PROCESS_DRIVER, InProcessDriver, RoundDriver
 from repro.lppa.round.results import FastLppaResult, LppaResult
-from repro.lppa.round.sharding import SHARDS_ENV, resolve_shards, shard_slices
 from repro.lppa.round.state import RoundState
 from repro.lppa.round.tables import IntegerMaskedTable
 
@@ -45,7 +44,6 @@ __all__ = [
     "CRYPTO_BACKEND",
     "IN_PROCESS_DRIVER",
     "PHASE_STEPS",
-    "SHARDS_ENV",
     "PLAIN_BACKEND",
     "CryptoBackend",
     "FastLppaResult",
@@ -60,6 +58,4 @@ __all__ = [
     "execute_round",
     "execute_round_async",
     "observe_steps",
-    "resolve_shards",
-    "shard_slices",
 ]

@@ -30,6 +30,7 @@ from repro.auction.allocation import greedy_allocate, greedy_allocate_validated
 from repro.auction.conflict import build_conflict_graph
 from repro.auction.outcome import AuctionOutcome, WinRecord
 from repro.auction.pricing import greedy_allocate_priced, second_price_charge
+from repro.geo.buckets import candidate_pairs
 from repro.lppa.auctioneer import Auctioneer
 from repro.lppa.bids_advanced import (
     BidScale,
@@ -38,7 +39,6 @@ from repro.lppa.bids_advanced import (
     submit_bids_advanced,
 )
 from repro.lppa.location import submit_locations
-from repro.lppa.round import sharding
 from repro.lppa.round.results import FastLppaResult, LppaResult
 from repro.lppa.round.state import RoundState
 from repro.lppa.round.tables import IntegerMaskedTable
@@ -159,9 +159,6 @@ class CryptoBackend(ValueBackend):
     def make_locations(self, state: RoundState) -> None:
         assert state.users is not None and state.keyring is not None
         assert state.grid is not None
-        if state.shards is not None:
-            state.location_subs = sharding.sharded_location_submissions(state)
-            return
         # All SUs share g0, so the whole population's location masking is
         # one batch through the crypto backend (digest-identical to the
         # per-user submit_location loop).
@@ -175,35 +172,26 @@ class CryptoBackend(ValueBackend):
     def ingest_locations(self, state: RoundState) -> None:
         assert state.location_subs is not None
         state.auctioneer = Auctioneer(state.n_channels)
-        # The conflict-graph timer isolates the auctioneer-side Θ(pairs)
-        # work from the bidder-side masking that shares this phase — the
-        # scale sweep reads it to report the sharded speedup honestly.
+        # The conflict-graph timer isolates the auctioneer-side pair tests
+        # from the bidder-side masking that shares this phase.
+        candidates = None
+        if state.users is not None:
+            # In process the round holds the plaintext cells: test only the
+            # grid-bucket candidates (DESIGN §9).  The networked server has
+            # no cells and keeps the paper's all-pairs scan.
+            candidates = candidate_pairs(
+                [user.cell for user in state.users], state.two_lambda
+            )
         with obs.timer("lppa.conflict_graph"):
-            if state.shards is not None and state.users is not None:
-                # Scale mode: candidate pairs come from the grid-bucket
-                # prefilter and are decided by the same masked membership
-                # tests in worker processes; the auctioneer receives the
-                # (identical) edge set and emits its usual trace instant.
-                state.conflict = state.auctioneer.receive_locations(
-                    state.location_subs,
-                    edges=sharding.sharded_conflict_edges(state),
-                )
-            else:
-                state.conflict = state.auctioneer.receive_locations(
-                    state.location_subs
-                )
+            state.conflict = state.auctioneer.receive_locations(
+                state.location_subs, candidates=candidates
+            )
         state.location_bytes = sum(s.wire_bytes() for s in state.location_subs)
 
     def make_bids(self, state: RoundState) -> None:
         assert state.users is not None and state.user_rngs is not None
         assert state.keyring is not None and state.scale is not None
         assert state.policies is not None
-        if state.shards is not None:
-            state.bid_subs, disclosures = sharding.sharded_bid_submissions(
-                state
-            )
-            state.disclosures.extend(disclosures)
-            return
         subs = []
         for idx, user in enumerate(state.users):
             submission, disclosure = submit_bids_advanced(
@@ -225,15 +213,6 @@ class CryptoBackend(ValueBackend):
 
     def allocate(self, state: RoundState) -> None:
         assert state.auctioneer is not None and state.alloc_rng is not None
-        if state.shards is not None:
-            # Per-channel rankings are the psd phase's hot loop; compute
-            # them in shards and install them so channel_rankings() reads
-            # the cache (and still emits the per-channel trace records).
-            state.auctioneer.table.set_rankings(
-                sharding.sharded_masked_rankings(
-                    state.auctioneer.table, state.shards
-                )
-            )
         # channel_rankings/run_allocation emit their own trace events
         # (ranking records, assignment instants, conflict-graph instants
         # having been emitted at ingest time).
@@ -315,16 +294,9 @@ class PlainBackend(ValueBackend):
         if state.conflict is None:
             assert state.users is not None
             with obs.timer("lppa.conflict_graph"):
-                if state.shards is not None:
-                    state.conflict = sharding.sharded_plain_conflict(
-                        [u.cell for u in state.users],
-                        state.two_lambda,
-                        state.shards,
-                    )
-                else:
-                    state.conflict = build_conflict_graph(
-                        [u.cell for u in state.users], state.two_lambda
-                    )
+                state.conflict = build_conflict_graph(
+                    [u.cell for u in state.users], state.two_lambda
+                )
 
     def make_bids(self, state: RoundState) -> None:
         assert state.users is not None and state.user_rngs is not None
@@ -354,12 +326,7 @@ class PlainBackend(ValueBackend):
             [[c.masked_expanded for c in d.channels] for d in state.disclosures]
         )
         state.table = table
-        if state.shards is not None:
-            state.rankings = sharding.sharded_integer_rankings(
-                table, state.shards
-            )
-        else:
-            state.rankings = table.rankings()
+        state.rankings = table.rankings()
         tr = state.tr
         if tr is not None:
             for channel, classes in enumerate(state.rankings):

@@ -63,10 +63,6 @@ class RoundState:
     pricing: str = "first"
     revalidate: bool = False
     tr: Optional[TraceRecorder] = None
-    #: ``None`` = legacy single-process path; ``>= 1`` = scale mode (grid-
-    #: bucket prefilter + sharded phase execution, serial when 1).  See
-    #: :mod:`repro.lppa.round.sharding` for the determinism contract.
-    shards: Optional[int] = None
 
     # -- crypto setup material (prefilled by the net server, which performs
     # the TTP setup once at construction rather than once per round) -------

@@ -11,20 +11,7 @@ from typing import Dict, List, Sequence, Set
 
 from repro.auction.table import BidTable
 
-__all__ = ["IntegerMaskedTable", "rank_integer_column"]
-
-
-def rank_integer_column(values: Sequence[int]) -> List[List[int]]:
-    """Equivalence-class ranking of one integer column, best first.
-
-    The standalone twin of :meth:`IntegerMaskedTable.ranking` — the sharded
-    plain-backend psd phase ranks columns in worker processes with this and
-    installs the classes via :meth:`IntegerMaskedTable.set_rankings`.
-    """
-    by_value: Dict[int, List[int]] = {}
-    for bidder, value in enumerate(values):
-        by_value.setdefault(int(value), []).append(bidder)
-    return [by_value[v] for v in sorted(by_value, reverse=True)]
+__all__ = ["IntegerMaskedTable"]
 
 
 class IntegerMaskedTable(BidTable):
@@ -84,18 +71,14 @@ class IntegerMaskedTable(BidTable):
     def ranking(self, channel: int) -> List[List[int]]:
         """Equivalence-class ranking, identical in shape to the masked table's."""
         self._check_channel(channel)
-        return rank_integer_column(
-            [self._values[bidder][channel] for bidder in range(self._n_users)]
-        )
+        by_value: Dict[int, List[int]] = {}
+        for bidder in range(self._n_users):
+            by_value.setdefault(self._values[bidder][channel], []).append(bidder)
+        return [by_value[v] for v in sorted(by_value, reverse=True)]
 
     def rankings(self) -> List[List[List[int]]]:
         """All channels' rankings (the attacker's full view)."""
         return [self.ranking(ch) for ch in range(self._n_channels)]
-
-    def column(self, channel: int) -> List[int]:
-        """One channel's integer column in bidder order (sharding transport)."""
-        self._check_channel(channel)
-        return [self._values[bidder][channel] for bidder in range(self._n_users)]
 
     def _check_channel(self, channel: int) -> None:
         if not 0 <= channel < self._n_channels:

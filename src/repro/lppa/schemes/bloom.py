@@ -68,7 +68,7 @@ __all__ = ["BloomBackend", "BloomScheme", "BLOOM_BACKEND"]
 
 
 class BloomBackend(ValueBackend):
-    """The Bloom protocol's value backend (serial; sharding is PPBS-only)."""
+    """The Bloom protocol's value backend."""
 
     name = "bloom"
 

@@ -33,7 +33,6 @@ from repro.lppa.round import (
     RoundState,
     execute_round,
 )
-from repro.lppa.round.sharding import resolve_shards
 from repro.lppa.schemes.registry import resolve_scheme
 from repro.utils.rng import Seed, fresh_rng
 
@@ -85,17 +84,18 @@ def run_lppa_auction(
         a :func:`repro.lppa.fastsim.run_fast_lppa` run with the same
         ``entropy`` — the enforced fastsim equivalence contract.
     shards:
-        Scale mode (argument, else ``REPRO_SHARDS``, else off): the
-        expensive phases run through the grid-bucket prefilter and the
-        sharded executors of :mod:`repro.lppa.round.sharding` — serially
-        in-process at 1, over that many worker processes at >= 2.  Results
-        are bit-identical to the default path at any shard count.
+        Compatibility only: ``None`` and ``1`` both run the one round path.
+        Process sharding was removed; any other value raises ValueError.
     scheme:
         Privacy scheme name (argument, else the CLI-set active scheme, else
         ``$REPRO_SCHEME``, else ``ppbs``).  ``ppbs`` runs the paper's
         protocol bit-identically to the historical code path; ``bloom``
         runs Bloom-filter locations + OPE bids end to end.
     """
+    if shards not in (None, 1):
+        raise ValueError(
+            f"shards={shards!r}: process sharding was removed; pass None or 1"
+        )
     if not users:
         raise ValueError("need at least one user")
     n_channels = users[0].n_channels
@@ -127,7 +127,6 @@ def run_lppa_auction(
         alloc_rng=alloc_rng,
         policies=[policy] * len(users),
         tr=trace.get_active(),
-        shards=resolve_shards(shards),
     )
     execute_round(state)
     result: LppaResult = state.result

@@ -325,10 +325,7 @@ def _session_result(
     round_index: int,
     scheme: Optional[str] = None,
 ) -> LppaResult:
-    # Verification, not measurement: the reference round counts into a
-    # throwaway registry and records no trace, so the caller's counters
-    # and trace hold the networked rounds alone.
-    with obs.collecting(obs.MetricsRegistry()), trace.suspended():
+    with obs.unmeasured():
         return run_lppa_auction(
             users,
             grid,
@@ -397,6 +394,8 @@ def _make_clients(
     keyring,
     scale,
     transport: Transport,
+    *,
+    recorders: Sequence[trace.TraceRecorder] = (),
 ) -> List[SUClient]:
     return [
         SUClient(
@@ -410,6 +409,7 @@ def _make_clients(
             policy=_policy(config),
             retry=RetryPolicy(),
             frame_timeout=config.frame_timeout,
+            recorder=recorders[su_id] if recorders else None,
         )
         for su_id, user in enumerate(users)
     ]
@@ -514,12 +514,26 @@ async def _run_connect(
     _, keyring, scale = TrustedThirdParty.setup(
         protocol_seed(config.seed), config.n_channels, bmax=config.bmax
     )
-    clients = _make_clients(config, grid, users, keyring, scale, transport)
+    recorder = trace.get_active()
+    client_recorders = (
+        [trace.TraceRecorder() for _ in users] if recorder is not None else []
+    )
+    clients = _make_clients(
+        config, grid, users, keyring, scale, transport,
+        recorders=client_recorders,
+    )
     t0 = monotonic()
     rounds_per_client = await asyncio.gather(
         *(c.run(config.rounds) for c in clients)
     )
     elapsed = monotonic() - t0
+    if recorder is not None:
+        # No server runs in this process: the trace is the SUs' own
+        # records, in `repro trace merge` order.
+        _, events = trace.merge_traces(
+            [(r.header(), r.events()) for r in client_recorders]
+        )
+        recorder.extend(events)
 
     by_round: Dict[int, Dict[str, Any]] = {}
     report = LoadgenReport(

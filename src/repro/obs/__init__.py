@@ -90,6 +90,7 @@ __all__ = [
     "timer",
     "trace",
     "tracing",
+    "unmeasured",
     "validate_artifact",
     "write_artifact",
 ]
@@ -167,6 +168,17 @@ def collecting(
                 yield installed
     finally:
         _active = previous
+
+
+@contextlib.contextmanager
+def unmeasured() -> Iterator[None]:
+    """Run verification work (an in-process reference round) unmeasured.
+
+    Counts go to a throwaway registry and nothing is traced, so the
+    caller's registry and trace hold the measured work alone.
+    """
+    with collecting(MetricsRegistry()), _trace_module.suspended():
+        yield
 
 
 def tracing(

@@ -103,8 +103,8 @@ class Histogram:
     Plain object, not thread-safe (same contract as the registry).  All
     buckets are integers; ``observe`` costs one ``bisect`` on the shared
     boundary tuple.  ``merge`` folds another histogram of the *same grid*
-    in (the sharding workers and loadgen use this to ship distributions
-    across process boundaries as plain dicts).
+    in (loadgen uses this to ship distributions across process
+    boundaries as plain dicts).
     """
 
     __slots__ = (

@@ -263,10 +263,19 @@ class TraceRecorder:
             record["session"] = self._session
         if self._role is not None:
             record["role"] = self._role
+        self._append(record)
+
+    def _append(self, record: Record) -> None:
         self._seq += 1
         if len(self._events) == self._capacity:
             self._dropped += 1
         self._events.append(record)
+
+    def extend(self, records: Iterable[Record]) -> None:
+        """Append records stamped elsewhere (e.g. other recorders' events in
+        :func:`merge_traces` order), renumbering ``seq`` into this stream."""
+        for record in records:
+            self._append({**record, "seq": self._seq})
 
     def set_correlation(
         self,
@@ -649,7 +658,7 @@ def merge_traces(
     timing): events sort by auction ``round`` (``null`` first), then by
     source order, then by each source's own ``seq`` — so within a round
     the server's record of a message and the client's record of sending it
-    land adjacently regardless of shard count or scheduling.  ``seq`` is
+    land adjacently regardless of scheduling.  ``seq`` is
     reassigned to the merged order.
     """
     if not traces:

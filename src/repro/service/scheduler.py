@@ -15,8 +15,8 @@ auction round plus the boundary work around it:
    gone and joiners present before the round snapshots its participants;
 3. **round** — ``server.run_round(service_entropy(seed, epoch))`` under a
    *fresh* metrics registry, which is folded into the enclosing registry
-   afterwards (the sharding rollup pattern), giving both per-epoch and
-   whole-run telemetry from one instrumentation pass;
+   afterwards, giving both per-epoch and whole-run telemetry from one
+   instrumentation pass;
 4. **audit** — an optional ``check_epoch`` hook (the soak driver's
    differential equivalence against a single-round in-process session);
 5. **persist** — the epoch's result document and metrics land in the
@@ -348,10 +348,9 @@ def _fold_registry(
 ) -> None:
     """Fold one epoch's registry into the enclosing one (if any).
 
-    The sharding rollup pattern (:mod:`repro.lppa.round.sharding`): the
-    epoch's keys already carry their phase scopes, and the scheduler holds
-    no outer phase open, so counters/timers/histograms land on identical
-    keys — whole-run totals equal the sum of the epochs.  Gauges are
+    The epoch's keys already carry their phase scopes, and the scheduler
+    holds no outer phase open, so counters/timers/histograms land on
+    identical keys — whole-run totals equal the sum of the epochs.  Gauges are
     last-write-wins by definition.
     """
     if outer is None or outer is registry:

@@ -33,12 +33,11 @@ ramp) cannot mask a tail regression in the epochs that matter.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.auction.bidders import SecondaryUser
@@ -400,15 +399,16 @@ async def run_soak(config: SoakConfig) -> SoakReport:
             # not the identity, so bit-equality does not apply (PR-4).
             obs.count("service.equivalence_skipped")
             return None
-        session = run_lppa_auction(
-            [users[logical] for logical in snapshot.members],
-            grid,
-            two_lambda=config.two_lambda,
-            bmax=config.bmax,
-            seed=protocol_seed(config.seed),
-            policy=KeepZeroPolicy(),
-            entropy=service_entropy(config.seed, epoch),
-        )
+        with obs.unmeasured():
+            session = run_lppa_auction(
+                [users[logical] for logical in snapshot.members],
+                grid,
+                two_lambda=config.two_lambda,
+                bmax=config.bmax,
+                seed=protocol_seed(config.seed),
+                policy=KeepZeroPolicy(),
+                entropy=service_entropy(config.seed, epoch),
+            )
         check_result_equivalence(net.result, session)
         return True
 

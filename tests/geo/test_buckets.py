@@ -4,7 +4,8 @@ The prefilter is only allowed to *skip* pairs that provably cannot
 conflict; dropping a true conflict pair would silently change the round
 result.  These tests pin the soundness argument — adjacency covers every
 |Δ| < 2λ pair, including SUs straddling bucket edges — and the output
-order contract the sharded executors rely on.
+order contract :func:`build_conflict_graph` and the in-process round
+rely on.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import random
 
 import pytest
 
-from repro.auction.conflict import cells_conflict
+from repro.auction.conflict import build_conflict_graph, cells_conflict
 from repro.geo.buckets import bucket_index, bucket_of, candidate_pairs
 
 
@@ -56,8 +57,7 @@ class TestCandidatePairs:
         pairs = list(candidate_pairs(cells, 4))
         assert len(pairs) == len(set(pairs))
         assert all(i < j for i, j in pairs)
-        # Grouped by the lower id ascending, second id ascending within —
-        # the order the sharded conflict executor chunks on.
+        # Grouped by the lower id ascending, second id ascending within.
         assert pairs == sorted(pairs)
 
     def test_never_drops_bucket_edge_straddlers(self):
@@ -81,7 +81,9 @@ class TestCandidatePairs:
             for i, j in candidate_pairs(cells, two_lambda)
             if cells_conflict(cells[i], cells[j], two_lambda)
         }
-        assert filtered == brute_force_conflicts(cells, two_lambda)
+        brute = brute_force_conflicts(cells, two_lambda)
+        assert filtered == brute
+        assert build_conflict_graph(cells, two_lambda).edges == brute
 
     def test_cuts_pair_count_on_sparse_population(self):
         """The point of the prefilter: far fewer candidates than N(N-1)/2."""

@@ -26,7 +26,7 @@ from repro import obs
 from repro.obs.trace import TraceRecorder
 from repro.net.client import SUClient
 from repro.net.server import AuctioneerServer, ServerConfig
-from repro.net.transport import MemoryTransport
+from repro.net.transport import MemoryTransport, TcpTransport
 from repro.lppa.session import run_lppa_auction
 
 
@@ -87,6 +87,48 @@ def test_equivalence_reference_stays_out_of_the_measurement():
     assert totals["lppa.location_submissions"] == config.rounds * config.n_users
     rankings = [e for e in recorder.events() if e["type"] == "ranking"]
     assert len(rankings) == config.rounds * config.n_channels
+
+
+def test_connect_mode_trace_holds_every_client_round():
+    """Connect-mode loadgen traces its own SUs: each records privately and
+    the process trace gets their events in `repro trace merge` order."""
+    config = LoadgenConfig(n_users=4, n_channels=6, rounds=2, seed=3)
+    grid, _ = build_population(config)
+
+    async def scenario():
+        server = AuctioneerServer(
+            ServerConfig(
+                n_users=config.n_users, n_channels=config.n_channels,
+                grid=grid, two_lambda=config.two_lambda, bmax=config.bmax,
+                seed=protocol_seed(config.seed),
+            ),
+            TcpTransport("127.0.0.1", 0),
+        )
+        await server.start()
+        try:
+            fleet = asyncio.ensure_future(run_loadgen(dataclasses.replace(
+                config, connect=server.address, check_equivalence=True,
+            )))
+            await server.wait_for_clients(config.n_users, timeout=30.0)
+            for index in range(config.rounds):
+                await server.run_round(round_entropy(config.seed, index))
+            return await asyncio.wait_for(fleet, timeout=30.0)
+        finally:
+            await server.stop()
+
+    recorder = TraceRecorder()
+    with obs.tracing(recorder):
+        report = asyncio.run(scenario())
+    assert report.equivalence_checked == config.rounds
+    done = [
+        e for e in recorder.events() if e.get("name") == "client_round_complete"
+    ]
+    assert sorted((e["role"], e["round"]) for e in done) == sorted(
+        (f"su:{su}", index)
+        for su in range(config.n_users)
+        for index in range(config.rounds)
+    )
+    assert [e["seq"] for e in recorder.events()] == list(range(len(recorder)))
 
 
 def test_loadgen_is_deterministic_across_runs():

@@ -12,7 +12,6 @@ import pytest
 from repro.crypto.cache import get_mask_cache
 from tests.schemes.golden_utils import (
     SCENARIO,
-    _canonical_digest,
     capture_fastsim,
     capture_in_process,
     capture_tcp,
@@ -69,23 +68,3 @@ def test_tcp_wire_bytes_and_equivalence_bit_identical():
     assert current["wire_bytes"] == golden["wire_bytes"]
     assert current["round_summaries"] == golden["round_summaries"]
 
-
-def test_sharded_fastsim_matches_golden_digest():
-    """Acceptance: PPBS stays bit-identical *at any shard count*."""
-    from repro.lppa.fastsim import run_fast_lppa
-    from repro.net.loadgen import LoadgenConfig, build_population, round_entropy
-    from tests.schemes.golden_utils import result_document
-
-    config = LoadgenConfig(**SCENARIO)
-    _, users = build_population(config)
-    rounds = []
-    for index in range(config.rounds):
-        result = run_fast_lppa(
-            users,
-            two_lambda=config.two_lambda,
-            bmax=config.bmax,
-            entropy=round_entropy(config.seed, index),
-            shards=2,
-        )
-        rounds.append(result_document(result))
-    assert _canonical_digest(rounds) == GOLDEN["fastsim"]["result_digest"]

@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro import obs
 from repro.service.membership import MembershipDelta
 from repro.service.soak import SoakConfig, churn_plan, run_soak
 from repro.service.store import load_manifest, validate_run
@@ -94,6 +95,18 @@ def test_soak_epochs_are_bit_identical_to_in_process_sessions():
     assert report.equivalence_checked == 5
     # Churn rotated the ring: the last epoch runs a later membership version.
     assert report.records[-1].version > 0
+
+
+def test_equivalence_reference_stays_out_of_the_measurement():
+    """The per-epoch reference round is verification: the soak's registry
+    and trace count the networked epochs alone."""
+    registry, recorder = obs.MetricsRegistry(), obs.TraceRecorder()
+    with obs.collecting(registry, trace=recorder):
+        report = _run()
+    assert report.equivalence_checked == SOAK["epochs"]
+    assert registry.totals()["lppa.rounds"] == SOAK["epochs"]
+    rankings = [e for e in recorder.events() if e["type"] == "ranking"]
+    assert len(rankings) == SOAK["epochs"] * SOAK["n_channels"]
 
 
 def test_soak_is_deterministic_across_runs():
