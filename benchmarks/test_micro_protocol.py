@@ -10,8 +10,9 @@ import random
 
 import pytest
 
-from repro.crypto.backend import hmac_digest, hmac_digest_batch, use_backend
+from repro.crypto.backend import hmac_digest, hmac_digest_batch
 from repro.crypto.cache import get_mask_cache
+from repro.crypto.hmac_impl import hmac_sha256
 from repro.crypto.keys import generate_keyring
 from repro.geo.grid import GridSpec
 from repro.lppa.bids_advanced import BidScale, submit_bids_advanced
@@ -21,21 +22,27 @@ from repro.prefix.membership import find_maxima, mask_range, mask_value
 
 GRID = GridSpec(rows=100, cols=100)
 
-BACKENDS = ("pure", "hashlib", "numpy")
+KEY = b"key-material-16b"
+#: 128 prefix-sized messages under one key (a bid table's worth).
+BATCH = [b"prefix-payload-%04d" % i for i in range(128)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bench_hmac(benchmark, backend):
-    with use_backend(backend):
-        benchmark(hmac_digest, b"key-material-16b", b"prefix-payload")
+def test_bench_hmac(benchmark):
+    benchmark(hmac_digest, KEY, b"prefix-payload")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bench_hmac_batch_128(benchmark, backend):
-    """One shared-key batch of 128 prefix-sized messages (a bid table's worth)."""
-    msgs = [b"prefix-payload-%04d" % i for i in range(128)]
-    with use_backend(backend):
-        result = benchmark(hmac_digest_batch, b"key-material-16b", msgs)
+def test_bench_hmac_reference(benchmark):
+    """The from-scratch HMAC the entry points are tested against."""
+    benchmark(hmac_sha256, KEY, b"prefix-payload")
+
+
+def test_bench_hmac_batch_128(benchmark):
+    result = benchmark(hmac_digest_batch, KEY, BATCH)
+    assert len(result) == 128
+
+
+def test_bench_hmac_batch_128_reference(benchmark):
+    result = benchmark(lambda: [hmac_sha256(KEY, m) for m in BATCH])
     assert len(result) == 128
 
 

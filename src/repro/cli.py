@@ -60,19 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
-        "--crypto-backend",
-        choices=("pure", "hashlib", "numpy"),
-        default=None,
-        help="HMAC-SHA256 implementation (default: $REPRO_CRYPTO_BACKEND or "
-        "hashlib); all backends are bit-identical on the wire",
-    )
-    parser.add_argument(
-        "--no-mask-cache",
-        action="store_true",
-        help="bypass the masked-prefix digest cache (also $REPRO_MASK_CACHE=0); "
-        "results are identical either way, only the HMAC work repeats",
-    )
-    parser.add_argument(
         "--scheme",
         default=None,
         metavar="NAME",
@@ -1586,14 +1573,6 @@ _COMMANDS: Dict[str, Callable[[Any], int]] = {
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.crypto_backend is not None:
-        from repro.crypto.backend import set_backend
-
-        set_backend(args.crypto_backend)
-    if args.no_mask_cache:
-        from repro.crypto.cache import set_cache_enabled
-
-        set_cache_enabled(False)
     if args.scheme is not None:
         from repro.lppa.schemes.registry import set_active_scheme
 

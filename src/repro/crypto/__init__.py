@@ -4,18 +4,14 @@ The paper's PPBS protocol only needs two primitives — a keyed hash whose
 outputs the auctioneer can compare for equality but not invert (HMAC), and a
 symmetric cipher for the TTP charging channel (key ``gc``).  Both are
 implemented here without external dependencies.
+
+The protocol computes HMAC on one path, :mod:`repro.crypto.backend`, which
+runs the standard library's ``hmac``/``hashlib``.  The from-scratch
+:mod:`repro.crypto.sha256` / :mod:`repro.crypto.hmac_impl` are the reference
+that path is tested against, digest for digest.
 """
 
-from repro.crypto.backend import (
-    CryptoBackend,
-    available_backends,
-    get_backend,
-    hmac_digest,
-    hmac_digest_batch,
-    hmac_digest_pairs,
-    set_backend,
-    use_backend,
-)
+from repro.crypto.backend import hmac_digest, hmac_digest_batch, hmac_digest_pairs
 from repro.crypto.cache import (
     MaskCache,
     cache_disabled,
@@ -34,14 +30,9 @@ from repro.crypto.sha256 import SHA256, sha256
 from repro.crypto.speck import Speck64128, ctr_decrypt, ctr_encrypt
 
 __all__ = [
-    "CryptoBackend",
-    "available_backends",
-    "get_backend",
     "hmac_digest",
     "hmac_digest_batch",
     "hmac_digest_pairs",
-    "set_backend",
-    "use_backend",
     "MaskCache",
     "cache_disabled",
     "get_mask_cache",

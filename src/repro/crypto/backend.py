@@ -1,262 +1,67 @@
-"""Pluggable HMAC backends with batch APIs: pure, hashlib, numpy.
+"""The protocol's HMAC-SHA256 entry points: one key state, copied per message.
 
 The repository ships its own SHA-256/HMAC (:mod:`repro.crypto.sha256`,
-:mod:`repro.crypto.hmac_impl`) so the masking layer is auditable end to end.
-Pure-Python compression is ~300x slower than CPython's built-in OpenSSL
-binding, however, and a 129-channel, 200-bidder auction performs millions of
-HMAC invocations.  The protocol layer therefore routes every digest through
-this seam, which dispatches to one of three :class:`CryptoBackend`
-implementations:
+:mod:`repro.crypto.hmac_impl`) so the masking layer is auditable end to end,
+and the test suite pins these functions to it digest for digest.  The
+protocol itself computes every digest here, on the standard library's
+``hmac``/``hashlib`` (OpenSSL's C core, over 200x faster than the
+pure-Python reference): a 129-channel, 200-bidder auction performs millions
+of HMAC invocations.
 
-* ``"hashlib"`` (default) — ``hmac``/``hashlib`` from the standard library,
-  with a per-key precomputed HMAC state that batches amortize via
-  ``HMAC.copy()`` (the ipad block is compressed once per key, not once per
-  message);
-* ``"pure"`` — the in-repo reference implementation, same copy() trick;
-* ``"numpy"`` — lane-parallel SHA-256 over ``uint32`` matrices
-  (:mod:`repro.crypto.sha256_numpy`); batches of masked sets run through
-  the compression function together.
-
-``"stdlib"`` is accepted as an alias of ``"hashlib"`` for backward
-compatibility.  All backends are bit-identical; the differential suite in
-``tests/crypto/test_backend_equivalence.py`` asserts it digest-for-digest,
-including full protocol rounds.  Select a backend with
-:func:`set_backend` / :func:`use_backend`, the ``REPRO_CRYPTO_BACKEND``
-environment variable, or the CLI's ``--crypto-backend`` flag.
-
-The masking layer batches whole prefix sets into
-:func:`hmac_digest_batch` / :func:`hmac_digest_pairs`; scalar callers use
-:func:`hmac_digest`.  Every digest is counted under the ``crypto.hmac``
-metric when :mod:`repro.obs` is collecting (these functions are the choke
-point all masking flows through), and each batch call additionally counts
-``crypto.hmac_batches``.
+The masking layer batches whole prefix sets into :func:`hmac_digest_batch`
+(one key) / :func:`hmac_digest_pairs` (a key per message); scalar callers
+use :func:`hmac_digest`.  A batch absorbs the key's ipad block once and
+copies that state for each message.  Every digest is counted under the
+``crypto.hmac`` metric when :mod:`repro.obs` is collecting (these functions
+are the choke point all masking flows through), and each batch call
+additionally counts ``crypto.hmac_batches``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import hmac as _stdlib_hmac
-import os
-from typing import Dict, Iterator, List, Sequence, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, List, Sequence, Tuple
 
 from repro import obs
-from repro.crypto.hmac_impl import HMAC as _PureHMAC
 
-__all__ = [
-    "CryptoBackend",
-    "PureBackend",
-    "HashlibBackend",
-    "NumpyBackend",
-    "hmac_digest",
-    "hmac_digest_batch",
-    "hmac_digest_pairs",
-    "available_backends",
-    "get_backend",
-    "get_backend_instance",
-    "set_backend",
-    "use_backend",
-]
+__all__ = ["hmac_digest", "hmac_digest_batch", "hmac_digest_pairs"]
 
 
-class CryptoBackend:
-    """One HMAC-SHA256 execution strategy.
-
-    Subclasses implement :meth:`hmac`; the batch entry points have generic
-    loop implementations that subclasses override when they can do better
-    (shared-key state reuse, lane-parallel matrices).  Whatever the
-    strategy, outputs must be bit-identical across backends — that contract
-    is what lets the protocol switch backends without moving a wire byte.
-    """
-
-    #: Registry name, set by subclasses.
-    name: str = ""
-
-    def hmac(self, key: bytes, msg: bytes) -> bytes:
-        """HMAC-SHA256 of one message."""
-        raise NotImplementedError
-
-    def hmac_batch(self, key: bytes, msgs: Sequence[bytes]) -> List[bytes]:
-        """HMAC-SHA256 of every message under one shared key."""
-        return [self.hmac(key, m) for m in msgs]
-
-    def hmac_pairs(self, items: Sequence[Tuple[bytes, bytes]]) -> List[bytes]:
-        """HMAC-SHA256 of ``(key, msg)`` pairs — keys may differ per item.
-
-        The default groups consecutive same-key runs into
-        :meth:`hmac_batch` calls, which matches how the masking layer
-        flattens per-channel sets into one request.
-        """
-        out: List[bytes] = []
-        i = 0
-        n = len(items)
-        while i < n:
-            key = items[i][0]
-            j = i
-            while j < n and items[j][0] == key:
-                j += 1
-            out.extend(self.hmac_batch(key, [m for _, m in items[i:j]]))
-            i = j
-        return out
-
-
-class PureBackend(CryptoBackend):
-    """The in-repo reference implementation (auditable, slow)."""
-
-    name = "pure"
-
-    def hmac(self, key: bytes, msg: bytes) -> bytes:
-        return _PureHMAC(key, msg).digest()
-
-    def hmac_batch(self, key: bytes, msgs: Sequence[bytes]) -> List[bytes]:
-        if not msgs:
-            return []
-        # Compress the ipad block once per key; copy() per message.
-        base = _PureHMAC(key)
-        out = []
-        for m in msgs:
-            h = base.copy()
-            h.update(m)
-            out.append(h.digest())
-        return out
-
-
-class HashlibBackend(CryptoBackend):
-    """The standard library's OpenSSL-backed HMAC (fastest per digest)."""
-
-    name = "hashlib"
-
-    def hmac(self, key: bytes, msg: bytes) -> bytes:
-        return _stdlib_hmac.new(key, msg, hashlib.sha256).digest()
-
-    def hmac_batch(self, key: bytes, msgs: Sequence[bytes]) -> List[bytes]:
-        if not msgs:
-            return []
-        base = _stdlib_hmac.new(key, None, hashlib.sha256)
-        out = []
-        for m in msgs:
-            h = base.copy()
-            h.update(m)
-            out.append(h.digest())
-        return out
-
-
-class NumpyBackend(CryptoBackend):
-    """Lane-parallel SHA-256 over message matrices (see sha256_numpy).
-
-    Scalar calls fall back to hashlib — a one-lane matrix would only add
-    overhead — so the numpy strategy kicks in exactly where it differs:
-    on batches.
-    """
-
-    name = "numpy"
-
-    def __init__(self) -> None:
-        # Import here so environments without numpy can still construct
-        # the registry (available_backends() gates on importability).
-        from repro.crypto import sha256_numpy
-
-        self._vec = sha256_numpy
-
-    def hmac(self, key: bytes, msg: bytes) -> bytes:
-        return _stdlib_hmac.new(key, msg, hashlib.sha256).digest()
-
-    def hmac_batch(self, key: bytes, msgs: Sequence[bytes]) -> List[bytes]:
-        if not msgs:
-            return []
-        return self._vec.hmac_sha256_many(key, msgs)
-
-    def hmac_pairs(self, items: Sequence[Tuple[bytes, bytes]]) -> List[bytes]:
-        if not items:
-            return []
-        return self._vec.hmac_sha256_many(
-            [k for k, _ in items], [m for _, m in items]
-        )
-
-
-_FACTORIES = {
-    "pure": PureBackend,
-    "hashlib": HashlibBackend,
-    "numpy": NumpyBackend,
-}
-_ALIASES = {"stdlib": "hashlib"}
-_DEFAULT = "hashlib"
-
-_instances: Dict[str, CryptoBackend] = {}
-
-
-def _canonical(name: str) -> str:
-    name = _ALIASES.get(name, name)
-    if name not in _FACTORIES:
-        valid = sorted(set(_FACTORIES) | set(_ALIASES))
-        raise ValueError(f"backend must be one of {valid}, got {name!r}")
-    return name
-
-
-def _instance(name: str) -> CryptoBackend:
-    backend = _instances.get(name)
-    if backend is None:
-        backend = _instances[name] = _FACTORIES[name]()
-    return backend
-
-
-def available_backends() -> List[str]:
-    """Canonical backend names constructible in this environment."""
-    names = []
-    for name in _FACTORIES:
-        try:
-            _instance(name)
-        except ImportError:  # pragma: no cover - numpy is a dependency
-            continue
-        names.append(name)
-    return names
-
-
-_backend = _instance(_canonical(os.environ.get("REPRO_CRYPTO_BACKEND", _DEFAULT)))
-
-
-def get_backend() -> str:
-    """Name of the active HMAC backend."""
-    return _backend.name
-
-
-def get_backend_instance() -> CryptoBackend:
-    """The active :class:`CryptoBackend` object."""
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Select the HMAC backend globally (``pure``/``hashlib``/``numpy``)."""
-    global _backend
-    _backend = _instance(_canonical(name))
-
-
-@contextlib.contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Temporarily switch the HMAC backend."""
-    previous = get_backend()
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
+def _batch(key: bytes, msgs: Iterable[bytes]) -> List[bytes]:
+    base = _stdlib_hmac.new(key, None, hashlib.sha256)
+    out = []
+    for m in msgs:
+        h = base.copy()
+        h.update(m)
+        out.append(h.digest())
+    return out
 
 
 def hmac_digest(key: bytes, msg: bytes) -> bytes:
-    """HMAC-SHA256 digest through the active backend."""
+    """HMAC-SHA256 digest of ``msg`` under ``key``."""
     obs.count("crypto.hmac")
-    return _backend.hmac(key, msg)
+    return _stdlib_hmac.new(key, msg, hashlib.sha256).digest()
 
 
 def hmac_digest_batch(key: bytes, msgs: Sequence[bytes]) -> List[bytes]:
-    """HMAC-SHA256 of every message under one key, through the backend."""
+    """HMAC-SHA256 of every message under one key."""
     obs.count("crypto.hmac", len(msgs))
     obs.count("crypto.hmac_batches")
-    return _backend.hmac_batch(key, msgs)
+    return _batch(key, msgs)
 
 
 def hmac_digest_pairs(items: Sequence[Tuple[bytes, bytes]]) -> List[bytes]:
-    """HMAC-SHA256 of ``(key, msg)`` pairs, through the backend."""
+    """HMAC-SHA256 of ``(key, msg)`` pairs; keys may differ per item.
+
+    Consecutive same-key runs share one key state, which matches how the
+    masking layer flattens per-channel sets into one request.
+    """
     obs.count("crypto.hmac", len(items))
     obs.count("crypto.hmac_batches")
-    return _backend.hmac_pairs(items)
+    out: List[bytes] = []
+    for key, run in groupby(items, key=itemgetter(0)):
+        out.extend(_batch(key, (m for _, m in run)))
+    return out

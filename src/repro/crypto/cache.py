@@ -23,10 +23,9 @@ exported as the ``crypto.mask_cache.size`` gauge.  The fault-test
 suite uses these counters to prove no stale digest is ever served across
 key rotation, SU churn and prefix-set mutation.
 
-The cache is enabled by default (results are bit-identical either way —
-only the HMAC work is skipped); disable it process-wide with
-``REPRO_MASK_CACHE=0``, temporarily with :func:`cache_disabled`, or from
-the CLI with ``--no-mask-cache``.  Like :mod:`repro.obs`, it is
+The cache is always on; :func:`cache_disabled` bypasses it temporarily
+(results are bit-identical either way — only the HMAC work repeats), which
+keeps the calibration's work fixed.  Like :mod:`repro.obs`, it is
 single-threaded by design; forked sweep workers inherit a snapshot, which
 is harmless because entries are pure functions of their keys.
 """
@@ -34,7 +33,6 @@ is harmless because entries are pure functions of their keys.
 from __future__ import annotations
 
 import contextlib
-import os
 from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
@@ -45,7 +43,6 @@ __all__ = [
     "get_mask_cache",
     "set_mask_cache",
     "cache_enabled",
-    "set_cache_enabled",
     "cache_disabled",
     "note_key_epoch",
 ]
@@ -181,7 +178,7 @@ class MaskCache:
 
 
 _cache = MaskCache()
-_enabled = os.environ.get("REPRO_MASK_CACHE", "1").lower() not in ("0", "off", "false")
+_enabled = True
 
 
 def get_mask_cache() -> MaskCache:
@@ -202,21 +199,16 @@ def cache_enabled() -> bool:
     return _enabled
 
 
-def set_cache_enabled(enabled: bool) -> None:
-    """Globally enable/disable cache consultation (bytes never change)."""
-    global _enabled
-    _enabled = bool(enabled)
-
-
 @contextlib.contextmanager
 def cache_disabled() -> Iterator[None]:
     """Temporarily bypass the cache — the calibration's fixed-work guard."""
+    global _enabled
     previous = _enabled
-    set_cache_enabled(False)
+    _enabled = False
     try:
         yield
     finally:
-        set_cache_enabled(previous)
+        _enabled = previous
 
 
 def note_key_epoch(

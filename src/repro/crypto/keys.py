@@ -37,8 +37,8 @@ def derive_key(master: bytes, label: str) -> bytes:
 
     A tiny HKDF-expand-style derivation: one HMAC invocation keyed by the
     master secret over the ASCII label, truncated to the Speck/HMAC key size.
-    Routed through the active :mod:`repro.crypto.backend` so key-ring
-    bootstrap is accelerated alongside masking.
+    Routed through :mod:`repro.crypto.backend`, like every other digest
+    the protocol computes.
     """
     return hmac_digest(master, label.encode("ascii"))[:_KEY_BYTES]
 

@@ -10,9 +10,8 @@ privacy protocol from another, end to end:
   scheme rejects another scheme's bytes as malformed);
 * the **bidder-side submission encoders** (how a cell and a bid vector
   become privacy-preserving material);
-* the **conflict-membership test** the auctioneer runs over two location
-  submissions;
-* the **value backend** driving the in-process round core;
+* the **value backend** driving the in-process round core, including the
+  conflict-membership test the auctioneer runs over location submissions;
 * the **auditor hooks** the trace auditors use to re-derive framing and
   the scheme's exact bid-material size model (Theorem 4 for PPBS, the OPE
   ciphertext-width model for the Bloom scheme).
@@ -104,12 +103,6 @@ class PrivacyScheme(ABC):
     @abstractmethod
     def decode_bids(self, data: bytes) -> Any:
         """Strict inverse of :meth:`encode_bids`."""
-
-    # -- auctioneer side -----------------------------------------------------
-
-    @abstractmethod
-    def conflict_test(self, a: Any, b: Any) -> bool:
-        """Do two location submissions interfere?  Symmetric predicate."""
 
     # -- announcement --------------------------------------------------------
 

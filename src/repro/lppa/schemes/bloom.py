@@ -339,13 +339,6 @@ class BloomScheme(PrivacyScheme):
     def decode_bids(self, data: bytes) -> OpeBidSubmission:
         return decode_bids_ope(data)
 
-    # -- auctioneer side -----------------------------------------------------
-
-    def conflict_test(
-        self, a: BloomLocationSubmission, b: BloomLocationSubmission
-    ) -> bool:
-        return b.range_filter.contains(a.cell_token)
-
     # -- auditor hooks -------------------------------------------------------
 
     def expected_framing(self, kind: str, record: Dict[str, Any]) -> Optional[int]:

@@ -22,7 +22,6 @@ from repro.lppa.messages import BidSubmission, LocationSubmission
 from repro.lppa.policies import ZeroDisguisePolicy
 from repro.lppa.round.backends import CRYPTO_BACKEND, ValueBackend
 from repro.lppa.schemes.base import PrivacyScheme
-from repro.prefix.membership import is_member
 
 __all__ = ["PpbsScheme"]
 
@@ -88,13 +87,6 @@ class PpbsScheme(PrivacyScheme):
 
     def decode_bids(self, data: bytes) -> BidSubmission:
         return codec.decode_bids(data)
-
-    # -- auctioneer side -----------------------------------------------------
-
-    def conflict_test(self, a: LocationSubmission, b: LocationSubmission) -> bool:
-        return is_member(a.x_family, b.x_range) and is_member(
-            a.y_family, b.y_range
-        )
 
     # -- auditor hooks -------------------------------------------------------
 

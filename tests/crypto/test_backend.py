@@ -1,100 +1,56 @@
-"""The pluggable HMAC backend: all implementations, switching semantics."""
+"""The protocol's HMAC entry points against the from-scratch reference.
 
-import pytest
+Every digest the protocol computes goes through :func:`hmac_digest`,
+:func:`hmac_digest_batch` or :func:`hmac_digest_pairs`, so these properties
+together with the PPBS goldens (``tests/schemes``) pin whole rounds to
+:func:`repro.crypto.hmac_impl.hmac_sha256` bit for bit.
+"""
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.backend import (
-    available_backends,
-    get_backend,
-    get_backend_instance,
-    hmac_digest,
-    hmac_digest_batch,
-    hmac_digest_pairs,
-    set_backend,
-    use_backend,
-)
+from repro import obs
+from repro.crypto.backend import hmac_digest, hmac_digest_batch, hmac_digest_pairs
+from repro.crypto.hmac_impl import hmac_sha256
 
-ALL_BACKENDS = ("pure", "hashlib", "numpy")
+# Keys up to 80 bytes cover both sides of the 64-byte block, where longer
+# keys are hashed first.
+keys = st.binary(max_size=80)
+messages = st.binary(max_size=200)
 
 
-def test_default_backend_is_hashlib():
-    assert get_backend() == "hashlib"
+@settings(max_examples=40, deadline=None)
+@given(key=keys, msg=messages)
+def test_digest_matches_reference(key, msg):
+    assert hmac_digest(key, msg) == hmac_sha256(key, msg)
 
 
-def test_stdlib_is_an_alias_of_hashlib():
-    with use_backend("stdlib"):
-        assert get_backend() == "hashlib"
+@settings(max_examples=25, deadline=None)
+@given(key=keys, msgs=st.lists(messages, max_size=12))
+def test_batch_matches_reference(key, msgs):
+    assert hmac_digest_batch(key, msgs) == [hmac_sha256(key, m) for m in msgs]
 
 
-def test_invalid_backend_rejected():
-    with pytest.raises(ValueError):
-        set_backend("openssl-but-faster")
-
-
-def test_all_backends_available():
-    assert set(available_backends()) == set(ALL_BACKENDS)
-
-
-def test_backend_instance_matches_name():
-    for name in ALL_BACKENDS:
-        with use_backend(name):
-            assert get_backend_instance().name == name
-
-
-def test_use_backend_restores_on_exit():
-    before = get_backend()
-    with use_backend("pure"):
-        assert get_backend() == "pure"
-    assert get_backend() == before
-
-
-def test_use_backend_restores_on_exception():
-    before = get_backend()
-    with pytest.raises(RuntimeError):
-        with use_backend("pure"):
-            raise RuntimeError("boom")
-    assert get_backend() == before
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), pool=st.lists(keys, min_size=1, max_size=3))
+def test_pairs_match_reference(data, pool):
+    """Mixed keys, drawn from a small pool so same-key runs form and break."""
+    items = data.draw(
+        st.lists(st.tuples(st.sampled_from(pool), messages), max_size=16)
+    )
+    assert hmac_digest_pairs(items) == [hmac_sha256(k, m) for k, m in items]
 
 
 def test_batch_empty_input():
-    for name in ALL_BACKENDS:
-        with use_backend(name):
-            assert hmac_digest_batch(b"k", []) == []
-            assert hmac_digest_pairs([]) == []
+    assert hmac_digest_batch(b"k", []) == []
+    assert hmac_digest_pairs([]) == []
 
 
-@settings(max_examples=30, deadline=None)
-@given(key=st.binary(min_size=1, max_size=80), msg=st.binary(max_size=200))
-def test_backends_are_bit_identical(key, msg):
-    digests = set()
-    for name in ALL_BACKENDS:
-        with use_backend(name):
-            digests.add(hmac_digest(key, msg))
-    assert len(digests) == 1
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    key=st.binary(min_size=1, max_size=80),
-    msgs=st.lists(st.binary(max_size=120), max_size=12),
-)
-def test_batch_matches_scalar_on_every_backend(key, msgs):
-    reference = [hmac_digest(key, m) for m in msgs]
-    for name in ALL_BACKENDS:
-        with use_backend(name):
-            assert hmac_digest_batch(key, msgs) == reference
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    items=st.lists(
-        st.tuples(st.binary(min_size=1, max_size=80), st.binary(max_size=120)),
-        max_size=12,
-    )
-)
-def test_pairs_match_scalar_on_every_backend(items):
-    reference = [hmac_digest(k, m) for k, m in items]
-    for name in ALL_BACKENDS:
-        with use_backend(name):
-            assert hmac_digest_pairs(items) == reference
+def test_counters_count_digests_and_batch_calls():
+    with obs.collecting() as registry:
+        hmac_digest(b"k", b"m")
+        hmac_digest_batch(b"k", [b"a", b"b"])
+        hmac_digest_pairs([(b"k", b"a"), (b"j", b"b"), (b"k", b"c")])
+    totals = registry.totals()
+    assert totals["crypto.hmac"] == 6
+    assert totals["crypto.hmac_batches"] == 2

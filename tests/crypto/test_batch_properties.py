@@ -4,7 +4,7 @@ Two contracts keep the optimization honest:
 
 * **batch ≡ scalar** — ``mask_specs(specs)`` returns exactly what one
   :func:`mask_prefixes` call per spec would, for arbitrary prefix sets,
-  keys, domains and digest sizes, on every backend;
+  keys, domains and digest sizes;
 * **warm ≡ cold** — across arbitrary sequences of masking rounds, results
   served from the cache are bit-identical to freshly computed ones, and
   padded range fillers draw the same RNG stream either way.
@@ -15,7 +15,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.backend import use_backend
 from repro.crypto.cache import MaskCache, cache_disabled, set_mask_cache
 from repro.prefix.membership import (
     MaskSpec,
@@ -25,8 +24,6 @@ from repro.prefix.membership import (
 )
 from repro.prefix.prefixes import Prefix, prefix_family
 from repro.prefix.ranges import range_cover
-
-BACKENDS = ("pure", "hashlib", "numpy")
 
 
 @st.composite
@@ -73,35 +70,33 @@ def spec_lists(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(specs=spec_lists(), backend=st.sampled_from(BACKENDS))
-def test_batch_mask_equals_scalar_loop(specs, backend):
-    """batch_mask(prefixes) ≡ [mask(p) for p in prefixes], any backend."""
-    with use_backend(backend):
-        with cache_disabled():
-            batched = mask_specs(specs)
-            scalars = [
-                mask_prefixes(
-                    s.key,
-                    s.prefixes,
-                    domain=s.domain,
-                    digest_bytes=s.digest_bytes,
-                )
-                for s in specs
-            ]
+@given(specs=spec_lists())
+def test_batch_mask_equals_scalar_loop(specs):
+    """batch_mask(prefixes) ≡ [mask(p) for p in prefixes]."""
+    with cache_disabled():
+        batched = mask_specs(specs)
+        scalars = [
+            mask_prefixes(
+                s.key,
+                s.prefixes,
+                domain=s.domain,
+                digest_bytes=s.digest_bytes,
+            )
+            for s in specs
+        ]
     assert batched == scalars
 
 
 @settings(max_examples=40, deadline=None)
-@given(specs=spec_lists(), backend=st.sampled_from(BACKENDS))
-def test_cache_hits_equal_cold_path(specs, backend):
+@given(specs=spec_lists())
+def test_cache_hits_equal_cold_path(specs):
     """Round sequences replayed against a warm cache are bit-identical."""
     previous = set_mask_cache(MaskCache())
     try:
-        with use_backend(backend):
-            with cache_disabled():
-                cold = mask_specs(specs)
-            warming = mask_specs(specs)  # populates the fresh cache
-            warm = mask_specs(specs)  # served from it
+        with cache_disabled():
+            cold = mask_specs(specs)
+        warming = mask_specs(specs)  # populates the fresh cache
+        warm = mask_specs(specs)  # served from it
         assert warming == cold
         assert warm == cold
     finally:

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.auction.conflict import build_conflict_graph
-from repro.crypto.backend import use_backend
 from repro.lppa.policies import UniformReplacePolicy
 from repro.lppa.session import run_lppa_auction
 
@@ -87,21 +86,6 @@ def test_session_with_disguise_policy(small_db, small_users):
     assert any(
         c.disguised for d in result.disclosures for c in d.channels
     ), "full replacement must disguise at least one zero"
-
-
-def test_session_under_pure_backend(small_db, small_users):
-    """The whole protocol runs (slower) on the from-scratch HMAC."""
-    users = small_users[:4]
-    with use_backend("pure"):
-        result = run_lppa_auction(
-            users,
-            small_db.coverage.grid,
-            two_lambda=6,
-            bmax=127,
-            rng=random.Random(5),
-        )
-    plain = build_conflict_graph([u.cell for u in users], 6)
-    assert result.conflict_graph.edges == plain.edges
 
 
 def test_validation():

@@ -9,7 +9,7 @@ A mismatch means the refactor changed PPBS behaviour, which it must not.
 
 import pytest
 
-from repro.crypto.cache import get_mask_cache
+from repro.crypto.cache import cache_disabled, get_mask_cache
 from tests.schemes.golden_utils import (
     SCENARIO,
     capture_fastsim,
@@ -41,6 +41,24 @@ def test_in_process_results_bit_identical():
         for field in ref:
             assert cur[field] == ref[field], f"round {index} field {field!r}"
     assert current["result_digest"] == golden["result_digest"]
+
+
+def test_warm_cache_round_identical_to_cold():
+    """Cache hits are invisible: cold, warm and bypassed rounds all match."""
+    cache = get_mask_cache()
+    cold = capture_in_process()
+    assert cache.stats()["entries"] > 0
+    hits = cache.hits
+    warm = capture_in_process()
+    assert cache.hits > hits
+    with cache_disabled():
+        stats = cache.stats()
+        bypassed = capture_in_process()
+        assert cache.stats() == stats
+    golden = GOLDEN["in_process"]
+    assert cold == golden
+    assert warm == golden
+    assert bypassed == golden
 
 
 def test_in_process_trace_summary_bit_identical():
