@@ -5,6 +5,10 @@ cover round after round, and the TTP re-derives the same masked bid family
 at charging time that the bidder already computed at submission time.  Both
 are deterministic functions of ``(HMAC key, domain, digest size, prefix
 set)`` — so the masking layer keeps a bounded LRU of exactly that mapping.
+The set is named by value — a family ``G(x)`` by ``x``, a cover
+``Q([a, b])`` by ``(a, b)``, plus the width — so a lookup hashes a few
+ints rather than the set's prefixes (see
+:class:`repro.prefix.membership.MaskSpec`, which *is* the key).
 
 Correctness is structural: the cache key *contains the key material*, so a
 rotated key can never alias a stale entry — a new key ring simply misses.
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import contextlib
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 
@@ -50,8 +54,9 @@ __all__ = [
 #: Digests of one masked prefix set, in the set's prefix order.
 CachedDigests = Tuple[bytes, ...]
 
-#: Lookup key: (HMAC key, domain, digest_bytes, numericalized message tuple).
-CacheKey = Tuple[bytes, bytes, int, Tuple[bytes, ...]]
+#: Lookup key: a tuple whose first item is the HMAC key — in the masking
+#: layer ``(key, domain, digest_bytes, kind, values, width)``.
+CacheKey = Tuple[Any, ...]
 
 _DEFAULT_MAX_ENTRIES = 65536
 
@@ -90,15 +95,28 @@ class MaskCache:
 
     def get(self, key: CacheKey) -> Optional[CachedDigests]:
         """Look one set up; counts a hit or a miss either way."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            obs.count("crypto.mask_cache.misses")
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        obs.count("crypto.mask_cache.hits")
-        return entry
+        return self.lookup([key])[0]
+
+    def lookup(self, keys: Sequence[CacheKey]) -> List[Optional[CachedDigests]]:
+        """Look many sets up at once, in order; ``None`` marks a miss.
+
+        Counts every hit and miss, one counter update per batch.
+        """
+        entries = self._entries
+        found = [entries.get(key) for key in keys]
+        hits = 0
+        for key, entry in zip(keys, found):
+            if entry is not None:
+                entries.move_to_end(key)
+                hits += 1
+        misses = len(found) - hits
+        self.hits += hits
+        self.misses += misses
+        if hits:
+            obs.count("crypto.mask_cache.hits", hits)
+        if misses:
+            obs.count("crypto.mask_cache.misses", misses)
+        return found
 
     def put(self, key: CacheKey, digests: CachedDigests) -> None:
         """Store one set's digests, evicting the LRU entry on overflow."""

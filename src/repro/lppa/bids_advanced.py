@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.crypto.keys import KeyRing
-from repro.lppa.bids_basic import encrypt_bid_value
+from repro.lppa.bids_basic import seal_bid_values
 from repro.lppa.messages import BidSubmission, MaskedBid
 from repro.lppa.policies import KeepZeroPolicy, ZeroDisguisePolicy
 from repro.prefix.membership import (
@@ -39,8 +39,8 @@ from repro.prefix.membership import (
     mask_spec_digests,
     pad_masked_set,
 )
-from repro.prefix.prefixes import bit_width_for, prefix_family
-from repro.prefix.ranges import max_cover_size, range_cover
+from repro.prefix.prefixes import bit_width_for
+from repro.prefix.ranges import max_cover_size
 
 __all__ = [
     "BidScale",
@@ -211,54 +211,48 @@ def submit_bids_advanced(
 
     disclosures = disguise_and_expand(bids, scale, rng, policy=policy)
     width = scale.width
-    ceiling = max(scale.pad_to, max_cover_size(width))
+    emax = scale.emax
 
     # Masking consumes no randomness, so all channels' families and tail
-    # covers go through one backend batch up front; the per-channel loop
-    # below then draws pad fillers and ciphertext nonces in exactly the
-    # order the digest-at-a-time implementation did.
+    # covers go through one backend batch up front.  The loop below then
+    # draws pad fillers and ciphertext nonces in exactly the order the
+    # digest-at-a-time implementation did, and every channel's ciphertext
+    # is sealed in one keystream call after it.
     specs: List[MaskSpec] = []
     for channel, disclosure in enumerate(disclosures):
         key = keyring.channel_key(channel)
-        specs.append(
-            MaskSpec.of(
-                key,
-                prefix_family(disclosure.masked_expanded, width),
-                domain=_BID_DOMAIN,
-            )
-        )
-        specs.append(
-            MaskSpec.of(
-                key,
-                range_cover(disclosure.masked_expanded, scale.emax, width),
-                domain=_BID_DOMAIN,
-            )
-        )
+        value = disclosure.masked_expanded
+        specs.append(MaskSpec.family(key, value, width, domain=_BID_DOMAIN))
+        specs.append(MaskSpec.cover(key, value, emax, width, domain=_BID_DOMAIN))
     digests = mask_spec_digests(specs)
 
-    channel_bids: List[MaskedBid] = []
-    for channel, disclosure in enumerate(disclosures):
-        family = MaskedSet(
-            frozenset(digests[2 * channel]), digest_bytes=DEFAULT_DIGEST_BYTES
-        )
-        obs.count("prefix.masked_sets")
-        obs.count("prefix.masked_digests", len(family))
-        channel_bids.append(
-            MaskedBid(
-                family=family,
-                tail=pad_masked_set(
-                    set(digests[2 * channel + 1]),
-                    ceiling=ceiling,
-                    digest_bytes=DEFAULT_DIGEST_BYTES,
-                    rng=rng,
-                ),
-                ciphertext=encrypt_bid_value(
-                    keyring.gc, disclosure.true_expanded, rng
-                ),
+    families = [
+        MaskedSet(frozenset(family), digest_bytes=DEFAULT_DIGEST_BYTES)
+        for family in digests[0::2]
+    ]
+    obs.count("prefix.masked_sets", len(families))
+    obs.count("prefix.masked_digests", sum(map(len, families)))
+    tails = []
+    nonces = []
+    for tail in digests[1::2]:
+        tails.append(
+            pad_masked_set(
+                set(tail),
+                ceiling=scale.pad_to,
+                digest_bytes=DEFAULT_DIGEST_BYTES,
+                rng=rng,
             )
         )
+        nonces.append(rng.getrandbits(32))
+    ciphertexts = seal_bid_values(
+        keyring.gc, [disclosure.true_expanded for disclosure in disclosures], nonces
+    )
+    channel_bids = tuple(
+        MaskedBid(family=family, tail=tail, ciphertext=ciphertext)
+        for family, tail, ciphertext in zip(families, tails, ciphertexts)
+    )
 
     return (
-        BidSubmission(user_id=user_id, channel_bids=tuple(channel_bids)),
+        BidSubmission(user_id=user_id, channel_bids=channel_bids),
         SubmissionDisclosure(user_id=user_id, channels=tuple(disclosures)),
     )

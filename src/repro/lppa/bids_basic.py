@@ -16,17 +16,22 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Sequence
+from typing import List, Sequence
 
 from repro import obs
 from repro.crypto.keys import KeyRing
-from repro.crypto.speck import Speck64128, ctr_encrypt
+from repro.crypto.speck import Speck64128, ctr_encrypt_batch
 from repro.lppa.messages import BidSubmission, MaskedBid
 from repro.prefix.membership import MaskSpec, mask_specs
-from repro.prefix.prefixes import bit_width_for, prefix_family
-from repro.prefix.ranges import range_cover
+from repro.prefix.prefixes import bit_width_for
 
-__all__ = ["submit_bids_basic", "encrypt_bid_value", "decrypt_bid_value"]
+__all__ = [
+    "submit_bids_basic",
+    "seal_bid_values",
+    "encrypt_bid_value",
+    "decrypt_bid_values",
+    "decrypt_bid_value",
+]
 
 _BID_DOMAIN = b"lppa/bid"
 _PLAINTEXT_BYTES = 4
@@ -36,29 +41,55 @@ _PLAINTEXT_BYTES = 4
 def _cipher_for(gc: bytes) -> Speck64128:
     # The 27-round Speck key schedule dominates a single 8-byte CTR
     # encryption; a round encrypts thousands of values under one gc, so
-    # keep the expanded schedule around.  Speck64128 is stateless after
-    # construction, making the shared instance safe.
+    # keep the expanded schedule around.  After construction Speck64128
+    # only memoises pure lane constants, so the shared instance is safe.
     return Speck64128(gc)
+
+
+def seal_bid_values(
+    gc: bytes, values: Sequence[int], nonces: Sequence[int]
+) -> List[bytes]:
+    """(nonce || CTR ciphertext) of each value under the TTP key ``gc``.
+
+    ``nonces`` are the 32-bit nonces the bidder drew for the values, in
+    order; every value is sealed by one keystream call.  Each blob equals
+    what :func:`encrypt_bid_value` gives for the same value and nonce draw.
+    """
+    if values:
+        obs.count("crypto.speck.encrypt", len(values))
+    for value in values:
+        if value < 0 or value >= 1 << (8 * _PLAINTEXT_BYTES):
+            raise ValueError(f"bid value {value} outside the 32-bit wire format")
+    prefixes = [nonce.to_bytes(4, "big") for nonce in nonces]
+    sealed = ctr_encrypt_batch(
+        _cipher_for(gc),
+        prefixes,
+        [value.to_bytes(_PLAINTEXT_BYTES, "big") for value in values],
+    )
+    return [nonce + ct for nonce, ct in zip(prefixes, sealed)]
 
 
 def encrypt_bid_value(gc: bytes, value: int, rng: random.Random) -> bytes:
     """(nonce || CTR ciphertext) of a bid value under the TTP key ``gc``."""
-    obs.count("crypto.speck.encrypt")
-    if value < 0 or value >= 1 << (8 * _PLAINTEXT_BYTES):
-        raise ValueError(f"bid value {value} outside the 32-bit wire format")
-    nonce = rng.getrandbits(32).to_bytes(4, "big")
-    cipher = _cipher_for(gc)
-    return nonce + ctr_encrypt(cipher, nonce, value.to_bytes(_PLAINTEXT_BYTES, "big"))
+    return seal_bid_values(gc, [value], [rng.getrandbits(32)])[0]
+
+
+def decrypt_bid_values(gc: bytes, blobs: Sequence[bytes]) -> List[int]:
+    """Inverse of :func:`seal_bid_values` (TTP side), one keystream call."""
+    if blobs:
+        obs.count("crypto.speck.decrypt", len(blobs))
+    for blob in blobs:
+        if len(blob) != 4 + _PLAINTEXT_BYTES:
+            raise ValueError("malformed bid ciphertext")
+    opened = ctr_encrypt_batch(
+        _cipher_for(gc), [blob[:4] for blob in blobs], [blob[4:] for blob in blobs]
+    )
+    return [int.from_bytes(plain, "big") for plain in opened]
 
 
 def decrypt_bid_value(gc: bytes, blob: bytes) -> int:
     """Inverse of :func:`encrypt_bid_value` (TTP side)."""
-    obs.count("crypto.speck.decrypt")
-    if len(blob) != 4 + _PLAINTEXT_BYTES:
-        raise ValueError("malformed bid ciphertext")
-    nonce, ct = blob[:4], blob[4:]
-    cipher = _cipher_for(gc)
-    return int.from_bytes(ctr_encrypt(cipher, nonce, ct), "big")
+    return decrypt_bid_values(gc, [blob])[0]
 
 
 def submit_bids_basic(
@@ -80,24 +111,17 @@ def submit_bids_basic(
     for bid in bids:
         if not 0 <= bid <= bmax:
             raise ValueError(f"bid {bid} outside [0, {bmax}]")
-        specs.append(
-            MaskSpec.of(keyring.gb, prefix_family(bid, width), domain=_BID_DOMAIN)
-        )
-        specs.append(
-            MaskSpec.of(
-                keyring.gb, range_cover(bid, bmax, width), domain=_BID_DOMAIN
-            )
-        )
+        specs.append(MaskSpec.family(keyring.gb, bid, width, domain=_BID_DOMAIN))
+        specs.append(MaskSpec.cover(keyring.gb, bid, bmax, width, domain=_BID_DOMAIN))
     # One backend batch masks every channel's family and tail; ciphertext
     # nonces are then drawn per channel in the original order (masking
-    # consumes no randomness, so the RNG stream is unchanged).
+    # consumes no randomness, so the RNG stream is unchanged) and every
+    # channel is sealed in one keystream call.
     masked = mask_specs(specs)
+    nonces = [rng.getrandbits(32) for _ in bids]
+    ciphertexts = seal_bid_values(keyring.gc, bids, nonces)
     channel_bids = [
-        MaskedBid(
-            family=masked[2 * ch],
-            tail=masked[2 * ch + 1],
-            ciphertext=encrypt_bid_value(keyring.gc, bid, rng),
-        )
-        for ch, bid in enumerate(bids)
+        MaskedBid(family=masked[2 * ch], tail=masked[2 * ch + 1], ciphertext=ct)
+        for ch, ct in enumerate(ciphertexts)
     ]
     return BidSubmission(user_id=user_id, channel_bids=tuple(channel_bids))

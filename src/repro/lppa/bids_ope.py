@@ -35,7 +35,7 @@ from repro.lppa.bids_advanced import (
     SubmissionDisclosure,
     disguise_and_expand,
 )
-from repro.lppa.bids_basic import encrypt_bid_value
+from repro.lppa.bids_basic import seal_bid_values
 from repro.lppa.messages import U8_MAX, CodecError, check_u16, check_user_id
 from repro.lppa.policies import ZeroDisguisePolicy
 
@@ -172,16 +172,20 @@ def submit_bids_ope(
         raise ValueError("key ring and bid scale disagree on rd/cr")
 
     disclosures = disguise_and_expand(bids, scale, rng, policy=policy)
+    # OPE consumes no randomness: the nonces are the only draws after the
+    # disclosures, one per channel, and all channels seal in one call.
+    nonces = [rng.getrandbits(32) for _ in disclosures]
+    ciphertexts = seal_bid_values(
+        keyring.gc, [disclosure.true_expanded for disclosure in disclosures], nonces
+    )
     channel_bids: List[OpeBid] = []
-    for channel, disclosure in enumerate(disclosures):
+    for channel, (disclosure, ciphertext) in enumerate(zip(disclosures, ciphertexts)):
         encoder = ope_encoder_for(keyring.channel_key(channel), scale)
         channel_bids.append(
             OpeBid(
                 ope_value=encoder.encrypt(disclosure.masked_expanded),
                 ope_bytes=encoder.ciphertext_bytes,
-                ciphertext=encrypt_bid_value(
-                    keyring.gc, disclosure.true_expanded, rng
-                ),
+                ciphertext=ciphertext,
             )
         )
     return (

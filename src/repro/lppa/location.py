@@ -24,8 +24,7 @@ from repro.auction.conflict import ConflictGraph
 from repro.geo.grid import Cell, GridSpec
 from repro.lppa.messages import LocationSubmission
 from repro.prefix.membership import MaskSpec, is_member, mask_specs
-from repro.prefix.prefixes import bit_width_for, prefix_family
-from repro.prefix.ranges import range_cover
+from repro.prefix.prefixes import bit_width_for
 
 __all__ = [
     "coordinate_width",
@@ -59,14 +58,10 @@ def _location_specs(
     d = two_lambda - 1
     m, n = cell
     return [
-        MaskSpec.of(g0, prefix_family(m, width), domain=_X_DOMAIN),
-        MaskSpec.of(
-            g0, range_cover(max(0, m - d), m + d, width), domain=_X_DOMAIN
-        ),
-        MaskSpec.of(g0, prefix_family(n, width), domain=_Y_DOMAIN),
-        MaskSpec.of(
-            g0, range_cover(max(0, n - d), n + d, width), domain=_Y_DOMAIN
-        ),
+        MaskSpec.family(g0, m, width, domain=_X_DOMAIN),
+        MaskSpec.cover(g0, max(0, m - d), m + d, width, domain=_X_DOMAIN),
+        MaskSpec.family(g0, n, width, domain=_Y_DOMAIN),
+        MaskSpec.cover(g0, max(0, n - d), n + d, width, domain=_Y_DOMAIN),
     ]
 
 

@@ -14,7 +14,7 @@ PAPERS.md):
   auctioneer ranks OPE values directly, no pairwise ``>=`` protocol.
 * **Charging** — the TTP decrypts the usual ``gc`` ciphertext and verifies
   consistency by re-encrypting under the channel's OPE key
-  (:meth:`repro.lppa.ttp.TrustedThirdParty._decide_ope`).
+  (:meth:`repro.lppa.ttp.TrustedThirdParty._decide`).
 
 Because both schemes run the shared
 :func:`~repro.lppa.bids_advanced.disguise_and_expand` numeric pipeline on

@@ -29,7 +29,7 @@ from repro.obs import trace
 from repro.crypto.cache import note_key_epoch
 from repro.crypto.keys import KeyRing, generate_keyring
 from repro.lppa.bids_advanced import BidScale
-from repro.lppa.bids_basic import decrypt_bid_value
+from repro.lppa.bids_basic import decrypt_bid_value, decrypt_bid_values
 from repro.lppa.bids_ope import OpeBid, ope_encoder_for
 from repro.prefix.membership import mask_value
 
@@ -110,6 +110,29 @@ class TrustedThirdParty:
         or a Bloom-scheme :class:`~repro.lppa.bids_ope.OpeBid`; both carry the
         ``gc`` ciphertext and the wire-size accounting this method records.
         """
+        return self._charge(
+            channel, masked_bid, decrypt_bid_value(self._keyring.gc, masked_bid.ciphertext)
+        )
+
+    def process_batch(
+        self, requests: Sequence[Tuple[int, Any]]
+    ) -> List[ChargeDecision]:
+        """Batched charging: one TTP online period serves many winners.
+
+        Every winner's ciphertext is decrypted in one keystream call; each
+        is then charged exactly as :meth:`process_charge` would.
+        """
+        obs.count("ttp.batches")
+        with obs.timer("ttp.batch"):
+            expanded = decrypt_bid_values(
+                self._keyring.gc, [masked_bid.ciphertext for _, masked_bid in requests]
+            )
+            return [
+                self._charge(channel, masked_bid, value)
+                for (channel, masked_bid), value in zip(requests, expanded)
+            ]
+
+    def _charge(self, channel: int, masked_bid: Any, expanded: int) -> ChargeDecision:
         obs.count("ttp.charges")
         tr = trace.get_active()
         if tr is not None:
@@ -122,7 +145,7 @@ class TrustedThirdParty:
                 payload_bytes=CHANNEL_ID_BYTES + masked_bid.wire_bytes(),
                 wire_size=CHANNEL_ID_BYTES + masked_bid.wire_size(),
             )
-        decision = self._decide(channel, masked_bid)
+        decision = self._decide(channel, masked_bid, expanded)
         if tr is not None:
             tr.message(
                 "charge_decision",
@@ -134,54 +157,27 @@ class TrustedThirdParty:
             )
         return decision
 
-    def _decide(self, channel: int, masked_bid: Any) -> ChargeDecision:
+    def _decide(self, channel: int, masked_bid: Any, expanded: int) -> ChargeDecision:
+        if expanded > self._scale.emax:
+            return ChargeDecision(status=ChargeStatus.CHEATING, charge=0)
+        offset_value = self._scale.contract(expanded)
+        if self._scale.is_zero_marker(offset_value):
+            return ChargeDecision(status=ChargeStatus.INVALID_ZERO, charge=0)
+        # Verify the bidder ranked the same value it sealed for us.  PPBS:
+        # recompute the masked family; Bloom: re-encrypt under the
+        # channel's OPE key.  A mismatch means one price went to the
+        # auctioneer and another to the TTP.
+        key = self._keyring.channel_key(channel)
         if isinstance(masked_bid, OpeBid):
-            return self._decide_ope(channel, masked_bid)
-        expanded = decrypt_bid_value(self._keyring.gc, masked_bid.ciphertext)
-        if expanded > self._scale.emax:
-            return ChargeDecision(status=ChargeStatus.CHEATING, charge=0)
-        offset_value = self._scale.contract(expanded)
-        if self._scale.is_zero_marker(offset_value):
-            return ChargeDecision(status=ChargeStatus.INVALID_ZERO, charge=0)
-
-        # Verify the bidder masked the same value it sealed for us.
-        expected_family = mask_value(
-            self._keyring.channel_key(channel),
-            expanded,
-            self._scale.width,
-            domain=_BID_DOMAIN,
-        )
-        if expected_family.digests != masked_bid.family.digests:
+            encoder = ope_encoder_for(key, self._scale)
+            honest = encoder.encrypt(expanded) == masked_bid.ope_value
+        else:
+            expected_family = mask_value(
+                key, expanded, self._scale.width, domain=_BID_DOMAIN
+            )
+            honest = expected_family.digests == masked_bid.family.digests
+        if not honest:
             return ChargeDecision(status=ChargeStatus.CHEATING, charge=0)
         return ChargeDecision(
             status=ChargeStatus.VALID, charge=offset_value - self._scale.rd
         )
-
-    def _decide_ope(self, channel: int, ope_bid: OpeBid) -> ChargeDecision:
-        """Bloom-scheme charging: same classification, OPE-based verification.
-
-        Consistency check: re-encrypt the decrypted expanded value under the
-        channel's OPE key and compare with the value the auctioneer ranked —
-        a mismatch means the bidder sealed one price to the auctioneer and
-        another to us.
-        """
-        expanded = decrypt_bid_value(self._keyring.gc, ope_bid.ciphertext)
-        if expanded > self._scale.emax:
-            return ChargeDecision(status=ChargeStatus.CHEATING, charge=0)
-        offset_value = self._scale.contract(expanded)
-        if self._scale.is_zero_marker(offset_value):
-            return ChargeDecision(status=ChargeStatus.INVALID_ZERO, charge=0)
-        encoder = ope_encoder_for(self._keyring.channel_key(channel), self._scale)
-        if encoder.encrypt(expanded) != ope_bid.ope_value:
-            return ChargeDecision(status=ChargeStatus.CHEATING, charge=0)
-        return ChargeDecision(
-            status=ChargeStatus.VALID, charge=offset_value - self._scale.rd
-        )
-
-    def process_batch(
-        self, requests: Sequence[Tuple[int, Any]]
-    ) -> List[ChargeDecision]:
-        """Batched charging: one TTP online period serves many winners."""
-        obs.count("ttp.batches")
-        with obs.timer("ttp.batch"):
-            return [self.process_charge(ch, mb) for ch, mb in requests]

@@ -60,7 +60,6 @@ def run_calibration(
         mask_specs,
         mask_value,
     )
-    from repro.prefix.prefixes import prefix_family
     from repro.utils.rng import spawn_rng
 
     if repeats < 1:
@@ -86,9 +85,8 @@ def run_calibration(
             with obs.timer("mask_specs_batch"):
                 mask_specs(
                     [
-                        MaskSpec.of(
-                            _HMAC_KEY,
-                            prefix_family(37 * (i + 1) % (1 << _WIDTH), _WIDTH),
+                        MaskSpec.family(
+                            _HMAC_KEY, 37 * (i + 1) % (1 << _WIDTH), _WIDTH
                         )
                         for i in range(repeats)
                     ]

@@ -9,7 +9,8 @@ This module provides:
 
 * :class:`MaskedSet` — an immutable set of digests with intersection tests;
 * :class:`MaskSpec` / :func:`mask_specs` — the batch API: describe many
-  prefix sets and mask them all in one backend call;
+  prefix sets by value (a family ``G(x)``, a cover ``Q([a, b])``) and
+  mask them all in one backend call;
 * :func:`mask_value` — mask the prefix family ``G(x)`` of a value;
 * :func:`mask_range` — mask the cover ``Q([a, b])`` of a range, optionally
   padded with random filler digests to a fixed cardinality (the advanced
@@ -20,8 +21,8 @@ This module provides:
 Batching changes *how* digests are computed, never *what* they are: a
 :func:`mask_specs` call returns byte-for-byte what per-digest
 :func:`mask_prefixes` calls would.  Genuine (unpadded) digests are also
-memoized in :mod:`repro.crypto.cache` keyed on the full
-``(key, domain, digest size, message set)`` tuple, so a stationary SU's
+memoized in :mod:`repro.crypto.cache` keyed on the spec itself,
+``(key, domain, digest size, kind, values, width)``, so a stationary SU's
 repeated submissions skip the HMAC work entirely; padding fillers are
 *always* drawn fresh from the caller's RNG so the random stream — and
 therefore every downstream draw — is identical with the cache hot, cold,
@@ -31,9 +32,21 @@ or disabled.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro import obs
 from repro.crypto.backend import hmac_digest_pairs
@@ -44,7 +57,10 @@ from repro.prefix.ranges import max_cover_size, range_cover
 from repro.utils.rng import fresh_rng
 
 __all__ = [
+    "COVER",
     "DEFAULT_DIGEST_BYTES",
+    "FAMILY",
+    "PREFIXES",
     "MaskedSet",
     "MaskSpec",
     "mask_specs",
@@ -95,67 +111,126 @@ class MaskedSet:
         return len(self.digests) * self.digest_bytes
 
 
-@dataclass(frozen=True)
-class MaskSpec:
-    """One prefix set awaiting masking: the unit of the batch API.
+#: :class:`MaskSpec` kinds: a prefix family ``G(x)``, a range cover
+#: ``Q([low, high])``, or an explicit prefix collection.
+FAMILY = "family"
+COVER = "cover"
+PREFIXES = "prefixes"
 
-    ``prefixes`` keeps input order — digest order must match what a
-    per-prefix loop would produce so cached and cold results interleave
-    transparently.
+
+class MaskSpec(NamedTuple):
+    """One prefix set awaiting masking, described by value.
+
+    The unit of the batch API, and itself the mask-cache key.
+
+    ``kind`` is :data:`FAMILY` (``values == (x,)``), :data:`COVER`
+    (``values == (low, high)``) or :data:`PREFIXES` (``values`` is the
+    explicit prefix tuple and ``width`` is 0 — the reference path of
+    :func:`mask_prefixes`).  The prefixes and their HMAC messages are built
+    only when the cache misses, so a warm lookup hashes a few ints, never a
+    tuple of :class:`Prefix` objects.  Digest order follows prefix order, so
+    cached and cold results interleave transparently.
     """
 
     key: bytes
-    prefixes: Tuple[Prefix, ...]
-    domain: bytes = b""
-    digest_bytes: int = DEFAULT_DIGEST_BYTES
+    domain: bytes
+    digest_bytes: int
+    kind: str
+    values: Tuple[Any, ...]
+    width: int
 
-    @staticmethod
+    @classmethod
+    def family(
+        cls,
+        key: bytes,
+        x: int,
+        width: int,
+        *,
+        domain: bytes = b"",
+        digest_bytes: int = DEFAULT_DIGEST_BYTES,
+    ) -> "MaskSpec":
+        """The prefix family ``G(x)`` of a ``width``-bit value."""
+        return cls(key, domain, digest_bytes, FAMILY, (x,), width)
+
+    @classmethod
+    def cover(
+        cls,
+        key: bytes,
+        low: int,
+        high: int,
+        width: int,
+        *,
+        domain: bytes = b"",
+        digest_bytes: int = DEFAULT_DIGEST_BYTES,
+    ) -> "MaskSpec":
+        """The range cover ``Q([low, high])`` of ``width``-bit values."""
+        return cls(key, domain, digest_bytes, COVER, (low, high), width)
+
+    @classmethod
     def of(
+        cls,
         key: bytes,
         prefixes: Iterable[Prefix],
         *,
         domain: bytes = b"",
         digest_bytes: int = DEFAULT_DIGEST_BYTES,
     ) -> "MaskSpec":
-        """Build a spec from any prefix iterable (tuple-ifies for hashing)."""
-        return MaskSpec(key, tuple(prefixes), domain, digest_bytes)
+        """An explicit prefix collection, in the given order."""
+        return cls(key, domain, digest_bytes, PREFIXES, tuple(prefixes), 0)
+
+    @property
+    def prefixes(self) -> Sequence[Prefix]:
+        """The prefix set the values describe, in digest order."""
+        return _spec_prefixes(self.kind, self.values, self.width)
 
     def messages(self) -> Tuple[bytes, ...]:
         """The exact HMAC inputs, in prefix order (memoised, see below)."""
-        return _spec_messages(self.domain, self.prefixes)
+        return _spec_messages(self.domain, self.kind, self.values, self.width)
+
+
+def _spec_prefixes(kind: str, values: Tuple[Any, ...], width: int) -> Sequence[Prefix]:
+    if kind == FAMILY:
+        return prefix_family(values[0], width)
+    if kind == COVER:
+        return range_cover(values[0], values[1], width)
+    if kind == PREFIXES:
+        return values
+    raise ValueError(f"unknown mask spec kind {kind!r}")
 
 
 @lru_cache(maxsize=65536)
-def _spec_messages(domain: bytes, prefixes: Tuple[Prefix, ...]) -> Tuple[bytes, ...]:
+def _spec_messages(
+    domain: bytes, kind: str, values: Tuple[Any, ...], width: int
+) -> Tuple[bytes, ...]:
     # A pure function of public inputs (no key material), so memoising it
     # cannot serve a stale mask: the mask cache key still carries the HMAC
-    # key.  Bounded like the prefix_family/range_cover caches it sits on.
+    # key.  Bounded like the prefix_family/range_cover caches it sits on,
+    # which also validate the values.
     return tuple(
-        domain + numericalized_to_bytes(numericalize(p), p.width) for p in prefixes
+        domain + numericalized_to_bytes(numericalize(p), p.width)
+        for p in _spec_prefixes(kind, values, width)
     )
 
 
 def mask_spec_digests(specs: Sequence[MaskSpec]) -> List[Tuple[bytes, ...]]:
     """Truncated digests for every spec, in spec/prefix order.
 
-    The workhorse under every ``mask_*`` entry point: cache-hit specs are
-    answered from :mod:`repro.crypto.cache`; the misses are flattened into
-    a single :func:`hmac_digest_pairs` backend call and written back.  No
-    ``prefix.*`` counters fire here — callers count the :class:`MaskedSet`
-    objects they actually build (padded sets count their fillers too).
+    The workhorse under every ``mask_*`` entry point: every spec is looked
+    up in :mod:`repro.crypto.cache` at once; only the misses build their
+    messages, which are flattened into a single :func:`hmac_digest_pairs`
+    backend call and written back.  No ``prefix.*`` counters fire here —
+    callers count the :class:`MaskedSet` objects they actually build
+    (padded sets count their fillers too).
     """
-    results: List[Optional[Tuple[bytes, ...]]] = [None] * len(specs)
     cache = get_mask_cache() if cache_enabled() else None
-    pending: List[Tuple[int, Tuple[bytes, ...]]] = []
-    for index, spec in enumerate(specs):
-        messages = spec.messages()
-        if cache is not None:
-            hit = cache.get((spec.key, spec.domain, spec.digest_bytes, messages))
-            if hit is not None:
-                results[index] = hit
-                continue
-        pending.append((index, messages))
-
+    results: List[Optional[Tuple[bytes, ...]]] = (
+        [None] * len(specs) if cache is None else cache.lookup(specs)
+    )
+    pending = [
+        (index, specs[index].messages())
+        for index, hit in enumerate(results)
+        if hit is None
+    ]
     if pending:
         flat = [
             (specs[index].key, message)
@@ -166,16 +241,12 @@ def mask_spec_digests(specs: Sequence[MaskSpec]) -> List[Tuple[bytes, ...]]:
         cursor = 0
         for index, messages in pending:
             spec = specs[index]
-            truncated = tuple(
-                d[: spec.digest_bytes]
-                for d in digests[cursor : cursor + len(messages)]
-            )
+            size = spec.digest_bytes
+            truncated = tuple(d[:size] for d in digests[cursor : cursor + len(messages)])
             cursor += len(messages)
             results[index] = truncated
             if cache is not None:
-                cache.put(
-                    (spec.key, spec.domain, spec.digest_bytes, messages), truncated
-                )
+                cache.put(spec, truncated)
     return results  # type: ignore[return-value]
 
 
@@ -194,6 +265,12 @@ def mask_specs(specs: Sequence[MaskSpec]) -> List[MaskedSet]:
     return out
 
 
+@lru_cache(maxsize=256)
+def _filler_splitter(count: int, digest_bytes: int) -> Callable[[bytes], Tuple[bytes, ...]]:
+    # Slices one filler draw into its digests in a single C-level unpack.
+    return struct.Struct(f"{digest_bytes}s" * count).unpack
+
+
 def pad_masked_set(
     digests: Set[bytes],
     *,
@@ -205,9 +282,18 @@ def pad_masked_set(
 
     Fillers come from the caller's RNG at call time — never from a cache —
     so draw order is bit-identical whether the genuine digests were
-    computed or recalled.  A filler colliding with an existing digest is
-    simply redrawn by the ``while``, matching the historical behaviour.
+    computed or recalled.  All fillers come from one ``getrandbits`` call,
+    sliced: for whole 32-bit words that call consumes exactly the words of
+    one call per filler, and leaves the RNG in the same state.  (Other
+    digest sizes truncate a word per call, so they draw one at a time.)
+    A filler colliding with a digest already present is redrawn by the
+    ``while``, exactly as a one-at-a-time loop would.
     """
+    missing = ceiling - len(digests)
+    if missing > 0 and digest_bytes % 4 == 0:
+        size = missing * digest_bytes
+        blob = rng.getrandbits(8 * size).to_bytes(size, "big")
+        digests.update(_filler_splitter(missing, digest_bytes)(blob))
     while len(digests) < ceiling:
         digests.add(rng.getrandbits(8 * digest_bytes).to_bytes(digest_bytes, "big"))
     obs.count("prefix.masked_sets")
@@ -243,9 +329,9 @@ def mask_value(
     digest_bytes: int = DEFAULT_DIGEST_BYTES,
 ) -> MaskedSet:
     """Mask the prefix family ``G(x)`` — always ``width + 1`` digests."""
-    return mask_prefixes(
-        key, prefix_family(x, width), domain=domain, digest_bytes=digest_bytes
-    )
+    return mask_specs(
+        [MaskSpec.family(key, x, width, domain=domain, digest_bytes=digest_bytes)]
+    )[0]
 
 
 def mask_range(
@@ -268,8 +354,9 @@ def mask_range(
     flip a membership test — is about ``2**-(8*digest_bytes - 6)`` per set
     and is ignored, exactly as the paper does.
     """
-    cover = range_cover(low, high, width)
-    spec = MaskSpec.of(key, cover, domain=domain, digest_bytes=digest_bytes)
+    spec = MaskSpec.cover(
+        key, low, high, width, domain=domain, digest_bytes=digest_bytes
+    )
     digests = set(mask_spec_digests([spec])[0])
     if pad_to is None:
         obs.count("prefix.masked_sets")

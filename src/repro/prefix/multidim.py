@@ -27,8 +27,6 @@ from repro.prefix.membership import (
     is_member,
     mask_specs,
 )
-from repro.prefix.prefixes import prefix_family
-from repro.prefix.ranges import range_cover
 
 __all__ = ["MaskedPoint", "MaskedBox", "mask_point", "mask_box", "point_in_box"]
 
@@ -90,9 +88,10 @@ def mask_point(
         families=tuple(
             mask_specs(
                 [
-                    MaskSpec.of(
+                    MaskSpec.family(
                         key,
-                        prefix_family(coordinate, width),
+                        coordinate,
+                        width,
                         domain=_axis_domain(axis),
                         digest_bytes=digest_bytes,
                     )
@@ -117,9 +116,11 @@ def mask_box(
         raise ValueError("one width per interval required")
     covers = mask_specs(
         [
-            MaskSpec.of(
+            MaskSpec.cover(
                 key,
-                range_cover(low, high, width),
+                low,
+                high,
+                width,
                 domain=_axis_domain(axis),
                 digest_bytes=digest_bytes,
             )

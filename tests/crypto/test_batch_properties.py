@@ -4,7 +4,7 @@ Two contracts keep the optimization honest:
 
 * **batch ≡ scalar** — ``mask_specs(specs)`` returns exactly what one
   :func:`mask_prefixes` call per spec would, for arbitrary prefix sets,
-  keys, domains and digest sizes;
+  families and covers named by value, keys, domains and digest sizes;
 * **warm ≡ cold** — across arbitrary sequences of masking rounds, results
   served from the cache are bit-identical to freshly computed ones, and
   padded range fillers draw the same RNG stream either way.
@@ -58,15 +58,26 @@ def spec_lists(draw):
     )
     domains = (b"", b"lppa/loc/x", b"lppa/bid/adv")
     n = draw(st.integers(min_value=0, max_value=6))
-    return [
-        MaskSpec.of(
-            draw(st.sampled_from(keys)),
-            draw(prefix_sets()),
-            domain=draw(st.sampled_from(domains)),
-            digest_bytes=draw(st.sampled_from((8, 16, 32))),
-        )
-        for _ in range(n)
-    ]
+    return [draw(one_spec(keys, domains)) for _ in range(n)]
+
+
+@st.composite
+def one_spec(draw, keys, domains):
+    """An explicit prefix set, or a family/cover named by value."""
+    key = draw(st.sampled_from(keys))
+    options = {
+        "domain": draw(st.sampled_from(domains)),
+        "digest_bytes": draw(st.sampled_from((8, 16, 32))),
+    }
+    kind = draw(st.sampled_from(("explicit", "family", "cover")))
+    if kind == "explicit":
+        return MaskSpec.of(key, draw(prefix_sets()), **options)
+    width = draw(st.integers(min_value=1, max_value=12))
+    low = draw(st.integers(min_value=0, max_value=(1 << width) - 1))
+    if kind == "family":
+        return MaskSpec.family(key, low, width, **options)
+    high = draw(st.integers(min_value=low, max_value=(1 << width) - 1))
+    return MaskSpec.cover(key, low, high, width, **options)
 
 
 @settings(max_examples=40, deadline=None)

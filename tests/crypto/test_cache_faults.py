@@ -13,6 +13,10 @@ and checked through the obs counters:
 * **mutated prefix sets** — any change to the set (value, membership,
   order-insensitive content, domain, digest size) is a different cache
   key, so a lookup can never alias the old set.
+
+The protocol names its sets by value (``MaskSpec.family``/``cover``); the
+drills at the end repeat the rotation faults on that key shape and check
+the TTP's family check cannot be served a neighbouring value's entry.
 """
 
 import asyncio
@@ -22,12 +26,23 @@ import random
 import pytest
 
 from repro import obs
-from repro.crypto.cache import MaskCache, get_mask_cache, set_mask_cache
+from repro.crypto.cache import (
+    MaskCache,
+    cache_disabled,
+    get_mask_cache,
+    set_mask_cache,
+)
 from repro.crypto.keys import generate_keyring
-from repro.lppa.bids_advanced import BidScale
-from repro.lppa.ttp import TrustedThirdParty
+from repro.lppa.bids_advanced import BidScale, submit_bids_advanced
+from repro.lppa.messages import MaskedBid
+from repro.lppa.ttp import ChargeStatus, TrustedThirdParty
 from repro.net.loadgen import LoadgenConfig, run_loadgen
-from repro.prefix.membership import MaskSpec, mask_specs, mask_value
+from repro.prefix.membership import (
+    MaskSpec,
+    mask_prefixes,
+    mask_specs,
+    mask_value,
+)
 from repro.prefix.prefixes import prefix_family
 
 
@@ -178,3 +193,92 @@ def test_churned_users_never_reuse_other_users_digests(cache):
             c, user_id=0
         )
     assert registry.counters.get("crypto.mask_cache.misses", 0) > 0
+
+
+# --- value-keyed specs ------------------------------------------------------
+
+_BID_DOMAIN = b"lppa/bid/adv"
+
+
+def _value_specs(ring, width=11):
+    """A stationary SU's sets: bid family and tail per channel, location
+    family and cover under g0."""
+    specs = []
+    for channel in range(ring.n_channels):
+        key = ring.channel_key(channel)
+        specs.append(MaskSpec.family(key, 300 + channel, width, domain=_BID_DOMAIN))
+        specs.append(
+            MaskSpec.cover(key, 300 + channel, 1055, width, domain=_BID_DOMAIN)
+        )
+    specs.append(MaskSpec.family(ring.g0, 42, 8, domain=b"lppa/loc/x"))
+    specs.append(MaskSpec.cover(ring.g0, 37, 47, 8, domain=b"lppa/loc/x"))
+    return specs
+
+
+def test_value_specs_agree_warm_cold_and_disabled(cache):
+    ring = generate_keyring(b"value-keys", 3)
+    specs = _value_specs(ring)
+    with obs.collecting() as registry:
+        cold = mask_specs(specs)
+        warm = mask_specs(specs)
+    assert registry.counters["crypto.mask_cache.misses"] == len(specs)
+    assert registry.counters["crypto.mask_cache.hits"] == len(specs)
+    with cache_disabled():
+        bypassed = mask_specs(specs)
+    reference = [
+        mask_prefixes(s.key, s.prefixes, domain=s.domain, digest_bytes=s.digest_bytes)
+        for s in specs
+    ]
+    assert cold == warm == bypassed == reference
+
+
+def test_gc_only_rotation_keeps_value_keyed_entries(cache):
+    scale = BidScale(bmax=127, rd=4, cr=8)
+    ring = generate_keyring(b"service-seed", 3)
+    TrustedThirdParty(ring, scale)
+    specs = _value_specs(ring)
+    mask_specs(specs)
+    rotated = ring.rotate_gc(b"service-seed", "lppa/ttp/gc/m1")
+    with obs.collecting() as registry:
+        TrustedThirdParty(rotated, scale)
+        mask_specs(_value_specs(rotated))
+    assert "crypto.mask_cache.invalidations" not in registry.counters
+    assert registry.counters["crypto.mask_cache.hits"] == len(specs)
+    assert "crypto.mask_cache.misses" not in registry.counters
+
+
+def test_full_rotation_misses_value_keyed_entries(cache):
+    scale = BidScale(bmax=127, rd=4, cr=8)
+    old = generate_keyring(b"epoch-1", 3)
+    TrustedThirdParty(old, scale)
+    mask_specs(_value_specs(old))
+    new = generate_keyring(b"epoch-2", 3)
+    with obs.collecting() as registry:
+        TrustedThirdParty(new, scale)
+        mask_specs(_value_specs(new))
+        mask_specs(_value_specs(old))  # the retired keys' entries are gone too
+    assert registry.counters["crypto.mask_cache.invalidations"] == 1
+    assert "crypto.mask_cache.hits" not in registry.counters
+    assert registry.counters["crypto.mask_cache.misses"] == 2 * len(_value_specs(new))
+
+
+@pytest.mark.parametrize("delta", [1, -1, 8])
+def test_ttp_flags_a_family_masked_for_another_value(cache, delta):
+    """A warm cache holding the forged value's family must not make it pass:
+    the TTP's check looks up the *decrypted* value, a different key."""
+    ttp, ring, scale = TrustedThirdParty.setup(b"cheat-drill", 2, bmax=127)
+    rng = random.Random(11)
+    submission, disclosure = submit_bids_advanced(0, [60, 9], ring, scale, rng)
+    genuine = submission.channel_bids[0]
+    true_value = disclosure.channels[0].true_expanded
+    forged_family = mask_value(
+        ring.channel_key(0), true_value + delta, scale.width, domain=_BID_DOMAIN
+    )
+    assert forged_family != genuine.family
+    forged = MaskedBid(
+        family=forged_family, tail=genuine.tail, ciphertext=genuine.ciphertext
+    )
+    assert ttp.process_charge(0, genuine).status is ChargeStatus.VALID
+    assert ttp.process_charge(0, forged).status is ChargeStatus.CHEATING
+    decisions = ttp.process_batch([(0, forged), (0, genuine)])
+    assert [d.status for d in decisions] == [ChargeStatus.CHEATING, ChargeStatus.VALID]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.speck import Speck64128, ctr_decrypt, ctr_encrypt
+from repro.crypto.speck import Speck64128, ctr_decrypt, ctr_encrypt, ctr_encrypt_batch
 
 # The official Speck64/128 test vector (Beaulieu et al., Appendix C):
 # key = 1b1a1918 13121110 0b0a0908 03020100, plaintext = 3b726574 7475432d,
@@ -150,3 +150,77 @@ def test_ctr_matches_the_reference(key, nonce, payload):
     expected = _ref_ctr(key, nonce, payload)
     assert ctr_encrypt(cipher, nonce, payload) == expected
     assert ctr_decrypt(cipher, nonce, expected) == payload
+
+
+# --- lane kernel: many blocks as 64-bit lanes of one int ------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    data=st.integers(min_value=1, max_value=64).flatmap(
+        lambda n: st.binary(min_size=8 * n, max_size=8 * n)
+    ),
+)
+def test_lanes_match_the_reference_block(key, data):
+    """1-64 lanes, random keys and blocks: each lane is the scalar cipher."""
+    cipher = Speck64128(key)
+    blocks = [data[i : i + 8] for i in range(0, len(data), 8)]
+    expected = b"".join(cipher.encrypt_block(block) for block in blocks)
+    assert cipher.encrypt_blocks(data) == expected
+    assert expected == b"".join(_ref_encrypt_block(key, block) for block in blocks)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 7, 64])
+def test_official_vector_through_lanes(lanes):
+    """The published vector in every lane, and between all-ones blocks."""
+    cipher = Speck64128(OFFICIAL_KEY)
+    assert cipher.encrypt_blocks(OFFICIAL_PT * lanes) == OFFICIAL_CT * lanes
+    ones = b"\xff" * 8
+    mixed = cipher.encrypt_blocks((ones + OFFICIAL_PT) * lanes)
+    assert mixed[8:16] == OFFICIAL_CT
+    assert mixed[-8:] == OFFICIAL_CT
+
+
+@pytest.mark.parametrize("lanes", [2, 3, 64])
+def test_lanes_carry_nothing_into_the_next_lane(lanes):
+    """x = 0xFFFFFFFF in every lane makes the unmasked rotation all ones
+    across the lane (its own high bits plus the neighbour's spill), so an
+    add that were not masked first would carry into the next lane."""
+    cipher = Speck64128(OFFICIAL_KEY)
+    bait = struct.pack("<2I", 1, _MASK32)
+    assert cipher.encrypt_blocks(bait * lanes) == cipher.encrypt_block(bait) * lanes
+
+
+def test_lanes_reject_partial_blocks_and_accept_none():
+    cipher = Speck64128(OFFICIAL_KEY)
+    assert cipher.encrypt_blocks(b"") == b""
+    with pytest.raises(ValueError):
+        cipher.encrypt_blocks(b"x" * 12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    messages=st.lists(
+        st.tuples(st.binary(min_size=4, max_size=4), st.binary(max_size=40)),
+        max_size=12,
+    ),
+)
+def test_batch_ctr_equals_per_message_ctr(key, messages):
+    """Mixed plaintext lengths (empty, sub-block, multi-block) in one batch."""
+    cipher = Speck64128(key)
+    nonces = [nonce for nonce, _ in messages]
+    payloads = [payload for _, payload in messages]
+    batch = ctr_encrypt_batch(cipher, nonces, payloads)
+    assert batch == [ctr_encrypt(cipher, n, p) for n, p in messages]
+    assert batch == [_ref_ctr(key, n, p) for n, p in messages]
+
+
+def test_batch_ctr_validates_its_inputs():
+    cipher = Speck64128(OFFICIAL_KEY)
+    with pytest.raises(ValueError):
+        ctr_encrypt_batch(cipher, [b"nonc"], [b"a", b"b"])
+    with pytest.raises(ValueError):
+        ctr_encrypt_batch(cipher, [b"nonc", b"bad"], [b"a", b"b"])
+    assert ctr_encrypt_batch(cipher, [], []) == []

@@ -109,8 +109,8 @@ def test_message_memo_is_bounded_and_keyless():
     # The memo is keyed on public inputs only: two HMAC keys share an entry.
     prefixes = tuple(prefix_family(5, 4))
     before = _spec_messages.cache_info().hits
-    MaskSpec(b"key-a", prefixes).messages()
-    MaskSpec(b"key-b", prefixes).messages()
+    MaskSpec.of(b"key-a", prefixes).messages()
+    MaskSpec.of(b"key-b", prefixes).messages()
     assert _spec_messages.cache_info().hits >= before + 1
 
 
