@@ -3,15 +3,16 @@
 The paper evaluates 100-SU rounds, but a deployed CRN auction clears far
 larger regions.  This sweep times one in-process round per population
 size, so the scaling curve lands in the perf trajectory next to the micro
-benches.  The in-process round tests only the grid-bucket candidate pairs
-(:mod:`repro.geo.buckets`, DESIGN.md §9) instead of all N² pairs.
+benches.  The round builds its conflict graph from the masked conflict
+index (DESIGN.md §9), the same path as the networked server, so it never
+reads the SUs' plaintext cells.
 
 What the numbers mean
 ---------------------
 ``round_wall_s`` is the whole round: bidder-side masking, auctioneer-side
 conflict graph + psd allocation, and TTP charging.  ``auctioneer_wall_s``
 isolates the two auctioneer-side phases (the ``lppa.conflict_graph`` timer
-plus the ``psd_allocation`` phase), where the pair tests and the
+plus the ``psd_allocation`` phase), where the index lookups and the
 per-channel rankings live.  Bidder-side masking is client-side work in a
 deployment (each SU masks its own submission).
 
@@ -21,11 +22,11 @@ occupied at every size, matching the 100-SU / 100×100-grid evaluation
 setup.  All randomness is label-addressed off ``scale:<seed>:<size>``, so
 any two runs see the same users.
 
-``verify=True`` checks, up to :data:`REFERENCE_CEILING` SUs, that the
-round's conflict graph equals the networked auctioneer's all-pairs masked
-scan over the same users
-(:func:`~repro.lppa.location.build_private_conflict_graph` without
-candidates).  The CI ``scale-smoke`` job runs exactly this at 1k SUs.
+``verify=True`` checks that the round's conflict graph equals the
+plaintext graph of the same users' cells
+(:func:`~repro.auction.conflict.build_conflict_graph`), an independent
+computation: it shares no code with the masked index.  The CI
+``scale-smoke`` job runs exactly this at 1k SUs.
 """
 
 from __future__ import annotations
@@ -37,16 +38,14 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.auction.bidders import SecondaryUser
+from repro.auction.conflict import build_conflict_graph
 from repro.geo.grid import GridSpec
-from repro.lppa.location import build_private_conflict_graph, submit_locations
 from repro.lppa.session import run_lppa_auction
-from repro.lppa.ttp import TrustedThirdParty
 from repro.obs.clock import Stopwatch
 from repro.obs.registry import MetricsRegistry, PHASE_TIMER_PREFIX
 
 __all__ = [
     "DEFAULT_SIZES",
-    "REFERENCE_CEILING",
     "ScalePoint",
     "grid_side",
     "synthesize_population",
@@ -57,10 +56,6 @@ __all__ = [
 
 #: The committed-baseline sweep sizes.
 DEFAULT_SIZES = (1_000, 10_000, 100_000)
-
-#: Largest size ``verify`` checks against the all-pairs masked scan —
-#: beyond this the Θ(N²) scan is hours of wall time.
-REFERENCE_CEILING = 10_000
 
 _TWO_LAMBDA = 6
 _BMAX = 127
@@ -111,7 +106,7 @@ def synthesize_population(
 class ScalePoint:
     """One population size's measurements.
 
-    ``verified`` is ``None`` when the all-pairs check did not run, else
+    ``verified`` is ``None`` when the plaintext check did not run, else
     whether the round's conflict graph matched it.
     """
 
@@ -145,8 +140,8 @@ def run_scale_point(
 ) -> ScalePoint:
     """Time one round of ``size`` SUs; optionally verify its conflict graph.
 
-    ``verify`` runs the all-pairs masked scan (unmeasured) for sizes up to
-    :data:`REFERENCE_CEILING` and records whether the graphs are equal.
+    ``verify`` builds the plaintext conflict graph of the same cells
+    (unmeasured) and records whether the graphs are equal.
     """
     users, grid = synthesize_population(
         size, n_channels=n_channels, seed=seed
@@ -170,14 +165,10 @@ def run_scale_point(
         round_wall_s=watch.elapsed(),
         auctioneer_wall_s=_auctioneer_seconds(registry),
     )
-    if verify and size <= REFERENCE_CEILING:
-        _, keyring, _ = TrustedThirdParty.setup(_SEED, n_channels, bmax=_BMAX)
+    if verify:
         with obs.unmeasured():
-            submissions = submit_locations(
-                [user.cell for user in users], keyring.g0, grid, _TWO_LAMBDA
-            )
             point.verified = (
-                build_private_conflict_graph(submissions)
+                build_conflict_graph([user.cell for user in users], _TWO_LAMBDA)
                 == result.conflict_graph
             )
     _record_point(point)
@@ -223,7 +214,7 @@ def format_scale_table(points: Sequence[ScalePoint]) -> str:
     verdicts = {None: "-", True: "ok", False: "MISMATCH"}
     lines = [
         f"{'SUs':>8}  {'grid':>9}  {'edges':>9}  {'winners':>8}  "
-        f"{'round':>9}  {'auctioneer':>11}  {'all-pairs':>9}",
+        f"{'round':>9}  {'auctioneer':>11}  {'plaintext':>9}",
     ]
     for p in points:
         lines.append(

@@ -1,12 +1,11 @@
-"""Grid-bucket spatial prefilter for conflict-pair discovery.
+"""Grid-bucket spatial prefilter for the plaintext conflict graph only.
 
 The paper's conflict predicate (:func:`repro.auction.conflict.cells_conflict`)
 is local: users at cells ``(m_i, n_i)`` and ``(m_j, n_j)`` conflict iff
 ``|m_i - m_j| < 2λ`` and ``|n_i - n_j| < 2λ``.  Testing every unordered pair
-is Θ(N²) — at 100k SUs that is ~5·10⁹ pair tests, regardless of how fast a
-single masked membership check is.  But the predicate can only hold for
-users whose cells are close, so an ``ST_DWithin``-style bucket index prunes
-almost every pair up front.
+is Θ(N²) — at 100k SUs that is ~5·10⁹ pair tests.  But the predicate can
+only hold for users whose cells are close, so an ``ST_DWithin``-style
+bucket index prunes almost every pair up front.
 
 Bucketing argument (soundness)
 ------------------------------
@@ -18,9 +17,9 @@ indices differ by ``>= 2`` on some axis, say ``m_i // L = a`` and
 ``|m_i - m_j| >= 2λ`` and the pair *cannot* conflict.  Contrapositive:
 every conflicting pair lies in the same bucket or in axis-adjacent buckets
 (index delta ``<= 1`` per axis).  :func:`candidate_pairs` therefore yields a
-**superset** of the true conflict pairs — the exact predicate (plaintext or
-masked-membership) still decides each candidate, so the resulting edge set
-is identical to the all-pairs scan, never merely approximate.
+**superset** of the true conflict pairs — the exact predicate still decides
+each candidate, so the resulting edge set is identical to the all-pairs
+scan, never merely approximate.
 
 Completeness of the enumeration: for each user ``i`` (in id order) the
 generator collects every user ``j > i`` from the 3×3 bucket neighbourhood of

@@ -1,7 +1,7 @@
 """The (curious-but-honest) auctioneer endpoint.
 
 Everything this class touches is masked: location submissions become a
-conflict graph through pairwise membership tests, bid submissions become a
+conflict graph through the masked conflict index, bid submissions become a
 :class:`~repro.lppa.psd.MaskedBidTable`, Algorithm 3 allocates channels, and
 winners' ciphertexts go to the TTP for charging.  The class never imports
 :class:`~repro.crypto.keys.KeyRing` — it simply has no key material.
@@ -14,7 +14,7 @@ what :mod:`repro.attacks.against_lppa` consumes.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.auction.allocation import Assignment, greedy_allocate
 from repro.obs import trace
@@ -57,18 +57,10 @@ class Auctioneer:
         return list(self._assignments)
 
     def receive_locations(
-        self,
-        submissions: Sequence[LocationSubmission],
-        *,
-        candidates: Optional[Iterable[Tuple[int, int]]] = None,
+        self, submissions: Sequence[LocationSubmission]
     ) -> ConflictGraph:
-        """PPBS location phase: masked membership tests -> conflict graph.
-
-        ``candidates`` limits the tests to the given pairs (see
-        :func:`~repro.lppa.location.build_private_conflict_graph`); the
-        default tests every pair.
-        """
-        self._conflict = build_private_conflict_graph(submissions, candidates)
+        """PPBS location phase: masked membership tests -> conflict graph."""
+        self._conflict = build_private_conflict_graph(submissions)
         tr = trace.get_active()
         if tr is not None:
             tr.instant(
@@ -106,6 +98,13 @@ class Auctioneer:
             raise RuntimeError("bid submissions not received yet")
         if self._conflict is None:
             raise RuntimeError("location submissions not received yet")
+        if self._conflict.n_users != self._table.n_users:
+            # greedy_allocate reads a missing node as "no conflicts", so a
+            # graph over fewer SUs would let neighbours share a channel.
+            raise ValueError(
+                f"conflict graph covers {self._conflict.n_users} SUs, bid "
+                f"table {self._table.n_users}"
+            )
         # Keep the charge material before the allocator consumes the table.
         assignments = greedy_allocate(self._table, self._conflict, rng)
         self._assignments = assignments

@@ -1,7 +1,7 @@
 """Private Location Submission protocol (section IV.A).
 
-Each SU masks its coordinates and interference ranges; the auctioneer tests,
-for every pair (i, j),
+Each SU masks its coordinates and interference ranges; the auctioneer
+decides, for every pair (i, j),
 
     H_g0(G(loc_x^i)) ∩ H_g0(Q([loc_x^j - d, loc_x^j + d])) != ∅
     H_g0(G(loc_y^i)) ∩ H_g0(Q([loc_y^j - d, loc_y^j + d])) != ∅
@@ -10,6 +10,10 @@ and declares a conflict when both hold.  Since ``x_i ∈ [x_j - d, x_j + d]``
 iff ``|x_i - x_j| <= d``, one direction of the test suffices and the result
 is exactly the plaintext conflict graph — which the tests assert.
 
+The auctioneer answers all N² questions at once from the masked conflict
+index (DESIGN.md §9): the relation the pairwise tests compute, from the
+masked sets alone, on every driver.
+
 The paper's conflict predicate is the *strict* ``|Δ| < 2λ`` on integer
 coordinates, so the submitted range uses half-width ``d = 2λ - 1``.
 Coordinates are cell indices (non-negative integers, as the paper assumes).
@@ -17,13 +21,12 @@ Coordinates are cell indices (non-negative integers, as the paper assumes).
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.auction.conflict import ConflictGraph
 from repro.geo.grid import Cell, GridSpec
 from repro.lppa.messages import LocationSubmission
-from repro.prefix.membership import MaskSpec, is_member, mask_specs
+from repro.prefix.membership import MaskSpec, mask_specs, owner_bits, reach
 from repro.prefix.prefixes import bit_width_for
 
 __all__ = [
@@ -118,30 +121,29 @@ def submit_locations(
 
 def build_private_conflict_graph(
     submissions: Sequence[LocationSubmission],
-    candidates: Optional[Iterable[Tuple[int, int]]] = None,
 ) -> ConflictGraph:
-    """Auctioneer side: pairwise masked membership tests -> conflict graph.
+    """Auctioneer side: masked conflict index -> conflict graph.
 
     ``submissions[i].user_id`` must equal ``i`` (the session layer enforces
     the dense numbering; pseudonymised ids are mapped before this point).
-    ``candidates`` restricts the tests to the given ``(i, j)`` pairs,
-    ``i < j``; the default is every pair, the paper's scan.  An in-process
-    round passes :func:`repro.geo.buckets.candidate_pairs` of its plaintext
-    cells, a superset of the conflicting pairs, so the graph is the same.
+    Bit ``j`` of ``reach(x_owners, x_family_i) & reach(y_owners,
+    y_family_i)`` is set iff both of ``i``'s families meet ``j``'s ranges —
+    the paper's pair test — and each pair ``i < j`` is read from row ``i``.
     """
     for idx, sub in enumerate(submissions):
         if sub.user_id != idx:
             raise ValueError(
                 f"submissions must be dense: slot {idx} holds user {sub.user_id}"
             )
-    n = len(submissions)
-    if candidates is None:
-        candidates = itertools.combinations(range(n), 2)
-    edges = set()
-    for i, j in candidates:
-        si, sj = submissions[i], submissions[j]
-        if is_member(si.x_family, sj.x_range) and is_member(
-            si.y_family, sj.y_range
-        ):
-            edges.add((i, j))
-    return ConflictGraph(n_users=n, edges=frozenset(edges))
+    x_owners = owner_bits([s.x_range for s in submissions])
+    y_owners = owner_bits([s.y_range for s in submissions])
+    edges = []
+    for i, sub in enumerate(submissions):
+        above = (
+            reach(x_owners, sub.x_family) & reach(y_owners, sub.y_family)
+        ) >> (i + 1)
+        while above:
+            low = above & -above
+            edges.append((i, i + low.bit_length()))
+            above ^= low
+    return ConflictGraph(n_users=len(submissions), edges=frozenset(edges))

@@ -6,56 +6,28 @@ the :class:`~repro.auction.table.BidTable` interface, so the greedy
 Algorithm 3 in :mod:`repro.auction.allocation` runs on it unchanged.
 
 "Find the maximum of a column" is implemented by first recovering each
-channel's total *order* of bidders through pairwise membership tests
-(``G(b_i) ∩ Q([b_j, emax]) != ∅  <=>  b_i >= b_j``) — an operation the
+channel's total *order* of bidders from the membership relation
+``G(b_i) ∩ Q([b_j, emax]) != ∅  <=>  b_i >= b_j`` — an operation the
 curious auctioneer can always perform, which is precisely why the paper's
 attacker model (section VI.C) grants the adversary the ordered bid table.
 The same ranking is therefore exposed via :meth:`MaskedBidTable.ranking`
 as the attack surface for :mod:`repro.attacks.against_lppa`.
+
+The whole relation of a column comes from one masked index
+(:func:`~repro.prefix.membership.owner_bits` over the tails, probed with
+each family): ``b_i >= b_j`` for exactly the bidders ``j`` that ``i``'s
+family reaches, so sorting by reach orders the column.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from repro.auction.table import BidTable
 from repro.lppa.messages import BidSubmission, MaskedBid
-from repro.prefix.membership import is_member
+from repro.prefix.membership import is_member, owner_bits, reach
 
-__all__ = ["MaskedBidTable", "rank_by_ge"]
-
-
-def rank_by_ge(
-    n_users: int, ge: Callable[[int, int], bool]
-) -> List[List[int]]:
-    """Total order of ``range(n_users)`` under ``ge``, as equivalence classes.
-
-    ``ge(i, j)`` answers ``b_i >= b_j``; it must be a total preorder (every
-    masked column is, up to the negligible filler-collision probability).
-    """
-
-    def compare(i: int, j: int) -> int:
-        i_ge_j = ge(i, j)
-        j_ge_i = ge(j, i)
-        if i_ge_j and j_ge_i:
-            return 0
-        if i_ge_j:
-            return -1  # i sorts first (descending order)
-        if j_ge_i:
-            return 1
-        raise AssertionError(
-            "masked comparison is not total: filler-digest collision?"
-        )
-
-    order = sorted(range(n_users), key=functools.cmp_to_key(compare))
-    classes: List[List[int]] = []
-    for bidder in order:
-        if classes and compare(classes[-1][0], bidder) == 0:
-            classes[-1].append(bidder)
-        else:
-            classes.append([bidder])
-    return classes
+__all__ = ["MaskedBidTable"]
 
 
 class MaskedBidTable(BidTable):
@@ -87,19 +59,17 @@ class MaskedBidTable(BidTable):
         # still contain a live bidder.  Entries are only ever removed, so a
         # fully-dead class stays dead and the cursor moves monotonically.
         self._cursors: List[int] = [0] * self._n_channels
-        # Memoized pairwise verdicts: (channel, i, j) -> "b_i >= b_j".  The
-        # masked sets are immutable for the round, so each ordered pair
-        # needs at most one membership test; the equivalence-class pass in
-        # ranking() re-asks O(N) comparisons the sort already made, and the
-        # cache turns those into dict hits instead of repeated HMAC-set
-        # intersections.
-        self._ge_cache: Dict[Tuple[int, int, int], bool] = {}
 
     # BidTable interface --------------------------------------------------------
 
     @property
     def n_channels(self) -> int:
         return self._n_channels
+
+    @property
+    def n_users(self) -> int:
+        """Number of bidders (rows) the table was built from."""
+        return self._n_users
 
     def has_entries(self) -> bool:
         return any(self._live)
@@ -146,40 +116,44 @@ class MaskedBidTable(BidTable):
         return self._bids[channel][bidder]
 
     def bid_ge(self, i: int, j: int, channel: int) -> bool:
-        """``b_i >= b_j`` on this channel, decided purely on masked sets.
-
-        Memoized per ``(channel, i, j)``: the verdict is a pure function of
-        the round's immutable submissions, so repeat queries (the ranking's
-        equivalence-class pass, attack-layer probes) cost a dict lookup.
-        """
-        key = (channel, i, j)
-        cached = self._ge_cache.get(key)
-        if cached is None:
-            column = self._bids[channel]
-            cached = is_member(column[i].family, column[j].tail)
-            self._ge_cache[key] = cached
-        return cached
+        """``b_i >= b_j`` on this channel, decided purely on masked sets."""
+        return is_member(self._bids[channel][i].family, self._bids[channel][j].tail)
 
     def ranking(self, channel: int) -> List[List[int]]:
         """Total order of *all* bidders on a channel, best first.
 
         Returned as equivalence classes: bidders within a class submitted
-        equal masked values (mutually >=).  Computed once per channel with
-        O(N log N) masked comparisons and cached — deletions never change
-        the underlying order.
-
-        Micro-bench (40 bidders x 5 channels, one process, perf_counter):
-        the pairwise memo in :meth:`bid_ge` drops ``rankings()`` from 2018
-        membership tests / 4.3 ms to 1626 / 3.7 ms — the ~20% of
-        comparisons the equivalence-class pass repeats after the sort.
+        equal masked values (mutually >=), listed by index.  Bit ``j`` of
+        ``reach_i`` (tails indexed, probed with ``i``'s family) is
+        ``b_i >= b_j``.  In a total preorder the reaches are nested
+        down-sets, so a better class has the numerically larger reach and
+        sorting by reach (descending, stable) orders the column.  Walking
+        the classes worst first, each must reach exactly the bidders at or
+        below it; anything else means the relation is not a total
+        preorder.  Computed once per channel and cached — deletions never
+        change the underlying order.
         """
         self._check_channel(channel)
         cached = self._rankings[channel]
         if cached is not None:
             return cached
-        classes = rank_by_ge(
-            self._n_users, lambda i, j: self.bid_ge(i, j, channel)
-        )
+        column = self._bids[channel]
+        tails = owner_bits([bid.tail for bid in column])
+        reaches = [reach(tails, bid.family) for bid in column]
+        classes: List[List[int]] = []
+        for bidder in sorted(range(self._n_users), key=reaches.__getitem__, reverse=True):
+            if classes and reaches[bidder] == reaches[classes[-1][0]]:
+                classes[-1].append(bidder)
+            else:
+                classes.append([bidder])
+        below = 0
+        for members in reversed(classes):
+            for bidder in members:
+                below |= 1 << bidder
+            if reaches[members[0]] != below:
+                raise AssertionError(
+                    "masked comparison is not total: filler-digest collision?"
+                )
         self._rankings[channel] = classes
         return classes
 

@@ -30,7 +30,6 @@ from repro.auction.allocation import greedy_allocate, greedy_allocate_validated
 from repro.auction.conflict import build_conflict_graph
 from repro.auction.outcome import AuctionOutcome, WinRecord
 from repro.auction.pricing import greedy_allocate_priced, second_price_charge
-from repro.geo.buckets import candidate_pairs
 from repro.lppa.auctioneer import Auctioneer
 from repro.lppa.bids_advanced import (
     BidScale,
@@ -172,19 +171,11 @@ class CryptoBackend(ValueBackend):
     def ingest_locations(self, state: RoundState) -> None:
         assert state.location_subs is not None
         state.auctioneer = Auctioneer(state.n_channels)
-        # The conflict-graph timer isolates the auctioneer-side pair tests
+        # The conflict-graph timer isolates the auctioneer-side graph build
         # from the bidder-side masking that shares this phase.
-        candidates = None
-        if state.users is not None:
-            # In process the round holds the plaintext cells: test only the
-            # grid-bucket candidates (DESIGN §9).  The networked server has
-            # no cells and keeps the paper's all-pairs scan.
-            candidates = candidate_pairs(
-                [user.cell for user in state.users], state.two_lambda
-            )
         with obs.timer("lppa.conflict_graph"):
             state.conflict = state.auctioneer.receive_locations(
-                state.location_subs, candidates=candidates
+                state.location_subs
             )
         state.location_bytes = sum(s.wire_bytes() for s in state.location_subs)
 

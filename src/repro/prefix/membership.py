@@ -16,6 +16,8 @@ This module provides:
   padded with random filler digests to a fixed cardinality (the advanced
   scheme pads to ``2w - 2`` so set sizes stop leaking range widths);
 * :func:`is_member` — the core check ``H(G(x)) ∩ H(Q([a,b])) ≠ ∅``;
+* :func:`owner_bits` / :func:`reach` — the same check against many sets
+  at once, through an inverted index (the auctioneer's two jobs);
 * :func:`find_maxima` — the auctioneer's masked max-bid search.
 
 Batching changes *how* digests are computed, never *what* they are: a
@@ -38,6 +40,7 @@ from functools import lru_cache
 from typing import (
     Any,
     Callable,
+    Dict,
     FrozenSet,
     Iterable,
     List,
@@ -70,6 +73,8 @@ __all__ = [
     "mask_value",
     "mask_range",
     "is_member",
+    "owner_bits",
+    "reach",
     "find_maxima",
 ]
 
@@ -100,10 +105,7 @@ class MaskedSet:
 
     def intersects(self, other: "MaskedSet") -> bool:
         """True when the two masked sets share at least one digest."""
-        # frozenset.isdisjoint iterates the smaller operand in C — same
-        # semantics as probing each digest of the smaller set, without the
-        # Python-level loop this sits under (every membership test in every
-        # pairwise conflict/ranking scan lands here).
+        # frozenset.isdisjoint iterates the smaller operand in C.
         return not self.digests.isdisjoint(other.digests)
 
     def wire_bytes(self) -> int:
@@ -379,6 +381,33 @@ def is_member(masked_family: MaskedSet, masked_range: MaskedSet) -> bool:
     """
     obs.count("prefix.membership_checks")
     return masked_family.intersects(masked_range)
+
+
+def owner_bits(sets: Sequence[MaskedSet]) -> Dict[bytes, int]:
+    """Inverted index ``digest → owners``: bit ``j`` set iff ``sets[j]`` holds it."""
+    owners: Dict[bytes, int] = {}
+    get = owners.get
+    for j, masked in enumerate(sets):
+        bit = 1 << j
+        for digest in masked.digests:
+            owners[digest] = get(digest, 0) | bit
+    return owners
+
+
+def reach(owners: Dict[bytes, int], masked: MaskedSet) -> int:
+    """Bitmask of the indexed sets ``T`` that share a digest with ``masked``.
+
+    Bit ``j`` of ``reach(owner_bits(T), G)`` is ``is_member(G, T[j])`` for
+    any sets, honest or not: it ORs exactly the owners of ``G``'s digests
+    and assumes nothing about set shapes.  Counted as
+    ``prefix.index_probes`` (one per digest looked up).
+    """
+    obs.count("prefix.index_probes", len(masked.digests))
+    bits = 0
+    get = owners.get
+    for digest in masked.digests:
+        bits |= get(digest, 0)
+    return bits
 
 
 def find_maxima(

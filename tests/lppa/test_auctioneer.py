@@ -92,3 +92,15 @@ def test_conflict_graph_property():
 def test_invalid_channel_count():
     with pytest.raises(ValueError):
         Auctioneer(0)
+
+
+def test_allocation_refuses_a_conflict_graph_smaller_than_the_bid_table():
+    # A graph over fewer SUs reads as "no conflicts" for the rest, so all
+    # three co-located bidders would win channel 0 together.
+    bid_rows = [[10, 0], [9, 0], [8, 0]]
+    cells = [(0, 0), (0, 1), (1, 0)]
+    _, auctioneer, locations, bids, rng = _setup_round(bid_rows, cells)
+    auctioneer.receive_locations(locations[:1])
+    auctioneer.receive_bids(bids)
+    with pytest.raises(ValueError, match="conflict graph covers 1 SUs, bid table 3"):
+        auctioneer.run_allocation(rng)

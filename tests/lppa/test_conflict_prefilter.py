@@ -1,11 +1,11 @@
-"""The in-process round's prefiltered conflict graph == the all-pairs scan.
+"""A whole round's conflict graph == the all-pairs scan == the plaintext graph.
 
-An in-process round holds the plaintext cells, so it tests only the
-grid-bucket candidate pairs (:func:`repro.geo.buckets.candidate_pairs`).
-The networked auctioneer has no cells and tests every pair.  Both must
-give the same graph; these tests pin that at a few hundred SUs, with pairs
-placed to straddle bucket edges, at two interference ranges, and check
-that ``repro scale --verify`` makes the same comparison.
+Every driver builds the graph from the masked conflict index (DESIGN.md
+§9) and never reads plaintext cells.  These tests pin a full in-process
+round at a few hundred SUs, with pairs placed just inside and just outside
+``2λ`` across the edges of the plaintext grid buckets, at two interference
+ranges, and check that ``repro scale --verify`` compares against the
+independent plaintext graph.
 """
 
 import random
@@ -14,11 +14,13 @@ import pytest
 
 from repro import obs
 from repro.auction.bidders import SecondaryUser
+from repro.auction.conflict import build_conflict_graph
 from repro.experiments.scale import run_scale_point
 from repro.geo.grid import GridSpec
-from repro.lppa.location import build_private_conflict_graph, submit_locations
+from repro.lppa.location import coordinate_width, submit_locations
 from repro.lppa.session import run_lppa_auction
 from repro.lppa.ttp import TrustedThirdParty
+from tests.lppa.oracles import pairwise_conflict_graph
 
 BMAX = 63
 N_CHANNELS = 3
@@ -28,7 +30,7 @@ GRID = GridSpec(rows=120, cols=120)
 
 def make_users(two_lambda, n_random=300):
     """Random SUs plus pairs just inside and just outside 2λ across the
-    edges of the buckets (side 2λ) the prefilter groups cells into."""
+    edges of the plaintext grid buckets (side 2λ)."""
     rng = random.Random(two_lambda)
     cells = [
         (rng.randrange(GRID.rows), rng.randrange(GRID.cols))
@@ -69,16 +71,20 @@ def test_round_graph_equals_all_pairs_masked_scan(two_lambda):
     submissions = submit_locations(
         [u.cell for u in users], keyring.g0, GRID, two_lambda
     )
-    assert result.conflict_graph == build_private_conflict_graph(submissions)
-    assert result.conflict_graph.n_edges > 0
-    # The round really took the prefiltered path: far fewer tests than
-    # the N(N-1)/2 pairs of the all-pairs scan.
-    checks = sum(
-        value for key, value in registry.counters.items()
-        if "location_submission/" in key
-        and key.endswith("prefix.membership_checks")
+    assert result.conflict_graph == pairwise_conflict_graph(submissions)
+    assert result.conflict_graph == build_conflict_graph(
+        [u.cell for u in users], two_lambda
     )
-    assert 0 < checks < len(users) * (len(users) - 1) // 2 // 4
+    assert result.conflict_graph.n_edges > 0
+    # The round took the index: one probe per family digest, no pair tests.
+    location = {
+        key.rsplit("/", 1)[1]: value
+        for key, value in registry.counters.items()
+        if "location_submission/" in key
+    }
+    family_size = coordinate_width(GRID, two_lambda) + 1
+    assert location["prefix.index_probes"] == 2 * family_size * len(users)
+    assert "prefix.membership_checks" not in location
 
 
 def test_shards_one_is_the_default_path():
@@ -92,6 +98,6 @@ def test_process_sharding_is_gone(shards):
         crypto_round(make_users(4, n_random=4), 4, shards=shards)
 
 
-def test_scale_verify_compares_against_all_pairs_scan():
+def test_scale_verify_compares_against_plaintext_graph():
     assert run_scale_point(300, verify=True).verified is True
     assert run_scale_point(300).verified is None

@@ -13,17 +13,21 @@ from repro.lppa.location import (
     coordinate_width,
     submit_location,
 )
+from tests.lppa.oracles import pairwise_conflict_graph
 
 G0 = b"location-key"
 GRID = GridSpec(rows=32, cols=32, cell_km=1.0)
 
 
-def _private_graph(cells, two_lambda, grid=GRID):
-    submissions = [
+def _submissions(cells, two_lambda, grid=GRID):
+    return [
         submit_location(i, cell, G0, grid, two_lambda)
         for i, cell in enumerate(cells)
     ]
-    return build_private_conflict_graph(submissions)
+
+
+def _private_graph(cells, two_lambda, grid=GRID):
+    return build_private_conflict_graph(_submissions(cells, two_lambda, grid))
 
 
 def test_coordinate_width_accounts_for_overhang():
@@ -74,12 +78,14 @@ def test_submission_rejects_cells_outside_grid():
             st.integers(min_value=0, max_value=31),
         ),
         min_size=2,
-        max_size=8,
+        max_size=20,
     ),
     two_lambda=st.integers(min_value=1, max_value=12),
 )
 def test_private_graph_equals_plaintext_graph(cells, two_lambda):
-    """The central PPBS-location correctness claim."""
-    assert _private_graph(cells, two_lambda).edges == build_conflict_graph(
-        cells, two_lambda
-    ).edges
+    """The central PPBS-location correctness claim: the masked index gives
+    the plaintext graph, and the paper's all-pairs masked scan."""
+    submissions = _submissions(cells, two_lambda)
+    graph = build_private_conflict_graph(submissions)
+    assert graph == build_conflict_graph(cells, two_lambda)
+    assert graph == pairwise_conflict_graph(submissions)
