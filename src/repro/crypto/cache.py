@@ -1,14 +1,23 @@
-"""Masked-prefix digest cache: stop re-masking identical sets every round.
+"""Masked-set cache: stop re-masking identical sets every round.
 
 A stationary SU submits the *same* location prefix family and interference
-cover round after round, and the TTP re-derives the same masked bid family
-at charging time that the bidder already computed at submission time.  Both
-are deterministic functions of ``(HMAC key, domain, digest size, prefix
-set)`` — so the masking layer keeps a bounded LRU of exactly that mapping.
-The set is named by value — a family ``G(x)`` by ``x``, a cover
-``Q([a, b])`` by ``(a, b)``, plus the width — so a lookup hashes a few
-ints rather than the set's prefixes (see
-:class:`repro.prefix.membership.MaskSpec`, which *is* the key).
+cover round after round, bids repeat their values' families and tail
+covers, and the TTP re-derives the same masked bid family at charging time
+that the bidder already computed at submission time.  Each is a
+deterministic function of ``(HMAC key, domain, digest size, prefix set)``
+— so the masking layer keeps a bounded LRU of exactly that mapping.  The
+set is named by value — a family ``G(x)`` by ``x``, a cover ``Q([a, b])``
+by ``(a, b)``, plus the width — so a lookup hashes a few ints rather than
+the set's prefixes (see :class:`repro.prefix.membership.MaskSpec`, which
+*is* the key).
+
+Values are finished, validated :class:`~repro.prefix.membership.MaskedSet`
+objects: a hit returns the very set an earlier miss built and checked,
+so a warm round neither re-hashes nor re-validates.  A ``MaskedSet`` is
+immutable and unordered, so one object is safely shared by every SU,
+round and padded tail that uses it, and digest order plays no part.  This
+is the crypto layer's one memo; the prefix layer's one memo (the keyless
+HMAC messages of a spec) sits below it and is consulted only on a miss.
 
 Correctness is structural: the cache key *contains the key material*, so a
 rotated key can never alias a stale entry — a new key ring simply misses.
@@ -21,14 +30,17 @@ service rotates only ``gc`` on membership change — drops only entries
 masked under retired keys and a stationary SU's digests stay warm.
 
 Observability: every lookup lands on ``crypto.mask_cache.hits`` or
-``crypto.mask_cache.misses``; clears count ``crypto.mask_cache.invalidations``
+``crypto.mask_cache.misses`` — counted as a one-set-at-a-time loop would
+count them, so a key missing twice in one batch is one miss and one hit
+(the caller builds it once); clears count ``crypto.mask_cache.invalidations``
 and LRU pressure counts ``crypto.mask_cache.evictions``; live occupancy is
 exported as the ``crypto.mask_cache.size`` gauge.  The fault-test
 suite uses these counters to prove no stale digest is ever served across
 key rotation, SU churn and prefix-set mutation.
 
 The cache is always on; :func:`cache_disabled` bypasses it temporarily
-(results are bit-identical either way — only the HMAC work repeats), which
+(results are equal either way — only the HMAC work and the set
+construction repeat, and every set is freshly built), which
 keeps the calibration's work fixed.  Like :mod:`repro.obs`, it is
 single-threaded by design; forked sweep workers inherit a snapshot, which
 is harmless because entries are pure functions of their keys.
@@ -38,9 +50,23 @@ from __future__ import annotations
 
 import contextlib
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro import obs
+
+if TYPE_CHECKING:  # the masking layer imports this module, not vice versa
+    from repro.prefix.membership import MaskedSet
 
 __all__ = [
     "MaskCache",
@@ -51,9 +77,6 @@ __all__ = [
     "note_key_epoch",
 ]
 
-#: Digests of one masked prefix set, in the set's prefix order.
-CachedDigests = Tuple[bytes, ...]
-
 #: Lookup key: a tuple whose first item is the HMAC key — in the masking
 #: layer ``(key, domain, digest_bytes, kind, values, width)``.
 CacheKey = Tuple[Any, ...]
@@ -62,11 +85,11 @@ _DEFAULT_MAX_ENTRIES = 65536
 
 
 class MaskCache:
-    """Bounded LRU of masked-prefix digest tuples.
+    """Bounded LRU of finished masked sets.
 
-    Entries map a :data:`CacheKey` to the truncated digests of the set, in
-    input order — order matters so batch lookups reproduce the exact bytes
-    a cold mask would produce.
+    Entries map a :data:`CacheKey` to the :class:`MaskedSet` masked under
+    it.  The cache never builds or inspects a value; the masking layer
+    validates each set once, when a miss builds it.
     """
 
     __slots__ = ("_entries", "_max_entries", "_epoch", "hits", "misses", "evictions")
@@ -74,7 +97,7 @@ class MaskCache:
     def __init__(self, max_entries: int = _DEFAULT_MAX_ENTRIES) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
-        self._entries: "OrderedDict[CacheKey, CachedDigests]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, MaskedSet]" = OrderedDict()
         self._max_entries = max_entries
         self._epoch: Optional[bytes] = None
         self.hits = 0
@@ -93,23 +116,28 @@ class MaskCache:
         """Fingerprint of the key epoch the cache was last validated for."""
         return self._epoch
 
-    def get(self, key: CacheKey) -> Optional[CachedDigests]:
+    def get(self, key: CacheKey) -> Optional[MaskedSet]:
         """Look one set up; counts a hit or a miss either way."""
         return self.lookup([key])[0]
 
-    def lookup(self, keys: Sequence[CacheKey]) -> List[Optional[CachedDigests]]:
+    def lookup(self, keys: Sequence[CacheKey]) -> List[Optional[MaskedSet]]:
         """Look many sets up at once, in order; ``None`` marks a miss.
 
-        Counts every hit and miss, one counter update per batch.
+        Counts as a one-key-at-a-time loop that stores each miss would: a
+        key missing more than once in the batch counts one miss and its
+        repeats count as hits, because the caller builds it once for all
+        of them.  One counter update per batch.
         """
         entries = self._entries
         found = [entries.get(key) for key in keys]
-        hits = 0
+        missed: Set[CacheKey] = set()
         for key, entry in zip(keys, found):
-            if entry is not None:
+            if entry is None:
+                missed.add(key)
+            else:
                 entries.move_to_end(key)
-                hits += 1
-        misses = len(found) - hits
+        misses = len(missed)
+        hits = len(found) - misses
         self.hits += hits
         self.misses += misses
         if hits:
@@ -118,13 +146,13 @@ class MaskCache:
             obs.count("crypto.mask_cache.misses", misses)
         return found
 
-    def put(self, key: CacheKey, digests: CachedDigests) -> None:
-        """Store one set's digests, evicting the LRU entry on overflow."""
+    def put(self, key: CacheKey, masked: MaskedSet) -> None:
+        """Store one masked set, evicting the LRU entry on overflow."""
         entries = self._entries
         if key in entries:
             entries.move_to_end(key)
             return
-        entries[key] = digests
+        entries[key] = masked
         if len(entries) > self._max_entries:
             entries.popitem(last=False)
             self.evictions += 1

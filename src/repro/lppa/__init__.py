@@ -31,6 +31,7 @@ from repro.lppa.bids_advanced import (
     SubmissionDisclosure,
     disguise_and_expand,
     submit_bids_advanced,
+    submit_population_bids,
 )
 from repro.lppa.fastsim import FastLppaResult, IntegerMaskedTable, run_fast_lppa
 from repro.lppa.bids_basic import (
@@ -77,6 +78,7 @@ __all__ = [
     "SubmissionDisclosure",
     "disguise_and_expand",
     "submit_bids_advanced",
+    "submit_population_bids",
     "FastLppaResult",
     "IntegerMaskedTable",
     "run_fast_lppa",

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from repro import obs
 from repro.crypto.keys import KeyRing
 from repro.lppa.bids_basic import seal_bid_values
 from repro.lppa.messages import BidSubmission, MaskedBid
@@ -36,7 +35,7 @@ from repro.prefix.membership import (
     DEFAULT_DIGEST_BYTES,
     MaskedSet,
     MaskSpec,
-    mask_spec_digests,
+    mask_specs,
     pad_masked_set,
 )
 from repro.prefix.prefixes import bit_width_for
@@ -48,6 +47,7 @@ __all__ = [
     "SubmissionDisclosure",
     "disguise_and_expand",
     "submit_bids_advanced",
+    "submit_population_bids",
 ]
 
 _BID_DOMAIN = b"lppa/bid/adv"
@@ -144,7 +144,7 @@ def disguise_and_expand(
     """Steps (i)-(ii): offset, zero disguise, and ``cr`` expansion.
 
     This is the complete *numeric* content of the advanced scheme — the
-    full crypto path in :func:`submit_bids_advanced` and the fast simulator
+    full crypto path in :func:`submit_population_bids` and the fast simulator
     in :mod:`repro.lppa.fastsim` both run exactly this code, so the two are
     behaviourally identical by construction.
     """
@@ -187,6 +187,122 @@ def disguise_and_expand(
     return disclosures
 
 
+def _distinct_rng_batches(rngs: Sequence[random.Random]) -> List[range]:
+    """Split SU slots into maximal consecutive runs of distinct RNG objects."""
+    batches = []
+    start = 0
+    held: Set[random.Random] = set()
+    for slot, rng in enumerate(rngs):
+        if rng in held:
+            batches.append(range(start, slot))
+            start = slot
+            held = set()
+        held.add(rng)
+    if start < len(rngs):
+        batches.append(range(start, len(rngs)))
+    return batches
+
+
+def submit_population_bids(
+    bids: Sequence[Sequence[int]],
+    keyring: KeyRing,
+    scale: BidScale,
+    rngs: Sequence[random.Random],
+    *,
+    policies: Optional[Sequence[Optional[ZeroDisguisePolicy]]] = None,
+    user_ids: Optional[Sequence[int]] = None,
+) -> Tuple[List[BidSubmission], List[SubmissionDisclosure]]:
+    """Bidder side of the advanced scheme for many SUs at once.
+
+    ``bids[i]`` (one entry per channel) is submitted with ``rngs[i]`` and
+    ``policies[i]`` as user ``user_ids[i]`` (default: the dense index).
+    Returns the wire submissions plus the SU-private disclosure records,
+    exactly what one :func:`submit_bids_advanced` call per SU returns, and
+    each SU's RNG ends in the same state.
+
+    Each SU draws its disguise/expand values, then per channel its tail's
+    fillers and its ciphertext nonce, from its own RNG in that order.
+    Masking consumes no randomness, so the families and tail covers of SUs
+    with distinct RNG objects go through one :func:`mask_specs` batch
+    between the two; SUs that share one RNG are taken in turn, a new batch
+    starting at the first SU whose RNG the current batch already holds, so
+    the shared stream is drawn in exactly the one-SU-at-a-time order.
+    Sealing consumes no randomness either: every ciphertext of the
+    population is sealed by one keystream call.
+    """
+    if policies is None:
+        policies = [None] * len(bids)
+    if user_ids is None:
+        user_ids = range(len(bids))
+    if not len(rngs) == len(policies) == len(user_ids) == len(bids):
+        raise ValueError(
+            f"{len(bids)} bid vectors need as many RNGs, policies and user ids"
+        )
+    n_channels = keyring.n_channels
+    for row in bids:
+        if len(row) != n_channels:
+            raise ValueError(
+                f"{len(row)} bids but key ring has {n_channels} channel keys"
+            )
+    if keyring.rd != scale.rd or keyring.cr != scale.cr:
+        raise ValueError("key ring and bid scale disagree on rd/cr")
+
+    width = scale.width
+    emax = scale.emax
+    pad_to = scale.pad_to
+    keys = [keyring.channel_key(channel) for channel in range(n_channels)]
+    disclosures: List[List[ChannelDisclosure]] = []
+    families: List[MaskedSet] = []
+    tails: List[MaskedSet] = []
+    nonces: List[int] = []
+    for batch in _distinct_rng_batches(rngs):
+        drawn = [
+            disguise_and_expand(bids[slot], scale, rngs[slot], policy=policies[slot])
+            for slot in batch
+        ]
+        specs: List[MaskSpec] = []
+        for channels in drawn:
+            for key, disclosure in zip(keys, channels):
+                value = disclosure.masked_expanded
+                specs.append(MaskSpec.family(key, value, width, domain=_BID_DOMAIN))
+                specs.append(MaskSpec.cover(key, value, emax, width, domain=_BID_DOMAIN))
+        masked = mask_specs(specs)
+        covers = iter(masked[1::2])
+        for slot in batch:
+            rng = rngs[slot]
+            for _ in range(n_channels):
+                tails.append(
+                    pad_masked_set(
+                        next(covers), ceiling=pad_to, digest_bytes=DEFAULT_DIGEST_BYTES, rng=rng
+                    )
+                )
+                nonces.append(rng.getrandbits(32))
+        disclosures.extend(drawn)
+        families.extend(masked[0::2])
+    ciphertexts = seal_bid_values(
+        keyring.gc,
+        [disclosure.true_expanded for channels in disclosures for disclosure in channels],
+        nonces,
+    )
+    channel_bids = [
+        MaskedBid(family=family, tail=tail, ciphertext=ciphertext)
+        for family, tail, ciphertext in zip(families, tails, ciphertexts)
+    ]
+    submissions = []
+    records = []
+    for slot, (user_id, channels) in enumerate(zip(user_ids, disclosures)):
+        submissions.append(
+            BidSubmission(
+                user_id=user_id,
+                channel_bids=tuple(
+                    channel_bids[slot * n_channels : (slot + 1) * n_channels]
+                ),
+            )
+        )
+        records.append(SubmissionDisclosure(user_id=user_id, channels=tuple(channels)))
+    return submissions, records
+
+
 def submit_bids_advanced(
     user_id: int,
     bids: Sequence[int],
@@ -196,63 +312,14 @@ def submit_bids_advanced(
     *,
     policy: Optional[ZeroDisguisePolicy] = None,
 ) -> Tuple[BidSubmission, SubmissionDisclosure]:
-    """Bidder side of the advanced scheme.
+    """Bidder side of the advanced scheme: one SU's case of
+    :func:`submit_population_bids`.
 
     Returns the wire submission plus the SU-private disclosure record.
     ``bids`` must have one entry per channel and the key ring must carry one
     channel key per entry.
     """
-    if len(bids) != keyring.n_channels:
-        raise ValueError(
-            f"{len(bids)} bids but key ring has {keyring.n_channels} channel keys"
-        )
-    if keyring.rd != scale.rd or keyring.cr != scale.cr:
-        raise ValueError("key ring and bid scale disagree on rd/cr")
-
-    disclosures = disguise_and_expand(bids, scale, rng, policy=policy)
-    width = scale.width
-    emax = scale.emax
-
-    # Masking consumes no randomness, so all channels' families and tail
-    # covers go through one backend batch up front.  The loop below then
-    # draws pad fillers and ciphertext nonces in exactly the order the
-    # digest-at-a-time implementation did, and every channel's ciphertext
-    # is sealed in one keystream call after it.
-    specs: List[MaskSpec] = []
-    for channel, disclosure in enumerate(disclosures):
-        key = keyring.channel_key(channel)
-        value = disclosure.masked_expanded
-        specs.append(MaskSpec.family(key, value, width, domain=_BID_DOMAIN))
-        specs.append(MaskSpec.cover(key, value, emax, width, domain=_BID_DOMAIN))
-    digests = mask_spec_digests(specs)
-
-    families = [
-        MaskedSet(frozenset(family), digest_bytes=DEFAULT_DIGEST_BYTES)
-        for family in digests[0::2]
-    ]
-    obs.count("prefix.masked_sets", len(families))
-    obs.count("prefix.masked_digests", sum(map(len, families)))
-    tails = []
-    nonces = []
-    for tail in digests[1::2]:
-        tails.append(
-            pad_masked_set(
-                set(tail),
-                ceiling=scale.pad_to,
-                digest_bytes=DEFAULT_DIGEST_BYTES,
-                rng=rng,
-            )
-        )
-        nonces.append(rng.getrandbits(32))
-    ciphertexts = seal_bid_values(
-        keyring.gc, [disclosure.true_expanded for disclosure in disclosures], nonces
+    submissions, disclosures = submit_population_bids(
+        [bids], keyring, scale, [rng], policies=[policy], user_ids=[user_id]
     )
-    channel_bids = tuple(
-        MaskedBid(family=family, tail=tail, ciphertext=ciphertext)
-        for family, tail, ciphertext in zip(families, tails, ciphertexts)
-    )
-
-    return (
-        BidSubmission(user_id=user_id, channel_bids=channel_bids),
-        SubmissionDisclosure(user_id=user_id, channels=tuple(disclosures)),
-    )
+    return submissions[0], disclosures[0]

@@ -35,7 +35,7 @@ from repro.lppa.bids_advanced import (
     BidScale,
     SubmissionDisclosure,
     disguise_and_expand,
-    submit_bids_advanced,
+    submit_population_bids,
 )
 from repro.lppa.location import submit_locations
 from repro.lppa.round.results import FastLppaResult, LppaResult
@@ -183,19 +183,16 @@ class CryptoBackend(ValueBackend):
         assert state.users is not None and state.user_rngs is not None
         assert state.keyring is not None and state.scale is not None
         assert state.policies is not None
-        subs = []
-        for idx, user in enumerate(state.users):
-            submission, disclosure = submit_bids_advanced(
-                idx,
-                user.bids,
-                state.keyring,
-                state.scale,
-                state.user_rngs[idx],
-                policy=state.policies[idx],
-            )
-            subs.append(submission)
-            state.disclosures.append(disclosure)
-        state.bid_subs = subs
+        # One population batch: one mask_specs call and one keystream call
+        # for every SU, each SU's draws still from its own RNG in order.
+        state.bid_subs, disclosures = submit_population_bids(
+            [user.bids for user in state.users],
+            state.keyring,
+            state.scale,
+            state.user_rngs,
+            policies=state.policies,
+        )
+        state.disclosures.extend(disclosures)
 
     def ingest_bids(self, state: RoundState) -> None:
         assert state.auctioneer is not None and state.bid_subs is not None

@@ -22,13 +22,22 @@ This module provides:
 
 Batching changes *how* digests are computed, never *what* they are: a
 :func:`mask_specs` call returns byte-for-byte what per-digest
-:func:`mask_prefixes` calls would.  Genuine (unpadded) digests are also
-memoized in :mod:`repro.crypto.cache` keyed on the spec itself,
-``(key, domain, digest size, kind, values, width)``, so a stationary SU's
-repeated submissions skip the HMAC work entirely; padding fillers are
-*always* drawn fresh from the caller's RNG so the random stream — and
-therefore every downstream draw — is identical with the cache hot, cold,
-or disabled.
+:func:`mask_prefixes` calls would.  There is one memo per layer:
+
+* the keyless HMAC messages of a spec, a pure function of public values
+  (``_spec_messages``, bounded), built only when the mask cache misses;
+* the mask cache (:mod:`repro.crypto.cache`), keyed on the spec itself,
+  ``(key, domain, digest size, kind, values, width)``, whose values are
+  the finished, validated :class:`MaskedSet` objects — a warm lookup
+  returns the very set an earlier round built, so a stationary SU's
+  repeated submissions skip the HMAC work and the set construction alike.
+
+A :class:`MaskedSet` is immutable, so sharing one between rounds and SUs
+is safe, and digest order no longer matters anywhere.  Padding builds a
+new set (:func:`pad_masked_set`) and never changes the cached cover;
+its fillers are *always* drawn fresh from the caller's RNG, so the random
+stream — and therefore every downstream draw — is identical with the
+cache hot, cold, or disabled.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import (
+    AbstractSet,
     Any,
     Callable,
     Dict,
@@ -47,8 +57,9 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
-    Set,
     Tuple,
+    Union,
+    cast,
 )
 
 from repro import obs
@@ -67,7 +78,6 @@ __all__ = [
     "MaskedSet",
     "MaskSpec",
     "mask_specs",
-    "mask_spec_digests",
     "pad_masked_set",
     "mask_prefixes",
     "mask_value",
@@ -130,8 +140,7 @@ class MaskSpec(NamedTuple):
     explicit prefix tuple and ``width`` is 0 — the reference path of
     :func:`mask_prefixes`).  The prefixes and their HMAC messages are built
     only when the cache misses, so a warm lookup hashes a few ints, never a
-    tuple of :class:`Prefix` objects.  Digest order follows prefix order, so
-    cached and cold results interleave transparently.
+    tuple of :class:`Prefix` objects.
     """
 
     key: bytes
@@ -206,65 +215,58 @@ def _spec_messages(
 ) -> Tuple[bytes, ...]:
     # A pure function of public inputs (no key material), so memoising it
     # cannot serve a stale mask: the mask cache key still carries the HMAC
-    # key.  Bounded like the prefix_family/range_cover caches it sits on,
-    # which also validate the values.
+    # key.  The prefix layer's one memo; prefix_family/range_cover below it
+    # validate the values and are not memoised themselves.
     return tuple(
         domain + numericalized_to_bytes(numericalize(p), p.width)
         for p in _spec_prefixes(kind, values, width)
     )
 
 
-def mask_spec_digests(specs: Sequence[MaskSpec]) -> List[Tuple[bytes, ...]]:
-    """Truncated digests for every spec, in spec/prefix order.
-
-    The workhorse under every ``mask_*`` entry point: every spec is looked
-    up in :mod:`repro.crypto.cache` at once; only the misses build their
-    messages, which are flattened into a single :func:`hmac_digest_pairs`
-    backend call and written back.  No ``prefix.*`` counters fire here —
-    callers count the :class:`MaskedSet` objects they actually build
-    (padded sets count their fillers too).
-    """
-    cache = get_mask_cache() if cache_enabled() else None
-    results: List[Optional[Tuple[bytes, ...]]] = (
-        [None] * len(specs) if cache is None else cache.lookup(specs)
-    )
-    pending = [
-        (index, specs[index].messages())
-        for index, hit in enumerate(results)
-        if hit is None
-    ]
-    if pending:
-        flat = [
-            (specs[index].key, message)
-            for index, messages in pending
-            for message in messages
-        ]
-        digests = hmac_digest_pairs(flat)
-        cursor = 0
-        for index, messages in pending:
-            spec = specs[index]
-            size = spec.digest_bytes
-            truncated = tuple(d[:size] for d in digests[cursor : cursor + len(messages)])
-            cursor += len(messages)
-            results[index] = truncated
-            if cache is not None:
-                cache.put(spec, truncated)
-    return results  # type: ignore[return-value]
-
-
 def mask_specs(specs: Sequence[MaskSpec]) -> List[MaskedSet]:
     """Mask every spec'd prefix set in one backend batch.
 
-    Equivalent, digest for digest, to calling :func:`mask_prefixes` once
-    per spec — the property-test suite asserts exactly that.
+    Every spec is looked up in :mod:`repro.crypto.cache` at once, and a hit
+    returns the cached :class:`MaskedSet` itself.  Each *distinct* missing
+    spec builds its messages once; all of them go through a single
+    :func:`hmac_digest_pairs` call, and each built set is validated by
+    :class:`MaskedSet`, stored, and shared by every occurrence of its spec
+    in the batch.  Equivalent, digest for digest, to calling
+    :func:`mask_prefixes` once per spec — and with the cache on, its HMAC
+    and cache counters equal that loop's too.  Counts every returned set
+    on ``prefix.masked_sets``/``prefix.masked_digests``.
     """
-    out = []
-    for spec, digests in zip(specs, mask_spec_digests(specs)):
-        masked = MaskedSet(frozenset(digests), digest_bytes=spec.digest_bytes)
-        obs.count("prefix.masked_sets")
-        obs.count("prefix.masked_digests", len(masked))
-        out.append(masked)
-    return out
+    cache = get_mask_cache() if cache_enabled() else None
+    results: List[Optional[MaskedSet]] = (
+        [None] * len(specs) if cache is None else cache.lookup(specs)
+    )
+    pending: Dict[MaskSpec, List[int]] = {}
+    for index, hit in enumerate(results):
+        if hit is None:
+            pending.setdefault(specs[index], []).append(index)
+    if pending:
+        built = list(pending)
+        messages = [spec.messages() for spec in built]
+        digests = hmac_digest_pairs(
+            [(spec.key, m) for spec, ms in zip(built, messages) for m in ms]
+        )
+        cursor = 0
+        for spec, ms in zip(built, messages):
+            size = spec.digest_bytes
+            end = cursor + len(ms)
+            masked = MaskedSet(
+                frozenset([d[:size] for d in digests[cursor:end]]), digest_bytes=size
+            )
+            cursor = end
+            for index in pending[spec]:
+                results[index] = masked
+            if cache is not None:
+                cache.put(spec, masked)
+    masked_sets = cast(List[MaskedSet], results)
+    if masked_sets:
+        obs.count("prefix.masked_sets", len(masked_sets))
+        obs.count("prefix.masked_digests", sum(len(m.digests) for m in masked_sets))
+    return masked_sets
 
 
 @lru_cache(maxsize=256)
@@ -274,33 +276,41 @@ def _filler_splitter(count: int, digest_bytes: int) -> Callable[[bytes], Tuple[b
 
 
 def pad_masked_set(
-    digests: Set[bytes],
+    genuine: Union[MaskedSet, AbstractSet[bytes]],
     *,
     ceiling: int,
     digest_bytes: int,
     rng: random.Random,
 ) -> MaskedSet:
-    """Pad genuine digests with random fillers up to ``ceiling`` and seal.
+    """A new :class:`MaskedSet`: ``genuine`` plus random fillers up to ``ceiling``.
 
-    Fillers come from the caller's RNG at call time — never from a cache —
-    so draw order is bit-identical whether the genuine digests were
-    computed or recalled.  All fillers come from one ``getrandbits`` call,
-    sliced: for whole 32-bit words that call consumes exactly the words of
-    one call per filler, and leaves the RNG in the same state.  (Other
-    digest sizes truncate a word per call, so they draw one at a time.)
-    A filler colliding with a digest already present is redrawn by the
-    ``while``, exactly as a one-at-a-time loop would.
+    ``genuine`` — typically a cached cover from :func:`mask_specs` — is
+    never changed: the tail is one ``frozenset.union`` of its digests and
+    the fillers.  Fillers come from the caller's RNG at call time — never
+    from a cache — so draw order is bit-identical whether the genuine
+    digests were computed or recalled.  All fillers come from one
+    ``getrandbits`` call, sliced: for whole 32-bit words that call consumes
+    exactly the words of one call per filler, and leaves the RNG in the
+    same state.  (Other digest sizes truncate a word per call, so they draw
+    one at a time.)  A filler colliding with a digest already present is
+    redrawn, exactly as a one-at-a-time loop would.  Counts the fillers on
+    ``prefix.masked_digests``; the genuine set was counted when masked.
     """
-    missing = ceiling - len(digests)
+    digests = genuine.digests if isinstance(genuine, MaskedSet) else frozenset(genuine)
+    start = len(digests)
+    missing = ceiling - start
     if missing > 0 and digest_bytes % 4 == 0:
         size = missing * digest_bytes
         blob = rng.getrandbits(8 * size).to_bytes(size, "big")
-        digests.update(_filler_splitter(missing, digest_bytes)(blob))
-    while len(digests) < ceiling:
-        digests.add(rng.getrandbits(8 * digest_bytes).to_bytes(digest_bytes, "big"))
-    obs.count("prefix.masked_sets")
-    obs.count("prefix.masked_digests", len(digests))
-    return MaskedSet(frozenset(digests), digest_bytes=digest_bytes)
+        digests = digests.union(_filler_splitter(missing, digest_bytes)(blob))
+    if len(digests) < ceiling:
+        grown = set(digests)
+        while len(grown) < ceiling:
+            grown.add(rng.getrandbits(8 * digest_bytes).to_bytes(digest_bytes, "big"))
+        digests = frozenset(grown)
+    if len(digests) > start:
+        obs.count("prefix.masked_digests", len(digests) - start)
+    return MaskedSet(digests, digest_bytes=digest_bytes)
 
 
 def mask_prefixes(
@@ -356,19 +366,16 @@ def mask_range(
     flip a membership test — is about ``2**-(8*digest_bytes - 6)`` per set
     and is ignored, exactly as the paper does.
     """
-    spec = MaskSpec.cover(
-        key, low, high, width, domain=domain, digest_bytes=digest_bytes
-    )
-    digests = set(mask_spec_digests([spec])[0])
+    masked = mask_specs(
+        [MaskSpec.cover(key, low, high, width, domain=domain, digest_bytes=digest_bytes)]
+    )[0]
     if pad_to is None:
-        obs.count("prefix.masked_sets")
-        obs.count("prefix.masked_digests", len(digests))
-        return MaskedSet(frozenset(digests), digest_bytes=digest_bytes)
+        return masked
     ceiling = max(pad_to, max_cover_size(width))
     if rng is None:
         rng = fresh_rng()
     return pad_masked_set(
-        digests, ceiling=ceiling, digest_bytes=digest_bytes, rng=rng
+        masked, ceiling=ceiling, digest_bytes=digest_bytes, rng=rng
     )
 
 

@@ -14,8 +14,7 @@ cover of ``[a, b]`` (see :mod:`repro.prefix.ranges`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 __all__ = ["Prefix", "prefix_family", "bit_width_for"]
 
@@ -89,22 +88,16 @@ def bit_width_for(max_value: int) -> int:
     return max(1, max_value.bit_length())
 
 
-@lru_cache(maxsize=65536)
-def _prefix_family_cached(x: int, width: int) -> Tuple[Prefix, ...]:
-    return tuple(Prefix(x >> i, width - i, width) for i in range(width + 1))
-
-
 def prefix_family(x: int, width: int) -> List[Prefix]:
     """The prefix family ``G(x)``: all ``width + 1`` prefixes containing x.
 
     Ordered from the full ``width``-bit value down to the all-wildcard
     prefix, matching the paper's presentation (the i-th element wildcards
-    ``i`` trailing bits).  Memoized: the family is a pure function of
-    ``(x, width)`` and hot paths (stationary SUs, repeated bid values)
-    recompute it constantly.
+    ``i`` trailing bits).  Not memoised: the masking layer memoises what it
+    builds from a family (see :mod:`repro.prefix.membership`).
     """
     if width < 1:
         raise ValueError("width must be >= 1")
     if not 0 <= x < (1 << width):
         raise ValueError(f"{x} is not a {width}-bit number")
-    return list(_prefix_family_cached(x, width))
+    return [Prefix(x >> i, width - i, width) for i in range(width + 1)]

@@ -9,8 +9,7 @@ why the advanced bid scheme pads every masked range set to exactly that size.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import List, Tuple
+from typing import List
 
 from repro.prefix.prefixes import Prefix
 
@@ -30,8 +29,8 @@ def range_cover(low: int, high: int, width: int) -> List[Prefix]:
     The prefixes are pairwise disjoint and returned in increasing order of
     their covered interval.  ``low``/``high`` are clamped callers' business:
     both must already be valid ``width``-bit values with ``low <= high``.
-    Memoized: covers are pure functions of their arguments, and the bid
-    protocols rebuild the same tail ranges every round.
+    Not memoised: the masking layer memoises what it builds from a cover
+    (see :mod:`repro.prefix.membership`).
 
     Examples
     --------
@@ -44,11 +43,6 @@ def range_cover(low: int, high: int, width: int) -> List[Prefix]:
         raise ValueError(
             f"[{low}, {high}] is not a valid {width}-bit range"
         )
-    return list(_range_cover_cached(low, high, width))
-
-
-@lru_cache(maxsize=65536)
-def _range_cover_cached(low: int, high: int, width: int) -> Tuple[Prefix, ...]:
     cover: List[Prefix] = []
     # Iterative trie walk: a stack of candidate prefixes, refined until each
     # is either fully inside (emit) or partially overlapping (split).
@@ -65,4 +59,4 @@ def _range_cover_cached(low: int, high: int, width: int) -> Tuple[Prefix, ...]:
         # output comes out sorted by interval.
         stack.append(right)
         stack.append(left)
-    return tuple(cover)
+    return cover

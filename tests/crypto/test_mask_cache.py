@@ -1,4 +1,7 @@
-"""MaskCache unit semantics: LRU bounds, epochs, counters, global toggles."""
+"""MaskCache unit semantics: LRU bounds, epochs, counters, global toggles,
+and the cached ``MaskedSet`` values: shared, never changed, never stale."""
+
+import random
 
 import pytest
 
@@ -10,8 +13,11 @@ from repro.crypto.cache import (
     get_mask_cache,
     set_mask_cache,
 )
-from repro.prefix.membership import MaskSpec, mask_specs
+from repro.geo.grid import GridSpec
+from repro.lppa.location import submit_location, submit_locations
+from repro.prefix.membership import MaskSpec, mask_specs, pad_masked_set
 from repro.prefix.prefixes import prefix_family
+from repro.prefix.ranges import range_cover
 
 
 @pytest.fixture()
@@ -140,3 +146,69 @@ def test_distinct_digest_bytes_are_distinct_entries(cache):
 
 def test_process_default_cache_exists():
     assert isinstance(get_mask_cache(), MaskCache)
+
+
+# -- cached values are finished MaskedSets ------------------------------------
+
+
+def test_a_warm_lookup_returns_the_cached_set_itself(cache):
+    specs = [MaskSpec.family(b"k", 5, 8), MaskSpec.cover(b"k", 3, 200, 8)]
+    cold = mask_specs(specs)
+    warm = mask_specs(specs)
+    assert all(w is c for w, c in zip(warm, cold))
+
+
+def test_repeats_in_one_batch_share_one_set(cache):
+    spec = MaskSpec.family(b"k", 5, 8)
+    first, second = mask_specs([spec, spec])
+    assert first is second
+    assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1, "evictions": 0}
+
+
+def test_padding_a_cached_cover_leaves_it_unchanged(cache):
+    spec = MaskSpec.cover(b"k", 3, 200, 8)
+    cover = mask_specs([spec])[0]
+    genuine = set(cover.digests)
+    padded = pad_masked_set(cover, ceiling=14, digest_bytes=16, rng=random.Random(1))
+    assert len(padded) == 14 and genuine < set(padded.digests)
+    again = mask_specs([spec])[0]
+    assert again is cover
+    assert set(again.digests) == genuine
+    assert len(again) == len(range_cover(3, 200, 8))
+
+
+def test_a_rotated_key_misses(cache):
+    old = mask_specs([MaskSpec.family(b"old-key", 5, 8)])[0]
+    with obs.collecting() as registry:
+        new = mask_specs([MaskSpec.family(b"new-key", 5, 8)])[0]
+    assert registry.counters["crypto.mask_cache.misses"] == 1
+    assert "crypto.mask_cache.hits" not in registry.counters
+    assert new is not old and new != old
+
+
+def test_disabled_cache_builds_equal_fresh_sets(cache):
+    specs = [MaskSpec.family(b"k", 5, 8), MaskSpec.cover(b"k", 3, 200, 8)]
+    warm = mask_specs(specs)
+    with cache_disabled():
+        fresh = mask_specs(specs)
+    assert fresh == warm
+    assert all(f is not w for f, w in zip(fresh, warm))
+
+
+def test_a_batch_masks_each_distinct_spec_once(cache):
+    """Three SUs, two of them in one cell, the third in the same row: one
+    batch counts what the one-SU-at-a-time loop counts (before, the batch
+    masked a repeated spec once per occurrence: 67 HMACs, 12 misses)."""
+    grid = GridSpec(rows=100, cols=100)
+    cells = [(10, 20), (10, 20), (10, 55)]
+    with obs.collecting() as looped:
+        one_by_one = [submit_location(i, c, b"g0", grid, 6) for i, c in enumerate(cells)]
+    cache.clear()
+    with obs.collecting() as batched:
+        together = submit_locations(cells, b"g0", grid, 6)
+    assert together == one_by_one
+    for registry in (looped, batched):
+        assert registry.counters["crypto.hmac"] == 34
+        assert registry.counters["crypto.mask_cache.misses"] == 6
+        assert registry.counters["crypto.mask_cache.hits"] == 6
+    assert batched.counters["crypto.hmac_batches"] == 1
