@@ -18,9 +18,8 @@ Gives the whole reproduction a zero-code driving surface:
   endpoint or a benchmark artifact; exits nonzero on breach (CI gate).
 
 Every experiment command additionally accepts ``--metrics PATH``: the run
-executes with a :mod:`repro.obs` registry collecting, the fixed crypto
-calibration workload is appended so artifacts are comparable across runs,
-and a schema-versioned benchmark artifact is written to PATH (see
+executes with a :mod:`repro.obs` registry collecting and a
+schema-versioned benchmark artifact is written to PATH (see
 ``docs/OBSERVABILITY.md``).  ``--trace PATH`` mirrors that UX for the
 flight recorder: the run executes with :mod:`repro.obs.trace` recording
 and the event stream is written as JSONL to PATH.  The two flags compose.
@@ -311,11 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact output path (a directory gets BENCH_schemes.json)",
     )
     compare.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="compare the deterministic columns against this committed "
-        "BENCH_schemes.json; exit 1 on any divergence",
-    )
-    compare.add_argument(
         "--no-equivalence", action="store_true",
         help="skip the per-round bit-identity check against the in-process "
         "session (faster; the default checks every round)",
@@ -363,22 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_sub = metrics.add_subparsers(dest="metrics_command", required=True)
 
     diff = metrics_sub.add_parser(
-        "diff", help="compare two artifacts and flag regressions"
+        "diff",
+        help="compare two artifacts' counters and gauges exactly; "
+        "exit 1 on any mismatch",
     )
     diff.add_argument("baseline", help="baseline BENCH_*.json")
     diff.add_argument("current", help="current BENCH_*.json")
-    diff.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="relative worsening that counts as a regression (default 0.2)",
-    )
-    diff.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="report regressions but exit 0 (for advisory CI gates)",
-    )
 
     show = metrics_sub.add_parser("show", help="pretty-print one artifact")
     show.add_argument("path", help="BENCH_*.json to display")
@@ -781,18 +765,9 @@ def _cmd_metrics(args) -> int:
     current = _load_artifact_or_fail(args.current)
     if baseline is None or current is None:
         return 2
-    kwargs: Dict[str, Any] = {}
-    if args.threshold is not None:
-        kwargs["threshold"] = args.threshold
-    try:
-        report = obs.diff_artifacts(baseline, current, **kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = obs.diff_artifacts(baseline, current)
     print(report.format())
-    if report.has_regressions and not args.warn_only:
-        return 1
-    return 0
+    return 0 if report.matches else 1
 
 
 def _serve_artifact_metrics(document: Dict[str, Any], *, host: str,
@@ -1334,24 +1309,11 @@ def _cmd_compare(args) -> int:
         return 1
     print(format_compare_table(measurements))
     try:
-        written, baseline_errors = write_compare_artifact(
-            args.out, measurements, config, baseline_path=args.baseline
-        )
+        written = write_compare_artifact(args.out, measurements, config)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"artifact written to {written} (validated)")
-    if args.baseline is not None:
-        if baseline_errors:
-            print(
-                f"baseline check FAILED against {args.baseline} "
-                f"({len(baseline_errors)} divergences):",
-                file=sys.stderr,
-            )
-            for error in baseline_errors:
-                print(f"  {error}", file=sys.stderr)
-            return 1
-        print(f"baseline check OK against {args.baseline}")
     return 0
 
 
@@ -1509,19 +1471,15 @@ def _scalar_config(args) -> Dict[str, Any]:
 def _run_with_metrics(handler: Callable[[Any], int], args) -> int:
     """Run one command under a collecting registry; write the artifact.
 
-    The whole command is timed as ``cli.<command>``; the fixed crypto
-    calibration workload (:mod:`repro.obs.calibration`) runs afterwards so
-    every artifact carries comparable hot-path baselines even when the
-    command itself never touches a given primitive.
+    The whole command is timed as ``cli.<command>``; the artifact holds
+    what the command itself measured and nothing else.
     """
     from repro import obs
-    from repro.obs.calibration import run_calibration
 
     registry = obs.MetricsRegistry()
     with obs.collecting(registry):
         with obs.timer(f"cli.{args.command}"):
             code = handler(args)
-        run_calibration()
     written = obs.write_artifact(
         args.metrics, _artifact_name(args), registry, config=_scalar_config(args)
     )

@@ -40,10 +40,11 @@ key rotation, SU churn and prefix-set mutation.
 
 The cache is always on; :func:`cache_disabled` bypasses it temporarily
 (results are equal either way — only the HMAC work and the set
-construction repeat, and every set is freshly built), which
-keeps the calibration's work fixed.  Like :mod:`repro.obs`, it is
-single-threaded by design; forked sweep workers inherit a snapshot, which
-is harmless because entries are pure functions of their keys.
+construction repeat, and every set is freshly built), which is how
+the tests check cached results against freshly masked ones.  Like
+:mod:`repro.obs`, it is single-threaded by design; forked sweep workers
+inherit a snapshot, which is harmless because entries are pure functions
+of their keys.
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def cache_enabled() -> bool:
 
 @contextlib.contextmanager
 def cache_disabled() -> Iterator[None]:
-    """Temporarily bypass the cache — the calibration's fixed-work guard."""
+    """Temporarily bypass the cache: every set is masked and built afresh."""
     global _enabled
     previous = _enabled
     _enabled = False

@@ -12,7 +12,8 @@ measures
 * **crypto ops** — the instrumented primitive counters
   (``crypto.hmac``, ``crypto.ope.encrypt`` / ``decrypt``, ...);
 * **round wall time** — loadgen's measured elapsed seconds and latency
-  histogram (machine-dependent; excluded from baseline comparisons);
+  histogram (machine-dependent timers and histograms, which the baseline
+  gate never reads);
 * **adversary replay** — the recorded trace is replayed through the
   paper's attacks: the ranking-based BCM candidate-area attack
   (:func:`repro.attacks.against_lppa.lppa_bcm_attack`) and the BPM
@@ -24,18 +25,18 @@ measures
 
 Everything lands in one ``BENCH_schemes.json`` artifact (standard obs
 schema) under per-scheme key prefixes (``schemes.<name>.*``), so
-``repro metrics show/validate/diff`` all work on it.  The committed
-baseline under ``benchmarks/baselines/`` is checked with
-:func:`check_against_baseline`, which compares only the deterministic
-keys — counters and gauges, never wall-clock — and names every mismatched
-or one-sided key.
+``repro metrics show/validate/diff`` all work on it.  CI gates it like
+every other artifact: ``repro metrics diff`` against the committed
+baseline under ``benchmarks/baselines/`` compares every counter and gauge
+exactly and names every mismatched or one-sided key.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro import obs
 from repro.obs import trace
@@ -54,16 +55,10 @@ __all__ = [
     "run_compare",
     "fold_measurements",
     "format_compare_table",
-    "deterministic_view",
-    "check_against_baseline",
 ]
 
 #: Canonical artifact name: ``repro compare`` writes ``BENCH_schemes.json``.
 ARTIFACT_NAME = "schemes"
-
-#: Key substrings that mark a metric as wall-clock / environment dependent;
-#: such keys never participate in baseline comparisons.
-_NONDETERMINISTIC_MARKERS = ("latency", "elapsed", "rtt", "retries", "cache")
 
 
 @dataclass(frozen=True)
@@ -301,60 +296,15 @@ def format_compare_table(measurements: Sequence[SchemeMeasurement]) -> str:
     )
 
 
-def deterministic_view(document: Mapping[str, Any]) -> Dict[str, float]:
-    """The baseline-comparable slice of one ``BENCH_schemes.json``.
-
-    Counters and gauges under the ``schemes.`` prefix, minus anything
-    wall-clock or environment dependent.  Timers and histograms are
-    excluded wholesale — they measure the machine, not the scheme.
-    """
-    metrics = document.get("metrics", {})
-    view: Dict[str, float] = {}
-    for kind in ("counters", "gauges"):
-        for key, value in (metrics.get(kind) or {}).items():
-            if not key.startswith("schemes."):
-                continue
-            if any(marker in key for marker in _NONDETERMINISTIC_MARKERS):
-                continue
-            view[f"{kind[:-1]}:{key}"] = float(value)
-    return view
-
-
-def check_against_baseline(
-    current: Mapping[str, Any], baseline: Mapping[str, Any]
-) -> List[str]:
-    """Exact-compare the deterministic slices; names every divergent key.
-
-    Returns the list of mismatch descriptions (empty == pass).  One-sided
-    keys are named explicitly — a renamed metric must fail the gate, not
-    silently narrow it.
-    """
-    cur = deterministic_view(current)
-    base = deterministic_view(baseline)
-    errors: List[str] = []
-    for key in sorted(base.keys() - cur.keys()):
-        errors.append(f"{key}: in baseline only (baseline {base[key]:g})")
-    for key in sorted(cur.keys() - base.keys()):
-        errors.append(f"{key}: in current only (current {cur[key]:g})")
-    for key in sorted(base.keys() & cur.keys()):
-        if base[key] != cur[key]:
-            errors.append(
-                f"{key}: baseline {base[key]:g} != current {cur[key]:g}"
-            )
-    return errors
-
-
 def write_compare_artifact(
     path: str,
     measurements: Sequence[SchemeMeasurement],
     config: CompareConfig,
-    *,
-    baseline_path: Optional[str] = None,
-) -> Tuple[Any, List[str]]:
-    """Write (and re-validate) the artifact; optionally check a baseline.
+) -> Path:
+    """Write the artifact and re-validate it; returns the written path.
 
-    Returns ``(written_path, baseline_errors)``; the artifact on disk has
-    already passed :func:`repro.obs.artifact.load_artifact` validation.
+    The artifact on disk has already passed
+    :func:`repro.obs.artifact.load_artifact` validation.
     """
     registry = fold_measurements(measurements)
     written = obs.write_artifact(
@@ -373,9 +323,5 @@ def write_compare_artifact(
             "bpm_keep_fraction": config.bpm_keep_fraction,
         },
     )
-    document = obs.load_artifact(written)  # round-trip validation
-    errors: List[str] = []
-    if baseline_path is not None:
-        baseline = obs.load_artifact(baseline_path)
-        errors = check_against_baseline(document, baseline)
-    return written, errors
+    obs.load_artifact(written)  # round-trip validation
+    return written

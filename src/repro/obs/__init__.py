@@ -8,10 +8,8 @@ those quantities first-class, machine-readable outputs of every run:
   scopes;
 * :mod:`repro.obs.clock` — the single monotonic clock all timing reads;
 * :mod:`repro.obs.artifact` — schema-versioned ``BENCH_*.json`` files;
-* :mod:`repro.obs.diff` — artifact comparison with a regression threshold
-  (the ``repro metrics diff`` CLI and the ``bench-artifacts`` CI job);
-* :mod:`repro.obs.calibration` — a fixed crypto micro-workload giving
-  every artifact comparable hot-path baselines.
+* :mod:`repro.obs.diff` — exact counter and gauge comparison against a
+  committed baseline (the ``repro metrics diff`` CLI, CI's baseline gate).
 
 This module is the *instrumentation surface*: the crypto, prefix, lppa and
 experiment layers call :func:`count`, :func:`timer` and :func:`phase` here.
@@ -52,7 +50,7 @@ from repro.obs.artifact import (
     validate_artifact,
     write_artifact,
 )
-from repro.obs.diff import DEFAULT_THRESHOLD, DiffReport, diff_artifacts
+from repro.obs.diff import DiffReport, diff_artifacts
 from repro.obs.hist import Gauge, Histogram
 from repro.obs.openmetrics import render_openmetrics
 from repro.obs.registry import MetricsRegistry, TimerStat
@@ -64,7 +62,6 @@ _trace_module = trace
 
 __all__ = [
     "ARTIFACT_PREFIX",
-    "DEFAULT_THRESHOLD",
     "SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
     "DiffReport",

@@ -30,9 +30,13 @@ fields are schema-additive: artifacts written before they existed stay
 valid, and consumers must treat their absence as "not recorded" — never
 as zero.
 
-``repro metrics diff`` (:mod:`repro.obs.diff`) compares two such files;
-the ``bench-artifacts`` CI job uploads them and diffs against a committed
-baseline.
+``totals`` is derived, not recorded: it must equal the per-name fold of
+``counters`` (every ``<phase.path>/<metric>`` summed under ``<metric>``),
+because ``repro slo check --artifact`` reads it in place of the counters.
+
+``repro metrics diff`` (:mod:`repro.obs.diff`) compares the counters and
+gauges of two such files exactly; CI diffs every fresh artifact against
+its committed baseline in ``benchmarks/baselines/``.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, fold_counters
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -157,17 +161,21 @@ def validate_artifact(document: Any) -> List[str]:
         errors.append(_type_error("metrics", "an object", metrics))
         return errors
     counters = metrics.get("counters")
-    if not isinstance(counters, dict):
+    counters_ok = isinstance(counters, dict)
+    if not counters_ok:
         errors.append(_type_error("metrics.counters", "an object", counters))
     else:
         for key, value in counters.items():
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
+                counters_ok = False
                 errors.append(
                     f"counter {key!r} must be an integer, got {value!r}"
                 )
     totals = metrics.get("totals")
     if not isinstance(totals, dict):
         errors.append(_type_error("metrics.totals", "an object", totals))
+    elif counters_ok:
+        errors.extend(_check_totals(counters, totals))
     timers = metrics.get("timers")
     if not isinstance(timers, dict):
         errors.append(_type_error("metrics.timers", "an object", timers))
@@ -205,6 +213,27 @@ def validate_artifact(document: Any) -> List[str]:
             for key, value in gauges.items():
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     errors.append(f"gauge {key!r} must be a number, got {value!r}")
+    return errors
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_totals(counters: Dict[str, Any], totals: Dict[str, Any]) -> List[str]:
+    """``totals`` must be integers equal to the per-name fold of ``counters``."""
+    errors: List[str] = []
+    folded = fold_counters(counters)
+    for name, value in totals.items():
+        if not _is_int(value):
+            errors.append(f"total {name!r} must be an integer, got {value!r}")
+        elif value != folded.get(name):
+            errors.append(
+                f"total {name!r} is {value} but its counters sum to "
+                f"{folded.get(name, 0)}"
+            )
+    for name in sorted(folded.keys() - totals.keys()):
+        errors.append(f"total {name!r} is missing (its counters sum to {folded[name]})")
     return errors
 
 

@@ -1,80 +1,55 @@
-"""Regression detection between two ``BENCH_*.json`` artifacts.
+"""Exact comparison of two ``BENCH_*.json`` artifacts: the baseline gate.
 
 ``diff_artifacts`` compares a *baseline* artifact against a *current* one
-and classifies every shared metric:
+on their deterministic sections only:
 
-* **counters** (scoped keys) — a regression when the current value exceeds
-  the baseline by more than ``threshold`` (e.g. a refactor that doubles the
-  HMAC invocations of bid submission shows up here even if wall time hides
-  it on a fast machine);
-* **timers** — compared by *mean* seconds per invocation, so artifacts
-  measured over different trial counts stay comparable.  Means below
-  ``min_seconds`` are ignored: sub-100µs timers are noise on shared CI
-  runners.  The optional ``min``/``max`` fields newer artifacts carry are
-  compared (as ``timer-min``) only when **both** sides recorded them —
-  absence means "not recorded", never zero, so a baseline written before
-  the fields existed cannot produce an infinite-ratio regression;
-* **histograms** — compared by their p99 estimate (``hist-p99``), the
-  tail the aggregate mean hides, with the same ``min_seconds`` noise
-  floor;
-* **gauges** — compared directly (``gauge``); occupancy and backlog
-  levels are deterministic for a fixed workload.
+* **counters** (scoped keys such as ``bid_submission/crypto.hmac``) — the
+  paper's cost model (Theorem 4's bits, HMAC and masked-digest counts,
+  TTP decrypts) in integers that are a pure function of the workload;
+* **gauges** — occupancy levels such as ``crypto.mask_cache.size``, equally
+  fixed for a fixed workload.
 
-Keys present on only one side are reported as added/removed — each named
-with its kind (``counter:lppa.rounds``), never as regressions: new
-instrumentation must not fail CI retroactively.  The one-sided check is
-per kind, so a key that *moved* kinds (say a counter re-recorded as a
-gauge) shows up as removed from one list and added to the other instead of
-silently disappearing from the comparison.
+Every shared key must hold the same value, with no threshold and no
+exclusion list: a refactor that adds one HMAC to bid submission is a
+mismatch, and so is one that saves one.  Keys found on only one side are
+mismatches too, each named with its kind (``counter:lppa.rounds``).  The
+one-sided check is per kind, so a key that *moved* kinds (a counter
+re-recorded as a gauge) is named in both lists instead of silently
+dropping out of the comparison.
 
-The CLI front-end is ``python -m repro metrics diff`` (warn-only in CI to
-start, per the rollout plan; drop ``--warn-only`` to make it gating).
+Timers, histograms and ``totals`` are never read.  Seconds measure the
+host, not the protocol; ``perfbench`` bounds time end to end, and
+``totals`` is a fold of the counters (checked by
+:func:`repro.obs.artifact.validate_artifact`).
+
+The CLI front-end is ``python -m repro metrics diff``: exit 0 when the
+artifacts match, 1 on any mismatch, 2 when an artifact cannot be read.
+CI runs it against every committed baseline in ``benchmarks/baselines/``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping
+from typing import Any, List, Mapping
 
-__all__ = ["DEFAULT_THRESHOLD", "MIN_TIMER_SECONDS", "Delta", "DiffReport", "diff_artifacts"]
-
-#: Relative increase beyond which a metric counts as regressed (20 %).
-DEFAULT_THRESHOLD = 0.2
-
-#: Timer means below this many seconds are treated as noise and skipped.
-MIN_TIMER_SECONDS = 1e-4
+__all__ = ["Delta", "DiffReport", "diff_artifacts"]
 
 
 @dataclass(frozen=True)
 class Delta:
-    """One compared metric: baseline vs current and the relative change."""
+    """One shared key whose value differs between baseline and current."""
 
     key: str
-    kind: str  # "counter" | "timer-mean" | "timer-min" | "hist-p99" | "gauge"
+    kind: str  # "counter" | "gauge"
     base: float
     current: float
 
-    @property
-    def ratio(self) -> float:
-        """``current / base`` (infinity when the baseline is zero)."""
-        if self.base == 0:
-            return float("inf") if self.current else 1.0
-        return self.current / self.base
-
-    @property
-    def change_pct(self) -> float:
-        """Relative change in percent (positive == current is larger)."""
-        return (self.ratio - 1.0) * 100.0
-
     def describe(self) -> str:
-        """One aligned human-readable line for the diff table."""
-        if self.kind == "counter":
-            values = f"{int(self.base)} -> {int(self.current)}"
-        elif self.kind == "gauge":
-            values = f"{self.base:g} -> {self.current:g}"
-        else:
-            values = f"{self.base * 1e3:.3f}ms -> {self.current * 1e3:.3f}ms"
-        return f"{self.kind:<10} {self.key:<48} {values}  ({self.change_pct:+.1f}%)"
+        """One aligned human-readable line for the diff report."""
+        return (
+            f"{self.kind:<8} {self.key:<56} "
+            f"{self.base:g} -> {self.current:g}  ({self.current - self.base:+g})"
+        )
 
 
 @dataclass
@@ -83,162 +58,60 @@ class DiffReport:
 
     baseline_name: str
     current_name: str
-    threshold: float
-    deltas: List[Delta] = field(default_factory=list)
-    regressions: List[Delta] = field(default_factory=list)
-    improvements: List[Delta] = field(default_factory=list)
+    compared: int = 0
+    changed: List[Delta] = field(default_factory=list)
     added: List[str] = field(default_factory=list)
     removed: List[str] = field(default_factory=list)
 
     @property
-    def has_regressions(self) -> bool:
-        """True when at least one metric regressed beyond the threshold."""
-        return bool(self.regressions)
+    def matches(self) -> bool:
+        """True when every counter and gauge is equal on both sides."""
+        return not (self.changed or self.added or self.removed)
 
     def format(self) -> str:
         """The multi-line report ``repro metrics diff`` prints."""
-        summary = (
-            f"compared {len(self.deltas)} shared metrics: "
-            f"{len(self.regressions)} regressed, "
-            f"{len(self.improvements)} improved >= threshold"
-        )
-        if self.regressions:
-            # The summary line is what CI logs and humans grep first — it
-            # must name the offending keys, not just count them.
-            shown = [d.key for d in self.regressions[:6]]
-            summary += (
-                " (regressed: "
-                + ", ".join(shown)
-                + (", ..." if len(self.regressions) > 6 else "")
-                + ")"
-            )
         lines = [
             f"metrics diff: {self.baseline_name} (baseline) vs "
-            f"{self.current_name} (current), threshold {self.threshold:.0%}",
-            summary,
+            f"{self.current_name} (current), counters and gauges exact",
+            f"compared {self.compared} shared keys: {len(self.changed)} changed, "
+            f"{len(self.added)} only in current, "
+            f"{len(self.removed)} only in baseline",
         ]
-        if self.regressions:
-            lines.append("REGRESSIONS:")
-            lines.extend(f"  {d.describe()}" for d in self.regressions)
-        if self.improvements:
-            lines.append("improvements:")
-            lines.extend(f"  {d.describe()}" for d in self.improvements)
-        # Name every one-sided key: a truncated or empty list here is how
-        # a renamed metric slips past CI unnoticed.
+        if self.changed:
+            lines.append(f"changed ({len(self.changed)}):")
+            lines.extend(f"  {d.describe()}" for d in self.changed)
+        # Name every one-sided key: a truncated list is how a renamed
+        # metric slips past the gate unnoticed.
         if self.added:
             lines.append(f"only in current ({len(self.added)}): "
-                         + ", ".join(sorted(self.added)))
+                         + ", ".join(self.added))
         if self.removed:
             lines.append(f"only in baseline ({len(self.removed)}): "
-                         + ", ".join(sorted(self.removed)))
-        if not self.regressions:
-            lines.append("no regressions beyond the threshold")
+                         + ", ".join(self.removed))
+        lines.append("match" if self.matches else "MISMATCH")
         return "\n".join(lines)
 
 
-def _classify(report: DiffReport, delta: Delta) -> None:
-    report.deltas.append(delta)
-    if delta.ratio > 1.0 + report.threshold:
-        report.regressions.append(delta)
-    elif delta.ratio < 1.0 - report.threshold:
-        report.improvements.append(delta)
-
-
-def diff_artifacts(
-    baseline: Mapping[str, Any],
-    current: Mapping[str, Any],
-    *,
-    threshold: float = DEFAULT_THRESHOLD,
-    min_seconds: float = MIN_TIMER_SECONDS,
-) -> DiffReport:
+def diff_artifacts(baseline: Mapping[str, Any], current: Mapping[str, Any]) -> DiffReport:
     """Compare two loaded artifacts; see the module docstring for the rules."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     report = DiffReport(
         baseline_name=str(baseline.get("name", "?")),
         current_name=str(current.get("name", "?")),
-        threshold=threshold,
     )
     base_metrics = baseline.get("metrics", {})
     cur_metrics = current.get("metrics", {})
-
-    base_counters: Dict[str, int] = dict(base_metrics.get("counters", {}))
-    cur_counters: Dict[str, int] = dict(cur_metrics.get("counters", {}))
-    for key in sorted(base_counters.keys() & cur_counters.keys()):
-        _classify(
-            report,
-            Delta(
-                key=key,
-                kind="counter",
-                base=float(base_counters[key]),
-                current=float(cur_counters[key]),
-            ),
+    for kind, section in (("counter", "counters"), ("gauge", "gauges")):
+        base: Mapping[str, float] = base_metrics.get(section) or {}
+        cur: Mapping[str, float] = cur_metrics.get(section) or {}
+        shared = sorted(base.keys() & cur.keys())
+        report.compared += len(shared)
+        report.changed.extend(
+            Delta(key=key, kind=kind, base=base[key], current=cur[key])
+            for key in shared
+            if base[key] != cur[key]
         )
-
-    base_timers: Dict[str, Dict[str, float]] = dict(base_metrics.get("timers", {}))
-    cur_timers: Dict[str, Dict[str, float]] = dict(cur_metrics.get("timers", {}))
-    for key in sorted(base_timers.keys() & cur_timers.keys()):
-        base_stat, cur_stat = base_timers[key], cur_timers[key]
-        base_mean = base_stat["seconds"] / max(base_stat["count"], 1)
-        cur_mean = cur_stat["seconds"] / max(cur_stat["count"], 1)
-        if base_mean >= min_seconds:
-            _classify(
-                report,
-                Delta(key=key, kind="timer-mean", base=base_mean, current=cur_mean),
-            )
-        # min is optional (older artifacts lack it): compare only when both
-        # sides recorded one — absent is "not recorded", not zero.
-        if "min" in base_stat and "min" in cur_stat:
-            base_min, cur_min = float(base_stat["min"]), float(cur_stat["min"])
-            if base_min >= min_seconds:
-                _classify(
-                    report,
-                    Delta(key=key, kind="timer-min", base=base_min, current=cur_min),
-                )
-
-    base_hists: Dict[str, Dict[str, Any]] = dict(base_metrics.get("histograms") or {})
-    cur_hists: Dict[str, Dict[str, Any]] = dict(cur_metrics.get("histograms") or {})
-    for key in sorted(base_hists.keys() & cur_hists.keys()):
-        base_p99 = _hist_p99(base_hists[key])
-        cur_p99 = _hist_p99(cur_hists[key])
-        if base_p99 < min_seconds:
-            continue
-        _classify(
-            report,
-            Delta(key=key, kind="hist-p99", base=base_p99, current=cur_p99),
-        )
-
-    base_gauges: Dict[str, float] = dict(base_metrics.get("gauges") or {})
-    cur_gauges: Dict[str, float] = dict(cur_metrics.get("gauges") or {})
-    for key in sorted(base_gauges.keys() & cur_gauges.keys()):
-        _classify(
-            report,
-            Delta(
-                key=key,
-                kind="gauge",
-                base=float(base_gauges[key]),
-                current=float(cur_gauges[key]),
-            ),
-        )
-
-    # One-sided keys, per kind: comparing the unions across kinds would let
-    # a key recorded as a counter in one artifact and a gauge in the other
-    # vanish from the report entirely (on both sides of the union, so
-    # neither added nor removed — yet never compared either).
-    for kind, base_keys, cur_keys in (
-        ("counter", base_counters.keys(), cur_counters.keys()),
-        ("timer", base_timers.keys(), cur_timers.keys()),
-        ("histogram", base_hists.keys(), cur_hists.keys()),
-        ("gauge", base_gauges.keys(), cur_gauges.keys()),
-    ):
-        report.added.extend(f"{kind}:{key}" for key in sorted(cur_keys - base_keys))
-        report.removed.extend(f"{kind}:{key}" for key in sorted(base_keys - cur_keys))
+        report.added.extend(f"{kind}:{key}" for key in sorted(cur.keys() - base.keys()))
+        report.removed.extend(f"{kind}:{key}" for key in sorted(base.keys() - cur.keys()))
     report.added.sort()
     report.removed.sort()
     return report
-
-
-def _hist_p99(data: Mapping[str, Any]) -> float:
-    from repro.obs.hist import Histogram
-
-    return Histogram.from_dict(dict(data)).quantile(0.99)

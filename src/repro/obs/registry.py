@@ -37,15 +37,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import TracebackType
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Mapping, Optional, Type
 
 from repro.obs.clock import Stopwatch
 from repro.obs.hist import Gauge, Histogram
 
-__all__ = ["PHASE_TIMER_PREFIX", "TimerStat", "MetricsRegistry"]
+__all__ = ["PHASE_TIMER_PREFIX", "TimerStat", "MetricsRegistry", "fold_counters"]
 
 #: Timer-key prefix under which phase wall times are recorded.
 PHASE_TIMER_PREFIX = "phase"
+
+
+def fold_counters(counters: Mapping[str, int]) -> Dict[str, int]:
+    """Scoped counters folded across phases: bare metric name -> total."""
+    rolled: Dict[str, int] = {}
+    for key, value in counters.items():
+        bare = key.rsplit("/", 1)[-1]
+        rolled[bare] = rolled.get(bare, 0) + value
+    return rolled
 
 
 @dataclass
@@ -302,11 +311,7 @@ class MetricsRegistry:
 
     def totals(self) -> Dict[str, int]:
         """Counters folded across phases: bare metric name -> total."""
-        rolled: Dict[str, int] = {}
-        for key, value in self._counters.items():
-            bare = key.rsplit("/", 1)[-1]
-            rolled[bare] = rolled.get(bare, 0) + value
-        return rolled
+        return fold_counters(self._counters)
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready view: counters, timers, totals, histograms, gauges."""

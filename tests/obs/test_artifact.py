@@ -85,3 +85,34 @@ def test_validate_reports_every_violation():
 
 def test_validate_non_object():
     assert validate_artifact([1, 2]) == ["artifact must be a JSON object"]
+
+
+def test_validate_checks_totals_against_counters():
+    """``slo check --artifact`` reads ``totals``: they must be integers equal
+    to the per-name fold of the counters, or the artifact is invalid."""
+    registry = _registry()
+    with registry.phase("q"):
+        registry.count("ops", 4)
+    document = build_artifact("unit", registry)
+    assert document["metrics"]["totals"] == {"ops": 7}
+    assert validate_artifact(document) == []
+
+    document["metrics"]["totals"]["ops"] = "seven"
+    assert validate_artifact(document) == ["total 'ops' must be an integer, got 'seven'"]
+    document["metrics"]["totals"]["ops"] = 8
+    assert validate_artifact(document) == ["total 'ops' is 8 but its counters sum to 7"]
+    document["metrics"]["totals"] = {"ops": 7, "ghost": 1}
+    assert validate_artifact(document) == ["total 'ghost' is 1 but its counters sum to 0"]
+    document["metrics"]["totals"] = {}
+    assert validate_artifact(document) == ["total 'ops' is missing (its counters sum to 7)"]
+
+
+def test_committed_baselines_are_valid():
+    from pathlib import Path
+
+    baselines = sorted(
+        (Path(__file__).parents[2] / "benchmarks" / "baselines").glob("BENCH_*.json")
+    )
+    assert baselines
+    for path in baselines:
+        assert validate_artifact(json.loads(path.read_text())) == [], path.name

@@ -2,14 +2,10 @@
 
 import random
 
-import pytest
-
 from repro import obs
 from repro.experiments.engine import run_sweep
 from repro.lppa.fastsim import run_fast_lppa
 from repro.lppa.session import run_lppa_auction
-from repro.obs.calibration import run_calibration
-from repro.obs.registry import MetricsRegistry
 
 PHASES = ("location_submission", "bid_submission", "psd_allocation", "ttp_charging")
 
@@ -89,45 +85,3 @@ def test_engine_records_sweep_rollups():
 def test_engine_silent_without_registry():
     assert run_sweep(abs, [-5], name="unit") == [5]
     assert obs.get_active() is None
-
-
-def test_calibration_is_a_noop_when_disabled():
-    run_calibration()
-    assert obs.get_active() is None
-
-
-def test_calibration_records_comparable_baselines():
-    registry = MetricsRegistry()
-    run_calibration(registry, repeats=2)
-    totals = registry.totals()
-    assert totals["crypto.hmac"] > 0
-    assert totals["crypto.paillier.encrypt"] == 3  # repeats + the zero seed
-    assert totals["crypto.paillier.add"] == 2
-    assert totals["crypto.paillier.decrypt"] == 1
-    assert totals["crypto.ope.encrypt"] == 2
-    assert totals["crypto.ope.decrypt"] == 2
-    timers = registry.timers
-    for name in (
-        "mask_value",
-        "mask_specs_batch",
-        "mask_range",
-        "membership",
-        "paillier_keygen",
-        "paillier_roundtrip",
-        "ope_setup",
-        "ope_roundtrip",
-    ):
-        assert f"calibration/{name}" in timers, name
-    assert "phase/calibration" in timers
-
-
-def test_calibration_counters_are_deterministic():
-    first, second = MetricsRegistry(), MetricsRegistry()
-    run_calibration(first, repeats=3)
-    run_calibration(second, repeats=3)
-    assert first.counters == second.counters
-
-
-def test_calibration_rejects_bad_repeats():
-    with pytest.raises(ValueError):
-        run_calibration(MetricsRegistry(), repeats=0)

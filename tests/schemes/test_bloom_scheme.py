@@ -151,43 +151,6 @@ def test_ttp_charges_valid_zero_and_tampered_ope_bids():
 # --- compare harness -----------------------------------------------------------
 
 
-def test_deterministic_view_keeps_scheme_counters_only():
-    from repro.experiments.compare import deterministic_view
-
-    document = {
-        "metrics": {
-            "counters": {
-                "schemes.ppbs.wire_bytes": 10,
-                "schemes.ppbs.p50_latency_ms": 5,  # wall clock: excluded
-                "crypto.hmac": 3,  # not under schemes.: excluded
-            },
-            "gauges": {"schemes.ppbs.revenue": 494.0},
-            "timers": {"schemes.ppbs.elapsed": {"mean": 1.0}},
-        }
-    }
-    assert deterministic_view(document) == {
-        "counter:schemes.ppbs.wire_bytes": 10.0,
-        "gauge:schemes.ppbs.revenue": 494.0,
-    }
-
-
-def test_baseline_check_names_every_divergent_key():
-    from repro.experiments.compare import check_against_baseline
-
-    def doc(counters):
-        return {"metrics": {"counters": counters}}
-
-    baseline = doc({"schemes.a.x": 1, "schemes.a.gone": 2})
-    current = doc({"schemes.a.x": 3, "schemes.a.new": 4})
-    errors = check_against_baseline(current, baseline)
-    assert len(errors) == 3
-    text = "\n".join(errors)
-    assert "schemes.a.gone" in text and "in baseline only" in text
-    assert "schemes.a.new" in text and "in current only" in text
-    assert "schemes.a.x: baseline 1 != current 3" in text
-    assert check_against_baseline(baseline, baseline) == []
-
-
 def test_run_compare_smoke_over_net_runtime():
     """One-round ppbs-vs-bloom through the real harness: same auction,
     same revenue and replay leakage, different wire/crypto profile."""
