@@ -22,6 +22,12 @@ occupied at every size, matching the 100-SU / 100×100-grid evaluation
 setup.  All randomness is label-addressed off ``scale:<seed>:<size>``, so
 any two runs see the same users.
 
+``peak_rss_mib`` is the process's peak resident set size (``ru_maxrss``)
+read right after the point.  The peak never falls, so a sweep runs its
+sizes in ascending order and each reading is the peak up to that size.
+It is printed in the table only: RSS is not deterministic, so it is not a BENCH gauge (``repro
+metrics diff`` compares gauges exactly).
+
 ``verify=True`` checks that the round's conflict graph equals the
 plaintext graph of the same users' cells
 (:func:`~repro.auction.conflict.build_conflict_graph`), an independent
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import math
 import random
+import resource
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -107,7 +114,8 @@ class ScalePoint:
     """One population size's measurements.
 
     ``verified`` is ``None`` when the plaintext check did not run, else
-    whether the round's conflict graph matched it.
+    whether the round's conflict graph matched it.  ``peak_rss_mib`` is the
+    process's peak RSS after the point (see the module docstring).
     """
 
     size: int
@@ -117,7 +125,13 @@ class ScalePoint:
     winners: int
     round_wall_s: float
     auctioneer_wall_s: float
+    peak_rss_mib: float = 0.0
     verified: Optional[bool] = None
+
+
+def _peak_rss_mib() -> float:
+    """The process's peak RSS so far (Linux reports ``ru_maxrss`` in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _auctioneer_seconds(registry: MetricsRegistry) -> float:
@@ -164,6 +178,7 @@ def run_scale_point(
         winners=len(result.outcome.wins),
         round_wall_s=watch.elapsed(),
         auctioneer_wall_s=_auctioneer_seconds(registry),
+        peak_rss_mib=_peak_rss_mib(),
     )
     if verify:
         with obs.unmeasured():
@@ -214,12 +229,13 @@ def format_scale_table(points: Sequence[ScalePoint]) -> str:
     verdicts = {None: "-", True: "ok", False: "MISMATCH"}
     lines = [
         f"{'SUs':>8}  {'grid':>9}  {'edges':>9}  {'winners':>8}  "
-        f"{'round':>9}  {'auctioneer':>11}  {'plaintext':>9}",
+        f"{'round':>9}  {'auctioneer':>11}  {'peak RSS':>10}  {'plaintext':>9}",
     ]
     for p in points:
         lines.append(
             f"{p.size:>8}  {p.grid_side:>4}x{p.grid_side:<4}  {p.n_edges:>9}  "
             f"{p.winners:>8}  {p.round_wall_s:8.2f}s  "
-            f"{p.auctioneer_wall_s:10.2f}s  {verdicts[p.verified]:>9}"
+            f"{p.auctioneer_wall_s:10.2f}s  {p.peak_rss_mib:6.0f} MiB  "
+            f"{verdicts[p.verified]:>9}"
         )
     return "\n".join(lines)

@@ -182,9 +182,9 @@ def decode_bids(data: bytes) -> BidSubmission:
 def framing_overhead(message) -> int:
     """Bytes the codec adds on top of ``wire_bytes()`` payload accounting.
 
-    Delegates to the messages' own ``wire_size()`` accounting so there is a
-    single source of truth for framing arithmetic.
+    Delegates to the messages' own ``framing_bytes()`` accounting so there
+    is a single source of truth for framing arithmetic.
     """
     if isinstance(message, (LocationSubmission, BidSubmission, MaskedBid)):
-        return message.wire_size() - message.wire_bytes()
+        return message.framing_bytes()
     raise TypeError(f"unsupported message type {type(message)!r}")

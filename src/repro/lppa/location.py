@@ -26,7 +26,7 @@ from typing import List, Sequence
 from repro.auction.conflict import ConflictGraph
 from repro.geo.grid import Cell, GridSpec
 from repro.lppa.messages import LocationSubmission
-from repro.prefix.membership import MaskSpec, mask_specs, owner_bits, reach
+from repro.prefix.membership import MaskSpec, mask_specs, reaches
 from repro.prefix.prefixes import bit_width_for
 
 __all__ = [
@@ -126,21 +126,27 @@ def build_private_conflict_graph(
 
     ``submissions[i].user_id`` must equal ``i`` (the session layer enforces
     the dense numbering; pseudonymised ids are mapped before this point).
-    Bit ``j`` of ``reach(x_owners, x_family_i) & reach(y_owners,
-    y_family_i)`` is set iff both of ``i``'s families meet ``j``'s ranges —
-    the paper's pair test — and each pair ``i < j`` is read from row ``i``.
+    Each axis indexes the ranges and probes each distinct family once
+    (:func:`~repro.prefix.membership.reaches`); bit ``j`` of ``x_reach &
+    y_reach`` for ``i``'s two families is set iff both of ``i``'s families
+    meet ``j``'s ranges — the paper's pair test — and each pair ``i < j``
+    is read from row ``i``.
     """
     for idx, sub in enumerate(submissions):
         if sub.user_id != idx:
             raise ValueError(
                 f"submissions must be dense: slot {idx} holds user {sub.user_id}"
             )
-    x_owners = owner_bits([s.x_range for s in submissions])
-    y_owners = owner_bits([s.y_range for s in submissions])
+    x_reach = reaches(
+        [s.x_range for s in submissions], [s.x_family for s in submissions]
+    )
+    y_reach = reaches(
+        [s.y_range for s in submissions], [s.y_family for s in submissions]
+    )
     edges = []
     for i, sub in enumerate(submissions):
         above = (
-            reach(x_owners, sub.x_family) & reach(y_owners, sub.y_family)
+            x_reach[sub.x_family.digests] & y_reach[sub.y_family.digests]
         ) >> (i + 1)
         while above:
             low = above & -above

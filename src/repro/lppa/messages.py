@@ -49,6 +49,10 @@ CHANNEL_COUNT_BYTES = 2
 #: ``ct_len: u16`` length prefix per ciphertext.
 CIPHERTEXT_LEN_BYTES = 2
 
+#: Framing of one channel within a bid submission: the family and tail
+#: set headers plus the ciphertext length prefix.
+MASKED_BID_FRAMING_BYTES = 2 * SET_HEADER_BYTES + CIPHERTEXT_LEN_BYTES
+
 #: Largest value of the codec's u8, u16 and u32 fields.
 U8_MAX = 0xFF
 U16_MAX = 0xFFFF
@@ -109,9 +113,13 @@ class LocationSubmission:
             for s in (self.x_family, self.x_range, self.y_family, self.y_range)
         )
 
+    def framing_bytes(self) -> int:
+        """Codec framing on top of the payload: the tag and four set headers."""
+        return TAG_BYTES + 4 * SET_HEADER_BYTES
+
     def wire_size(self) -> int:
-        """Exact codec output size: payload plus tag and four set headers."""
-        return self.wire_bytes() + TAG_BYTES + 4 * SET_HEADER_BYTES
+        """Exact codec output size: payload plus framing."""
+        return self.wire_bytes() + self.framing_bytes()
 
     def trace_fields(self) -> Dict[str, int]:
         """The per-message fields the flight recorder logs (scheme seam)."""
@@ -150,10 +158,14 @@ class MaskedBid:
         """Serialized size in bytes (masked sets + ciphertext)."""
         return self.family.wire_bytes() + self.tail.wire_bytes() + len(self.ciphertext)
 
+    def framing_bytes(self) -> int:
+        """Codec framing within a bid submission: two set headers and the
+        ciphertext length prefix."""
+        return MASKED_BID_FRAMING_BYTES
+
     def wire_size(self) -> int:
-        """Exact on-wire size within a bid submission: two set headers plus
-        the ciphertext length prefix on top of the payload."""
-        return self.wire_bytes() + 2 * SET_HEADER_BYTES + CIPHERTEXT_LEN_BYTES
+        """Exact on-wire size within a bid submission: payload plus framing."""
+        return self.wire_bytes() + self.framing_bytes()
 
 
 @dataclass(frozen=True)
@@ -177,15 +189,18 @@ class BidSubmission:
         """Total serialized size in bytes across all channels."""
         return USER_ID_BYTES + sum(mb.wire_bytes() for mb in self.channel_bids)
 
-    def wire_size(self) -> int:
-        """Exact codec output size: tag, channel count, then per-channel
-        framed :meth:`MaskedBid.wire_size` blocks."""
+    def framing_bytes(self) -> int:
+        """Codec framing on top of the payload: the tag, the channel count
+        and every channel's :meth:`MaskedBid.framing_bytes`."""
         return (
             TAG_BYTES
-            + USER_ID_BYTES
             + CHANNEL_COUNT_BYTES
-            + sum(mb.wire_size() for mb in self.channel_bids)
+            + len(self.channel_bids) * MASKED_BID_FRAMING_BYTES
         )
+
+    def wire_size(self) -> int:
+        """Exact codec output size: payload plus framing."""
+        return self.wire_bytes() + self.framing_bytes()
 
     def masked_set_bytes(self) -> int:
         """Size of the prefix material alone (what Theorem 4 models)."""

@@ -14,18 +14,22 @@ The same ranking is therefore exposed via :meth:`MaskedBidTable.ranking`
 as the attack surface for :mod:`repro.attacks.against_lppa`.
 
 The whole relation of a column comes from one masked index
-(:func:`~repro.prefix.membership.owner_bits` over the tails, probed with
-each family): ``b_i >= b_j`` for exactly the bidders ``j`` that ``i``'s
-family reaches, so sorting by reach orders the column.
+(:func:`~repro.prefix.membership.reaches`: the tails indexed, each
+distinct family probed once): ``b_i >= b_j`` for exactly the bidders
+``j`` that ``i``'s family reaches, so sorting the distinct reaches orders
+the column.  The index holds only digests some family holds, and the
+non-total guard walks the classes with a byte-array down-set, so time
+and memory grow with the number of bidders times the number of distinct
+bid values, not with its square.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.auction.table import BidTable
 from repro.lppa.messages import BidSubmission, MaskedBid
-from repro.prefix.membership import is_member, owner_bits, reach
+from repro.prefix.membership import is_member, reaches
 
 __all__ = ["MaskedBidTable"]
 
@@ -124,33 +128,41 @@ class MaskedBidTable(BidTable):
 
         Returned as equivalence classes: bidders within a class submitted
         equal masked values (mutually >=), listed by index.  Bit ``j`` of
-        ``reach_i`` (tails indexed, probed with ``i``'s family) is
-        ``b_i >= b_j``.  In a total preorder the reaches are nested
-        down-sets, so a better class has the numerically larger reach and
-        sorting by reach (descending, stable) orders the column.  Walking
-        the classes worst first, each must reach exactly the bidders at or
-        below it; anything else means the relation is not a total
-        preorder.  Computed once per channel and cached — deletions never
-        change the underlying order.
+        the reach of ``i``'s family (tails indexed) is ``b_i >= b_j``;
+        bidders with one family digest set share one reach, computed once.
+        In a total preorder the reaches are nested down-sets, so a better
+        class has the numerically larger reach: sorting the distinct
+        reaches (descending) orders the column, and families with equal
+        reaches merge into one class.  Walking the classes worst first,
+        each must reach exactly the bidders at or below it; anything else
+        means the relation is not a total preorder.  Computed once per
+        channel and cached — deletions never change the underlying order.
         """
         self._check_channel(channel)
         cached = self._rankings[channel]
         if cached is not None:
             return cached
         column = self._bids[channel]
-        tails = owner_bits([bid.tail for bid in column])
-        reaches = [reach(tails, bid.family) for bid in column]
+        groups: Dict[FrozenSet[bytes], List[int]] = {}
+        for bidder, bid in enumerate(column):
+            groups.setdefault(bid.family.digests, []).append(bidder)
+        reach_of = reaches(
+            [bid.tail for bid in column], [bid.family for bid in column]
+        )
         classes: List[List[int]] = []
-        for bidder in sorted(range(self._n_users), key=reaches.__getitem__, reverse=True):
-            if classes and reaches[bidder] == reaches[classes[-1][0]]:
-                classes[-1].append(bidder)
+        class_reaches: List[int] = []
+        for family in sorted(groups, key=reach_of.__getitem__, reverse=True):
+            bits = reach_of[family]
+            if class_reaches and bits == class_reaches[-1]:
+                classes[-1] = sorted(classes[-1] + groups[family])
             else:
-                classes.append([bidder])
-        below = 0
-        for members in reversed(classes):
+                classes.append(groups[family])
+                class_reaches.append(bits)
+        below = bytearray((self._n_users + 7) // 8)
+        for members, bits in zip(reversed(classes), reversed(class_reaches)):
             for bidder in members:
-                below |= 1 << bidder
-            if reaches[members[0]] != below:
+                below[bidder >> 3] |= 1 << (bidder & 7)
+            if bits != int.from_bytes(below, "little"):
                 raise AssertionError(
                     "masked comparison is not total: filler-digest collision?"
                 )

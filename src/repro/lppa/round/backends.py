@@ -223,16 +223,20 @@ class CryptoBackend(ValueBackend):
     def finalize(self, state: RoundState) -> None:
         assert state.location_subs is not None and state.bid_subs is not None
         assert state.outcome is not None
-        # Exact serialized sizes (payload + framing) without encoding:
-        # wire_size() is pinned to len(encode_*()) by the test suite, and
-        # the message constructors enforce the codec's field bounds.
-        framed = sum(s.wire_size() for s in state.location_subs) + sum(
-            s.wire_size() for s in state.bid_subs
+        assert state.location_bytes is not None and state.bid_bytes is not None
+        # Exact serialized sizes without encoding: the payloads summed at
+        # ingest plus each message's fixed framing (wire_size() = payload +
+        # framing is pinned to len(encode_*()) by the test suite, and the
+        # message constructors enforce the codec's field bounds).
+        framed = (
+            state.location_bytes
+            + state.bid_bytes
+            + sum(s.framing_bytes() for s in state.location_subs)
+            + sum(s.framing_bytes() for s in state.bid_subs)
         )
         state.framed_bytes = framed
         obs.count("lppa.framed_bytes", framed)
         obs.count("lppa.rounds")
-        assert state.location_bytes is not None and state.bid_bytes is not None
         assert state.conflict is not None and state.rankings is not None
         state.result = LppaResult(
             outcome=state.outcome,

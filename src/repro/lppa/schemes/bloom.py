@@ -258,7 +258,7 @@ class BloomBackend(ValueBackend):
     def finalize(self, state: RoundState) -> None:
         assert state.location_subs is not None and state.bid_subs is not None
         assert state.outcome is not None
-        # Exact encoded sizes from wire_size(), as in CryptoBackend.finalize.
+        # Exact encoded sizes from wire_size().
         framed = sum(s.wire_size() for s in state.location_subs) + sum(
             s.wire_size() for s in state.bid_subs
         )

@@ -16,8 +16,9 @@ This module provides:
   padded with random filler digests to a fixed cardinality (the advanced
   scheme pads to ``2w - 2`` so set sizes stop leaking range widths);
 * :func:`is_member` — the core check ``H(G(x)) ∩ H(Q([a,b])) ≠ ∅``;
-* :func:`owner_bits` / :func:`reach` — the same check against many sets
-  at once, through an inverted index (the auctioneer's two jobs);
+* :func:`reaches` — the same check for many probe sets against many
+  indexed sets at once, through an inverted index (the auctioneer's two
+  jobs);
 * :func:`find_maxima` — the auctioneer's masked max-bid search.
 
 Batching changes *how* digests are computed, never *what* they are: a
@@ -83,8 +84,7 @@ __all__ = [
     "mask_value",
     "mask_range",
     "is_member",
-    "owner_bits",
-    "reach",
+    "reaches",
     "find_maxima",
 ]
 
@@ -390,31 +390,51 @@ def is_member(masked_family: MaskedSet, masked_range: MaskedSet) -> bool:
     return masked_family.intersects(masked_range)
 
 
-def owner_bits(sets: Sequence[MaskedSet]) -> Dict[bytes, int]:
-    """Inverted index ``digest → owners``: bit ``j`` set iff ``sets[j]`` holds it."""
-    owners: Dict[bytes, int] = {}
-    get = owners.get
-    for j, masked in enumerate(sets):
-        bit = 1 << j
-        for digest in masked.digests:
-            owners[digest] = get(digest, 0) | bit
-    return owners
+#: Indexed sets per owner-bit block in :func:`reaches`: a block's owner
+#: bits are small ints, shifted into place once per digest it touches.
+_BLOCK = 2048
 
 
-def reach(owners: Dict[bytes, int], masked: MaskedSet) -> int:
-    """Bitmask of the indexed sets ``T`` that share a digest with ``masked``.
+def reaches(
+    indexed: Sequence[MaskedSet], probes: Sequence[MaskedSet]
+) -> Dict[FrozenSet[bytes], int]:
+    """Reach of every distinct probe digest set: its members among ``indexed``.
 
-    Bit ``j`` of ``reach(owner_bits(T), G)`` is ``is_member(G, T[j])`` for
-    any sets, honest or not: it ORs exactly the owners of ``G``'s digests
-    and assumes nothing about set shapes.  Counted as
-    ``prefix.index_probes`` (one per digest looked up).
+    Bit ``j`` of ``reaches(T, P)[p.digests]`` is ``is_member(p, T[j])`` for
+    any sets, honest or not: it ORs exactly the owners of ``p``'s digests
+    and assumes nothing about set shapes.  Only digests some probe holds
+    are indexed — a digest no probe looks up cannot set a bit — so padding
+    fillers and unshared prefixes never enter the index.  Equal probe sets
+    are looked up once and share one entry.  Owner bits are OR-ed as small
+    ints within blocks of :data:`_BLOCK` indexed sets and each block is
+    shifted into place once, so no owner costs an N-bit copy.  Counted as
+    ``prefix.index_probes``: one per digest of every probe, repeated sets
+    included.
     """
-    obs.count("prefix.index_probes", len(masked.digests))
-    bits = 0
-    get = owners.get
-    for digest in masked.digests:
-        bits |= get(digest, 0)
-    return bits
+    probed = [p.digests for p in probes]
+    if probed:
+        obs.count("prefix.index_probes", sum(map(len, probed)))
+    distinct = dict.fromkeys(probed)
+    wanted = frozenset().union(*distinct)
+    owners: Dict[bytes, int] = {}
+    for base in range(0, len(indexed), _BLOCK):
+        block: Dict[bytes, int] = {}
+        get = block.get
+        bit = 1
+        for masked in indexed[base : base + _BLOCK]:
+            for digest in wanted.intersection(masked.digests):
+                block[digest] = get(digest, 0) | bit
+            bit <<= 1
+        for digest, bits in block.items():
+            owners[digest] = owners.get(digest, 0) | bits << base
+    lookup = owners.get
+    result: Dict[FrozenSet[bytes], int] = {}
+    for digests in distinct:
+        bits = 0
+        for digest in digests:
+            bits |= lookup(digest, 0)
+        result[digests] = bits
+    return result
 
 
 def find_maxima(

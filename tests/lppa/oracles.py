@@ -1,7 +1,7 @@
 """Pairwise reference implementations of the auctioneer's two masked jobs.
 
 The protocol answers both jobs from one masked index
-(:func:`repro.prefix.membership.owner_bits` / :func:`~repro.prefix.membership.reach`).
+(:func:`repro.prefix.membership.reaches`).
 These are the paper's literal per-pair procedures, kept only as oracles for
 the differential tests: the conflict graph as an all-pairs
 :func:`~repro.prefix.membership.is_member` scan, and the ranking as a

@@ -15,7 +15,7 @@ import pytest
 from repro import obs
 from repro.auction.bidders import SecondaryUser
 from repro.auction.conflict import build_conflict_graph
-from repro.experiments.scale import run_scale_point
+from repro.experiments.scale import format_scale_table, run_scale_point
 from repro.geo.grid import GridSpec
 from repro.lppa.location import coordinate_width, submit_locations
 from repro.lppa.session import run_lppa_auction
@@ -101,3 +101,10 @@ def test_process_sharding_is_gone(shards):
 def test_scale_verify_compares_against_plaintext_graph():
     assert run_scale_point(300, verify=True).verified is True
     assert run_scale_point(300).verified is None
+
+
+def test_scale_table_shows_peak_rss_per_point():
+    point = run_scale_point(50)
+    assert point.peak_rss_mib > 0
+    header, row = format_scale_table([point]).splitlines()
+    assert "peak RSS" in header and f"{point.peak_rss_mib:.0f} MiB" in row
