@@ -27,16 +27,17 @@ object encodes; :class:`CodecError` is defined there and re-exported here.
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from typing import List, Tuple
 
 from repro.lppa.messages import (
+    U8_MAX,
     U16_MAX,
     BidSubmission,
     CodecError,
     LocationSubmission,
     MaskedBid,
 )
-from repro.prefix.membership import MaskedSet
+from repro.prefix.membership import MaskedSet, split_digests
 
 __all__ = [
     "CodecError",
@@ -52,21 +53,43 @@ __all__ = [
 _LOCATION_TAG = b"L"
 _BID_TAG = b"B"
 
+_SET_HEADER = struct.Struct(">BH")
+_USER_ID = struct.Struct(">I")
+_BID_HEADER = struct.Struct(">IH")
+_CT_LEN = struct.Struct(">H")
+
 
 def encode_masked_set(masked: MaskedSet) -> bytes:
     """Serialize one masked set (canonical digest order)."""
-    if len(masked) > U16_MAX:
-        raise CodecError("masked set too large for the u16 count field")
-    parts = [struct.pack(">BH", masked.digest_bytes, len(masked))]
-    parts.extend(sorted(masked.digests))
+    if len(masked.digests) > U16_MAX or masked.digest_bytes > U8_MAX:
+        raise CodecError(
+            f"masked set of {len(masked.digests)} digests of {masked.digest_bytes}"
+            " bytes exceeds the u16 count or u8 digest-length field"
+        )
+    parts: List[bytes] = []
+    _put_set(parts, masked)
     return b"".join(parts)
 
 
+def _put_set(parts: List[bytes], masked: MaskedSet) -> None:
+    # Unchecked: a submission's sets passed the field-bound checks when it
+    # was built, and encode_masked_set checks a bare set first.
+    parts.append(_SET_HEADER.pack(masked.digest_bytes, len(masked.digests)))
+    parts.extend(sorted(masked.digests))
+
+
 def decode_masked_set(data: bytes, offset: int = 0) -> Tuple[MaskedSet, int]:
-    """Decode one masked set; returns (set, next offset)."""
+    """Decode one masked set; returns (set, next offset).
+
+    Every wire check lives here: the header and body lengths are checked
+    before anything is unpacked, widths below 4 bytes and duplicate
+    digests are rejected, and the body is cut into fixed-width digests in
+    one C-level pass — so the set is built with :meth:`MaskedSet.of_width`,
+    without a second per-digest length scan.
+    """
     if len(data) < offset + 3:
         raise CodecError("truncated masked-set header")
-    digest_bytes, count = struct.unpack_from(">BH", data, offset)
+    digest_bytes, count = _SET_HEADER.unpack_from(data, offset)
     if digest_bytes < 4:
         # Zero-length digests would let any count pass the length
         # arithmetic for free, and MaskedSet refuses truncation below
@@ -76,26 +99,20 @@ def decode_masked_set(data: bytes, offset: int = 0) -> Tuple[MaskedSet, int]:
     end = offset + digest_bytes * count
     if len(data) < end:
         raise CodecError("truncated masked-set body")
-    digests = frozenset(
-        [data[i : i + digest_bytes] for i in range(offset, end, digest_bytes)]
-    )
+    digests = frozenset(split_digests(data[offset:end], digest_bytes))
     if len(digests) != count:
         raise CodecError("duplicate digests on the wire")
-    return MaskedSet(digests, digest_bytes=digest_bytes), end
+    return MaskedSet.of_width(digests, digest_bytes), end
 
 
 def encode_location(submission: LocationSubmission) -> bytes:
     """Serialize a location submission."""
-    return b"".join(
-        [
-            _LOCATION_TAG,
-            struct.pack(">I", submission.user_id),
-            encode_masked_set(submission.x_family),
-            encode_masked_set(submission.x_range),
-            encode_masked_set(submission.y_family),
-            encode_masked_set(submission.y_range),
-        ]
-    )
+    parts = [_LOCATION_TAG, _USER_ID.pack(submission.user_id)]
+    _put_set(parts, submission.x_family)
+    _put_set(parts, submission.x_range)
+    _put_set(parts, submission.y_family)
+    _put_set(parts, submission.y_range)
+    return b"".join(parts)
 
 
 def decode_location(data: bytes) -> LocationSubmission:
@@ -104,7 +121,7 @@ def decode_location(data: bytes) -> LocationSubmission:
         raise CodecError("not a location submission")
     if len(data) < 5:
         raise CodecError("truncated location header")
-    (user_id,) = struct.unpack_from(">I", data, 1)
+    (user_id,) = _USER_ID.unpack_from(data, 1)
     offset = 5
     sets = []
     for _ in range(4):
@@ -130,14 +147,11 @@ def decode_location(data: bytes) -> LocationSubmission:
 
 def encode_bids(submission: BidSubmission) -> bytes:
     """Serialize a bid submission."""
-    parts = [
-        _BID_TAG,
-        struct.pack(">IH", submission.user_id, submission.n_channels),
-    ]
+    parts = [_BID_TAG, _BID_HEADER.pack(submission.user_id, submission.n_channels)]
     for masked_bid in submission.channel_bids:
-        parts.append(encode_masked_set(masked_bid.family))
-        parts.append(encode_masked_set(masked_bid.tail))
-        parts.append(struct.pack(">H", len(masked_bid.ciphertext)))
+        _put_set(parts, masked_bid.family)
+        _put_set(parts, masked_bid.tail)
+        parts.append(_CT_LEN.pack(len(masked_bid.ciphertext)))
         parts.append(masked_bid.ciphertext)
     return b"".join(parts)
 
@@ -148,7 +162,7 @@ def decode_bids(data: bytes) -> BidSubmission:
         raise CodecError("not a bid submission")
     if len(data) < 7:
         raise CodecError("truncated bid header")
-    user_id, n_channels = struct.unpack_from(">IH", data, 1)
+    user_id, n_channels = _BID_HEADER.unpack_from(data, 1)
     offset = 7
     channel_bids = []
     for _ in range(n_channels):
@@ -156,7 +170,7 @@ def decode_bids(data: bytes) -> BidSubmission:
         tail, offset = decode_masked_set(data, offset)
         if len(data) < offset + 2:
             raise CodecError("truncated ciphertext length")
-        (ct_len,) = struct.unpack_from(">H", data, offset)
+        (ct_len,) = _CT_LEN.unpack_from(data, offset)
         offset += 2
         if len(data) < offset + ct_len:
             raise CodecError("truncated ciphertext")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.obs import trace
@@ -31,7 +31,7 @@ from repro.crypto.keys import KeyRing, generate_keyring
 from repro.lppa.bids_advanced import BidScale
 from repro.lppa.bids_basic import decrypt_bid_value, decrypt_bid_values
 from repro.lppa.bids_ope import OpeBid, ope_encoder_for
-from repro.prefix.membership import mask_value
+from repro.prefix.membership import MaskedSet, MaskSpec, mask_specs
 
 __all__ = ["ChargeStatus", "ChargeDecision", "TrustedThirdParty"]
 
@@ -110,29 +110,84 @@ class TrustedThirdParty:
         or a Bloom-scheme :class:`~repro.lppa.bids_ope.OpeBid`; both carry the
         ``gc`` ciphertext and the wire-size accounting this method records.
         """
-        return self._charge(
-            channel, masked_bid, decrypt_bid_value(self._keyring.gc, masked_bid.ciphertext)
-        )
+        expanded = decrypt_bid_value(self._keyring.gc, masked_bid.ciphertext)
+        return self._charge_all([(channel, masked_bid)], [expanded])[0]
 
     def process_batch(
         self, requests: Sequence[Tuple[int, Any]]
     ) -> List[ChargeDecision]:
         """Batched charging: one TTP online period serves many winners.
 
-        Every winner's ciphertext is decrypted in one keystream call; each
-        is then charged exactly as :meth:`process_charge` would.
+        Every winner's ciphertext is decrypted in one keystream call and
+        every PPBS family to verify is re-derived in one
+        :func:`~repro.prefix.membership.mask_specs` batch; each winner is
+        then charged, in order, exactly as :meth:`process_charge` would.
         """
         obs.count("ttp.batches")
         with obs.timer("ttp.batch"):
             expanded = decrypt_bid_values(
                 self._keyring.gc, [masked_bid.ciphertext for _, masked_bid in requests]
             )
-            return [
-                self._charge(channel, masked_bid, value)
-                for (channel, masked_bid), value in zip(requests, expanded)
-            ]
+            return self._charge_all(requests, expanded)
 
-    def _charge(self, channel: int, masked_bid: Any, expanded: int) -> ChargeDecision:
+    def _charge_all(
+        self, requests: Sequence[Tuple[int, Any]], expanded: Sequence[int]
+    ) -> List[ChargeDecision]:
+        families = self._expected_families(requests, expanded)
+        return [
+            self._charge(channel, masked_bid, value, family)
+            for (channel, masked_bid), value, family in zip(requests, expanded, families)
+        ]
+
+    def _expected_families(
+        self, requests: Sequence[Tuple[int, Any]], expanded: Sequence[int]
+    ) -> List[Optional[MaskedSet]]:
+        """The masked family each PPBS winner must have submitted, else None.
+
+        Only non-zero, in-range values get one (the others are decided
+        without it), all from one :func:`mask_specs` batch whose cache and
+        ``prefix.*`` counters equal one :func:`mask_value` call per winner.
+        """
+        width = self._scale.width
+        wanted = [
+            index
+            for index, ((_, masked_bid), value) in enumerate(zip(requests, expanded))
+            if self._unverified_decision(value) is None
+            and not isinstance(masked_bid, OpeBid)
+        ]
+        families: List[Optional[MaskedSet]] = [None] * len(requests)
+        masked = mask_specs(
+            [
+                MaskSpec.family(
+                    self._keyring.channel_key(requests[index][0]),
+                    expanded[index],
+                    width,
+                    domain=_BID_DOMAIN,
+                )
+                for index in wanted
+            ]
+        )
+        for index, family in zip(wanted, masked):
+            families[index] = family
+        return families
+
+    def _unverified_decision(self, expanded: int) -> Optional[ChargeDecision]:
+        """The verdict ``expanded`` gets without checking the bid, if any:
+        a value beyond the scale cheats, one in the zero band is an
+        invalid winner, and None means the bid must be verified."""
+        if expanded > self._scale.emax:
+            return ChargeDecision(status=ChargeStatus.CHEATING, charge=0)
+        if self._scale.is_zero_marker(self._scale.contract(expanded)):
+            return ChargeDecision(status=ChargeStatus.INVALID_ZERO, charge=0)
+        return None
+
+    def _charge(
+        self,
+        channel: int,
+        masked_bid: Any,
+        expanded: int,
+        expected_family: Optional[MaskedSet],
+    ) -> ChargeDecision:
         obs.count("ttp.charges")
         tr = trace.get_active()
         if tr is not None:
@@ -145,7 +200,7 @@ class TrustedThirdParty:
                 payload_bytes=CHANNEL_ID_BYTES + masked_bid.wire_bytes(),
                 wire_size=CHANNEL_ID_BYTES + masked_bid.wire_size(),
             )
-        decision = self._decide(channel, masked_bid, expanded)
+        decision = self._decide(channel, masked_bid, expanded, expected_family)
         if tr is not None:
             tr.message(
                 "charge_decision",
@@ -157,27 +212,29 @@ class TrustedThirdParty:
             )
         return decision
 
-    def _decide(self, channel: int, masked_bid: Any, expanded: int) -> ChargeDecision:
-        if expanded > self._scale.emax:
-            return ChargeDecision(status=ChargeStatus.CHEATING, charge=0)
-        offset_value = self._scale.contract(expanded)
-        if self._scale.is_zero_marker(offset_value):
-            return ChargeDecision(status=ChargeStatus.INVALID_ZERO, charge=0)
+    def _decide(
+        self,
+        channel: int,
+        masked_bid: Any,
+        expanded: int,
+        expected_family: Optional[MaskedSet],
+    ) -> ChargeDecision:
+        unverified = self._unverified_decision(expanded)
+        if unverified is not None:
+            return unverified
         # Verify the bidder ranked the same value it sealed for us.  PPBS:
-        # recompute the masked family; Bloom: re-encrypt under the
-        # channel's OPE key.  A mismatch means one price went to the
+        # compare with the recomputed masked family; Bloom: re-encrypt under
+        # the channel's OPE key.  A mismatch means one price went to the
         # auctioneer and another to the TTP.
-        key = self._keyring.channel_key(channel)
         if isinstance(masked_bid, OpeBid):
-            encoder = ope_encoder_for(key, self._scale)
+            encoder = ope_encoder_for(self._keyring.channel_key(channel), self._scale)
             honest = encoder.encrypt(expanded) == masked_bid.ope_value
         else:
-            expected_family = mask_value(
-                key, expanded, self._scale.width, domain=_BID_DOMAIN
-            )
+            assert expected_family is not None
             honest = expected_family.digests == masked_bid.family.digests
         if not honest:
             return ChargeDecision(status=ChargeStatus.CHEATING, charge=0)
         return ChargeDecision(
-            status=ChargeStatus.VALID, charge=offset_value - self._scale.rd
+            status=ChargeStatus.VALID,
+            charge=self._scale.contract(expanded) - self._scale.rd,
         )

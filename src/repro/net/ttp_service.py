@@ -7,8 +7,10 @@ this module runs it for real: the auctioneer server deposits winner
 batches with :meth:`TtpService.charge_batch` and a background task drains
 the queue on :class:`~repro.lppa.batching.TtpSchedule` windows (scaled to
 wall seconds by ``time_scale``), at most ``schedule.capacity`` requests
-per window.  Without a schedule the service is *always on* and drains as
-work arrives — the mode the deterministic tests and the differential
+per window, decided with one
+:meth:`~repro.lppa.ttp.TrustedThirdParty.process_batch` call per window.
+Without a schedule the service is *always on* and drains as work
+arrives — the mode the deterministic tests and the differential
 equivalence runs use, because decision values are independent of window
 packing either way (each charge is verified in isolation).
 
@@ -163,19 +165,22 @@ class TtpService:
                 self._serve_window(capacity=self._schedule.capacity)
 
     def _serve_window(self, capacity: Optional[int]) -> None:
-        """One online window: pop up to ``capacity`` requests and decide them."""
+        """One online window: pop up to ``capacity`` requests and decide
+        them with one :meth:`TrustedThirdParty.process_batch` call."""
         self._windows_total += 1
-        served = 0
+        queue = self._queue
+        served = len(queue) if capacity is None else min(capacity, len(queue))
         with obs.timer("net.ttp.window"):
-            while self._queue and (capacity is None or served < capacity):
-                batch, index = self._queue.popleft()
-                channel, masked_bid = batch.requests[index]
-                decision = self._ttp.process_charge(channel, masked_bid)
-                batch.decisions[index] = decision
-                batch.remaining -= 1
-                served += 1
-                if batch.remaining == 0 and not batch.future.done():
-                    batch.future.set_result(list(batch.decisions))
+            taken = [queue.popleft() for _ in range(served)]
+            if taken:
+                decisions = self._ttp.process_batch(
+                    [batch.requests[index] for batch, index in taken]
+                )
+                for (batch, index), decision in zip(taken, decisions):
+                    batch.decisions[index] = decision
+                    batch.remaining -= 1
+                    if batch.remaining == 0 and not batch.future.done():
+                        batch.future.set_result(list(batch.decisions))
         if served:
             self._windows_used += 1
             self._served += served

@@ -8,6 +8,10 @@ range — but learns nothing else about either.
 This module provides:
 
 * :class:`MaskedSet` — an immutable set of digests with intersection tests;
+  ``MaskedSet(...)`` checks every digest's length, and
+  :meth:`MaskedSet.of_width` is the validate-once path for sites that fix
+  the width by construction (:func:`split_digests` cuts a blob into such
+  digests in one C-level pass);
 * :class:`MaskSpec` / :func:`mask_specs` — the batch API: describe many
   prefix sets by value (a family ``G(x)``, a cover ``Q([a, b])``) and
   mask them all in one backend call;
@@ -47,6 +51,7 @@ import random
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import (
     AbstractSet,
     Any,
@@ -54,6 +59,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -80,6 +86,7 @@ __all__ = [
     "MaskSpec",
     "mask_specs",
     "pad_masked_set",
+    "split_digests",
     "mask_prefixes",
     "mask_value",
     "mask_range",
@@ -89,6 +96,11 @@ __all__ = [
 ]
 
 DEFAULT_DIGEST_BYTES = 16
+
+#: The widest digest :func:`mask_specs` can truncate to (an HMAC-SHA256).
+_MAX_DIGEST_BYTES = 32
+
+_first = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,23 @@ class MaskedSet:
         lengths = set(map(len, self.digests))
         if lengths and lengths != {self.digest_bytes}:
             raise ValueError("all digests in a MaskedSet must have digest_bytes length")
+
+    @classmethod
+    def of_width(cls, digests: FrozenSet[bytes], digest_bytes: int) -> "MaskedSet":
+        """A set whose digests are ``digest_bytes`` long by construction.
+
+        The validate-once path: it skips :meth:`__post_init__`'s per-digest
+        length scan, so the caller must guarantee every digest's length
+        and ``digest_bytes >= 4`` itself, checking the width once per call
+        or per spec.  Its callers are the codec's fixed-width unpack,
+        :func:`mask_specs` (one HMAC truncation per spec) and
+        :func:`pad_masked_set` (fixed-width fillers on a genuine set of the
+        same width); anything else goes through ``MaskedSet(...)``.
+        """
+        masked = object.__new__(cls)
+        object.__setattr__(masked, "digests", digests)
+        object.__setattr__(masked, "digest_bytes", digest_bytes)
+        return masked
 
     def __len__(self) -> int:
         return len(self.digests)
@@ -228,13 +257,15 @@ def mask_specs(specs: Sequence[MaskSpec]) -> List[MaskedSet]:
 
     Every spec is looked up in :mod:`repro.crypto.cache` at once, and a hit
     returns the cached :class:`MaskedSet` itself.  Each *distinct* missing
-    spec builds its messages once; all of them go through a single
-    :func:`hmac_digest_pairs` call, and each built set is validated by
-    :class:`MaskedSet`, stored, and shared by every occurrence of its spec
-    in the batch.  Equivalent, digest for digest, to calling
-    :func:`mask_prefixes` once per spec — and with the cache on, its HMAC
-    and cache counters equal that loop's too.  Counts every returned set
-    on ``prefix.masked_sets``/``prefix.masked_digests``.
+    spec has its digest size checked (4 to 32 bytes) and builds its
+    messages once; all of them go through a single
+    :func:`hmac_digest_pairs` call, and each built set — every digest one
+    HMAC truncated to that size, so :meth:`MaskedSet.of_width` — is
+    stored and shared by every occurrence of its spec in the batch.
+    Equivalent, digest for digest, to calling :func:`mask_prefixes` once
+    per spec — and with the cache on, its HMAC and cache counters equal
+    that loop's too.  Counts every returned set on
+    ``prefix.masked_sets``/``prefix.masked_digests``.
     """
     cache = get_mask_cache() if cache_enabled() else None
     results: List[Optional[MaskedSet]] = (
@@ -246,6 +277,8 @@ def mask_specs(specs: Sequence[MaskSpec]) -> List[MaskedSet]:
             pending.setdefault(specs[index], []).append(index)
     if pending:
         built = list(pending)
+        for spec in built:
+            _check_digest_bytes(spec.digest_bytes)
         messages = [spec.messages() for spec in built]
         digests = hmac_digest_pairs(
             [(spec.key, m) for spec, ms in zip(built, messages) for m in ms]
@@ -254,8 +287,8 @@ def mask_specs(specs: Sequence[MaskSpec]) -> List[MaskedSet]:
         for spec, ms in zip(built, messages):
             size = spec.digest_bytes
             end = cursor + len(ms)
-            masked = MaskedSet(
-                frozenset([d[:size] for d in digests[cursor:end]]), digest_bytes=size
+            masked = MaskedSet.of_width(
+                frozenset([d[:size] for d in digests[cursor:end]]), size
             )
             cursor = end
             for index in pending[spec]:
@@ -269,10 +302,33 @@ def mask_specs(specs: Sequence[MaskSpec]) -> List[MaskedSet]:
     return masked_sets
 
 
+def _check_digest_bytes(size: int) -> None:
+    # Every digest of a spec is one HMAC-SHA256 truncated to ``size``, so
+    # this one check per spec is the width guarantee MaskedSet.of_width
+    # needs (MaskedSet's own scan rejected the same sizes per digest).
+    if size < 4:
+        raise ValueError("digest truncation below 4 bytes is unsafe")
+    if size > _MAX_DIGEST_BYTES:
+        raise ValueError(
+            f"digest_bytes {size} exceeds the {_MAX_DIGEST_BYTES}-byte HMAC-SHA256 digest"
+        )
+
+
 @lru_cache(maxsize=256)
-def _filler_splitter(count: int, digest_bytes: int) -> Callable[[bytes], Tuple[bytes, ...]]:
-    # Slices one filler draw into its digests in a single C-level unpack.
-    return struct.Struct(f"{digest_bytes}s" * count).unpack
+def _digest_unpacker(width: int) -> Callable[[bytes], Iterator[Tuple[Any, ...]]]:
+    # One single-field Struct per digest width, never per count: the memo
+    # holds at most 256 entries of a few dozen bytes, whatever the input.
+    return struct.Struct(f"{width}s").iter_unpack
+
+
+def split_digests(blob: bytes, width: int) -> Iterator[bytes]:
+    """The consecutive ``width``-byte digests of ``blob``, in one C-level pass.
+
+    ``len(blob)`` must be a multiple of ``width`` (``struct.error``
+    otherwise), so every digest yielded is exactly ``width`` bytes — the
+    guarantee :meth:`MaskedSet.of_width` needs.
+    """
+    return map(_first, _digest_unpacker(width)(blob))
 
 
 def pad_masked_set(
@@ -295,6 +351,9 @@ def pad_masked_set(
     one at a time.)  A filler colliding with a digest already present is
     redrawn, exactly as a one-at-a-time loop would.  Counts the fillers on
     ``prefix.masked_digests``; the genuine set was counted when masked.
+    A genuine :class:`MaskedSet` of width ``digest_bytes`` skips the
+    per-digest length scan (:meth:`MaskedSet.of_width`); a raw set, or a
+    set of another width, is checked in full.
     """
     digests = genuine.digests if isinstance(genuine, MaskedSet) else frozenset(genuine)
     start = len(digests)
@@ -302,7 +361,7 @@ def pad_masked_set(
     if missing > 0 and digest_bytes % 4 == 0:
         size = missing * digest_bytes
         blob = rng.getrandbits(8 * size).to_bytes(size, "big")
-        digests = digests.union(_filler_splitter(missing, digest_bytes)(blob))
+        digests = digests.union(split_digests(blob, digest_bytes))
     if len(digests) < ceiling:
         grown = set(digests)
         while len(grown) < ceiling:
@@ -310,6 +369,10 @@ def pad_masked_set(
         digests = frozenset(grown)
     if len(digests) > start:
         obs.count("prefix.masked_digests", len(digests) - start)
+    if isinstance(genuine, MaskedSet) and genuine.digest_bytes == digest_bytes:
+        # Every filler is digest_bytes wide by construction, and so is
+        # every digest of a genuine set of that width.
+        return MaskedSet.of_width(digests, digest_bytes)
     return MaskedSet(digests, digest_bytes=digest_bytes)
 
 

@@ -250,3 +250,14 @@ def test_every_bloom_submission_field_bound_fails_at_construction():
 
 def test_codec_error_is_a_value_error():
     assert issubclass(CodecError, ValueError)
+
+
+def test_digest_width_above_u8_raises_codec_error():
+    # A MaskedSet may hold digests wider than the u8 width field carries;
+    # encoding one must raise the codec's one reject signal, not leak
+    # struct.error from the header pack.
+    masked = MaskedSet(frozenset({b"w" * 256}), digest_bytes=256)
+    with pytest.raises(CodecError, match="u8 digest-length"):
+        encode_masked_set(masked)
+    widest = MaskedSet(frozenset({b"w" * 255}), digest_bytes=255)
+    assert decode_masked_set(encode_masked_set(widest))[0] == widest
