@@ -92,7 +92,7 @@ def test_bench_full_crypto_round(benchmark, small_db_for_bench):
             database.coverage.grid,
             two_lambda=6,
             bmax=127,
-            rng=random.Random(4),
+            entropy=4,
         ),
         rounds=3,
         iterations=1,
@@ -110,7 +110,7 @@ def test_bench_full_crypto_round_cold_cache(benchmark, small_db_for_bench):
             database.coverage.grid,
             two_lambda=6,
             bmax=127,
-            rng=random.Random(4),
+            entropy=4,
         )
 
     benchmark.pedantic(_cold_round, rounds=3, iterations=1)
@@ -173,7 +173,7 @@ def test_bench_metrics_artifact(small_db_for_bench, bench_artifact):
                 database.coverage.grid,
                 two_lambda=6,
                 bmax=127,
-                rng=random.Random(4),
+                entropy=4,
             )
         with obs.timer("bench.full_crypto_round_warm"):
             run_lppa_auction(
@@ -181,7 +181,7 @@ def test_bench_metrics_artifact(small_db_for_bench, bench_artifact):
                 database.coverage.grid,
                 two_lambda=6,
                 bmax=127,
-                rng=random.Random(4),
+                entropy=4,
             )
     totals = registry.totals()
     assert totals["crypto.hmac"] > 0
@@ -229,7 +229,7 @@ def test_bench_trace_artifact(small_db_for_bench, bench_artifact):
             database.coverage.grid,
             two_lambda=6,
             bmax=127,
-            rng=random.Random(4),
+            entropy=4,
         )
     summary = recorder.summary()
     registry = obs.MetricsRegistry()

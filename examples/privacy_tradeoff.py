@@ -36,7 +36,7 @@ def main() -> None:
             two_lambda=6,
             bmax=127,
             policy=UniformReplacePolicy(replace_prob),
-            rng=random.Random(int(replace_prob * 100)),
+            entropy=int(replace_prob * 100),
         )
         masks = lppa_bcm_attack(
             database, result.rankings, N_USERS, ATTACK_FRACTION

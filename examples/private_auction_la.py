@@ -50,7 +50,7 @@ def main() -> None:
             two_lambda=6,
             bmax=127,
             policy=policy,
-            rng=random.Random(1000 + round_idx),
+            entropy=1000 + round_idx,
         )
         outcome = result.outcome
         invalid = len(outcome.wins) - len(outcome.valid_wins)
@@ -70,7 +70,7 @@ def main() -> None:
         two_lambda=6,
         bmax=127,
         policy=policy,
-        rng=random.Random(5),
+        entropy=5,
     )
     per_user_kib = crypto.bid_bytes / len(crypto_users) / 1024
     print(f"\nFull-crypto round ({len(crypto_users)} SUs): "

@@ -37,7 +37,7 @@ def main() -> None:
         two_lambda=6,          # interference square: 6 cells = 4.5 km
         bmax=127,              # public bid bound
         policy=UniformReplacePolicy(0.3),  # disguise 30 % of zero bids
-        rng=random.Random(42),
+        entropy=42,
     )
     outcome = result.outcome
     print(f"\nLPPA auction: {len(outcome.wins)} allocations, "

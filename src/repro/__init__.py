@@ -29,7 +29,7 @@ Quick start::
     db = make_database(area=3, n_channels=20)
     users = generate_users(db, 50, random.Random(7))
     result = run_lppa_auction(
-        users, db.coverage.grid, two_lambda=6, bmax=127, rng=random.Random(1)
+        users, db.coverage.grid, two_lambda=6, bmax=127, entropy="quickstart"
     )
     print(result.outcome.sum_of_winning_bids())
 """

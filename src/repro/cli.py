@@ -608,7 +608,7 @@ def _cmd_demo(args) -> int:
         two_lambda=6,
         bmax=127,
         policy=UniformReplacePolicy(args.replace),
-        rng=random.Random(args.seed),
+        entropy=f"demo:{args.seed}",
     )
     plain = run_plain_auction(users, random.Random(args.seed), two_lambda=6)
     outcome = result.outcome

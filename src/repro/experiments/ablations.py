@@ -23,7 +23,6 @@ the system loses without it:
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.attacks.against_lppa import lppa_bcm_attack
@@ -37,7 +36,7 @@ from repro.geo.datasets import cached_database, make_database
 from repro.lppa.bids_advanced import BidScale, disguise_and_expand
 from repro.lppa.fastsim import run_fast_lppa
 from repro.lppa.policies import LinearDecreasingPolicy, UniformReplacePolicy
-from repro.utils.rng import spawn_rng
+from repro.utils.rng import spawn_rng, stable_seed
 
 __all__ = [
     "ablation_id_mixing",
@@ -75,18 +74,18 @@ def ablation_id_mixing(
     rounds_rankings = []
     population = users
     for round_idx in range(n_rounds):
-        round_rng = random.Random(
-            spawn_rng(config.seed, "abl-mix", f"round{round_idx}").random()
-        )
+        label = f"round{round_idx}"
         result = run_fast_lppa(
             population,
             two_lambda=config.two_lambda,
             bmax=config.bmax,
             policy=UniformReplacePolicy(replace_prob),
-            rng=round_rng,
+            entropy=stable_seed(config.seed, "abl-mix", label),
         )
         rounds_rankings.append(result.rankings)
-        population = rebid_users(population, database, round_rng)
+        population = rebid_users(
+            population, database, spawn_rng(config.seed, "abl-mix", label)
+        )
 
     rows = []
     for upto in range(1, n_rounds + 1):
@@ -141,7 +140,7 @@ def ablation_winner_lists(
         bmax=config.bmax,
         policy=UniformReplacePolicy(replace_prob),
         mix_ids=False,
-        rng=random.Random(spawn_rng(config.seed, "abl-win", "rng").random()),
+        rng=spawn_rng(config.seed, "abl-win", "rng"),
     )
     campaign.run(n_rounds)
     outcomes = campaign.public_outcomes()
@@ -178,18 +177,18 @@ def _revalidation_round(spec: Dict[str, object]) -> Dict[str, float]:
     users = generate_users(
         database, config.n_users, spawn_rng(config.seed, "abl-reval", "users")
     )
-    seed_val = spawn_rng(
-        config.seed, "abl-reval", f"{revalidate}-{round_idx}"
-    ).random()
+    label = f"{revalidate}-{round_idx}"
     plain = run_plain_auction(
-        users, random.Random(seed_val), two_lambda=config.two_lambda
+        users,
+        spawn_rng(config.seed, "abl-reval", label),
+        two_lambda=config.two_lambda,
     )
     private = run_fast_lppa(
         users,
         two_lambda=config.two_lambda,
         bmax=config.bmax,
         policy=UniformReplacePolicy(replace_prob),
-        rng=random.Random(seed_val),
+        entropy=stable_seed(config.seed, "abl-reval", label),
         revalidate=revalidate,
     )
     return {
@@ -256,7 +255,7 @@ def _cr_expansion_point(spec: Dict[str, object]) -> Dict[str, object]:
     cr: int = spec["cr"]
     n_users: int = spec["n_users"]
     scale = BidScale(bmax=spec["bmax"], rd=spec["rd"], cr=cr)
-    rng = random.Random(spawn_rng(spec["seed"], "abl-cr", str(cr)).random())
+    rng = spawn_rng(spec["seed"], "abl-cr", str(cr))
     bids = [rng.randint(0, spec["bmax"]) for _ in range(n_users)]
     disclosures = disguise_and_expand(bids, scale, rng)
     values = [d.masked_expanded for d in disclosures]
@@ -374,9 +373,7 @@ def _crowd_mixing_point(spec: Dict[str, object]) -> Dict[str, object]:
         two_lambda=config.two_lambda,
         bmax=config.bmax,
         policy=policies,
-        rng=random.Random(
-            spawn_rng(config.seed, "abl-crowd", f"{prot_fraction}").random()
-        ),
+        entropy=stable_seed(config.seed, "abl-crowd", f"{prot_fraction}"),
     )
     masks = lppa_bcm_attack(database, result.rankings, len(users), fraction)
     scores = [
@@ -509,7 +506,7 @@ def _disguise_policy_point(spec: Dict[str, object]) -> Dict[str, object]:
     )
     plain = run_plain_auction(
         users,
-        random.Random(spawn_rng(config.seed, "abl-pol", "plain").random()),
+        spawn_rng(config.seed, "abl-pol", "plain"),
         two_lambda=config.two_lambda,
     )
     result = run_fast_lppa(
@@ -517,7 +514,7 @@ def _disguise_policy_point(spec: Dict[str, object]) -> Dict[str, object]:
         two_lambda=config.two_lambda,
         bmax=config.bmax,
         policy=policy,
-        rng=random.Random(spawn_rng(config.seed, "abl-pol", name).random()),
+        entropy=stable_seed(config.seed, "abl-pol", name),
     )
     masks = lppa_bcm_attack(database, result.rankings, len(users), fraction)
     agg = aggregate_scores(

@@ -17,7 +17,6 @@ paying instead through the disguise mechanism's bounded revenue loss.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Sequence
 
 from repro.attacks.bcm import bcm_attack
@@ -31,7 +30,7 @@ from repro.geo.datasets import make_database
 from repro.lppa.cloaking import run_cloaked_auction
 from repro.lppa.fastsim import run_fast_lppa
 from repro.lppa.policies import UniformReplacePolicy
-from repro.utils.rng import spawn_rng
+from repro.utils.rng import spawn_rng, stable_seed
 
 __all__ = ["cloaking_comparison_table"]
 
@@ -62,9 +61,8 @@ def cloaking_comparison_table(
         database, n_users, spawn_rng(config.seed, "cloak", "users")
     )
     true_cells = [u.cell for u in users]
-    base_rng = spawn_rng(config.seed, "cloak", "rounds")
     plain = run_plain_auction(
-        users, random.Random(base_rng.random()), two_lambda=two_lambda
+        users, spawn_rng(config.seed, "cloak", "plain"), two_lambda=two_lambda
     )
     plain_revenue = plain.sum_of_winning_bids()
 
@@ -89,7 +87,7 @@ def cloaking_comparison_table(
         outcome, _ = run_cloaked_auction(
             users,
             grid,
-            random.Random(base_rng.random()),
+            spawn_rng(config.seed, "cloak", f"cloak-{cloak}"),
             two_lambda=two_lambda,
             cloak_size=cloak,
         )
@@ -115,7 +113,7 @@ def cloaking_comparison_table(
         two_lambda=two_lambda,
         bmax=config.bmax,
         policy=UniformReplacePolicy(lppa_replace),
-        rng=random.Random(base_rng.random()),
+        entropy=stable_seed(config.seed, "cloak", "lppa"),
     )
     audit = count_violations(lppa.outcome, true_cells, two_lambda)
     rows.append(

@@ -20,7 +20,6 @@ row tables are bit-identical at any worker count.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, List, Optional
 
 from repro.attacks.against_lppa import lppa_bcm_attack
@@ -34,7 +33,7 @@ from repro.experiments.engine import SweepReport, run_sweep
 from repro.geo.datasets import cached_database
 from repro.lppa.fastsim import run_fast_lppa
 from repro.lppa.policies import UniformReplacePolicy
-from repro.utils.rng import spawn_rng
+from repro.utils.rng import spawn_rng, stable_seed
 from repro.utils.stats import bootstrap_ci
 
 __all__ = ["fig5_privacy_sweep", "fig5_performance_sweep"]
@@ -99,9 +98,7 @@ def _fig5_privacy_point(spec: Dict[str, object]) -> List[Dict[str, object]]:
         two_lambda=config.two_lambda,
         bmax=config.bmax,
         policy=UniformReplacePolicy(replace_prob),
-        rng=random.Random(
-            spawn_rng(config.seed, "fig5", f"round-{replace_prob}").random()
-        ),
+        entropy=stable_seed(config.seed, "fig5", f"round-{replace_prob}"),
     )
     rows: List[Dict[str, object]] = []
     for fraction in config.attack_fractions:
@@ -181,18 +178,18 @@ def _fig5_performance_point(spec: Dict[str, object]) -> Dict[str, object]:
     )
     revenue_ratios, satisfaction_ratios = [], []
     for round_idx in range(config.n_rounds):
-        seed_val = spawn_rng(
-            config.seed, "fig5ef", f"{n_users}-{replace_prob}-{round_idx}"
-        ).random()
+        label = f"{n_users}-{replace_prob}-{round_idx}"
         plain = run_plain_auction(
-            users, random.Random(seed_val), two_lambda=config.two_lambda
+            users,
+            spawn_rng(config.seed, "fig5ef", label),
+            two_lambda=config.two_lambda,
         )
         private = run_fast_lppa(
             users,
             two_lambda=config.two_lambda,
             bmax=config.bmax,
             policy=UniformReplacePolicy(replace_prob),
-            rng=random.Random(seed_val),
+            entropy=stable_seed(config.seed, "fig5ef", label),
         )
         plain_revenue = plain.sum_of_winning_bids()
         plain_satisfaction = plain.user_satisfaction()
@@ -214,11 +211,7 @@ def _fig5_performance_point(spec: Dict[str, object]) -> Dict[str, object]:
     }
     if config.n_rounds >= 3:
         # Enough rounds for a meaningful bootstrap error bar.
-        ci_rng = random.Random(
-            spawn_rng(
-                config.seed, "fig5ef-ci", f"{n_users}-{replace_prob}"
-            ).random()
-        )
+        ci_rng = spawn_rng(config.seed, "fig5ef-ci", f"{n_users}-{replace_prob}")
         low, high = bootstrap_ci(revenue_ratios, ci_rng, resamples=500)
         row["revenue_ci95"] = f"[{low:.3f}, {high:.3f}]"
     return row

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import KeyRing
 from repro.lppa.bids_basic import seal_bid_values
@@ -187,22 +187,6 @@ def disguise_and_expand(
     return disclosures
 
 
-def _distinct_rng_batches(rngs: Sequence[random.Random]) -> List[range]:
-    """Split SU slots into maximal consecutive runs of distinct RNG objects."""
-    batches = []
-    start = 0
-    held: Set[random.Random] = set()
-    for slot, rng in enumerate(rngs):
-        if rng in held:
-            batches.append(range(start, slot))
-            start = slot
-            held = set()
-        held.add(rng)
-    if start < len(rngs):
-        batches.append(range(start, len(rngs)))
-    return batches
-
-
 def submit_population_bids(
     bids: Sequence[Sequence[int]],
     keyring: KeyRing,
@@ -222,13 +206,11 @@ def submit_population_bids(
 
     Each SU draws its disguise/expand values, then per channel its tail's
     fillers and its ciphertext nonce, from its own RNG in that order.
-    Masking consumes no randomness, so the families and tail covers of SUs
-    with distinct RNG objects go through one :func:`mask_specs` batch
-    between the two; SUs that share one RNG are taken in turn, a new batch
-    starting at the first SU whose RNG the current batch already holds, so
-    the shared stream is drawn in exactly the one-SU-at-a-time order.
-    Sealing consumes no randomness either: every ciphertext of the
-    population is sealed by one keystream call.
+    Masking consumes no randomness, so the families and tail covers of the
+    whole population go through one :func:`mask_specs` batch between the
+    two, and every ciphertext is sealed by one keystream call.  Each SU
+    needs its own RNG object: a shared one would be drawn in a different
+    order than one SU at a time, so it raises ValueError.
     """
     if policies is None:
         policies = [None] * len(bids)
@@ -246,39 +228,36 @@ def submit_population_bids(
             )
     if keyring.rd != scale.rd or keyring.cr != scale.cr:
         raise ValueError("key ring and bid scale disagree on rd/cr")
+    if len({id(rng) for rng in rngs}) != len(rngs):
+        raise ValueError("each SU needs its own RNG object")
 
     width = scale.width
     emax = scale.emax
     pad_to = scale.pad_to
     keys = [keyring.channel_key(channel) for channel in range(n_channels)]
-    disclosures: List[List[ChannelDisclosure]] = []
-    families: List[MaskedSet] = []
+    disclosures = [
+        disguise_and_expand(row, scale, rng, policy=policy)
+        for row, rng, policy in zip(bids, rngs, policies)
+    ]
+    specs: List[MaskSpec] = []
+    for channels in disclosures:
+        for key, disclosure in zip(keys, channels):
+            value = disclosure.masked_expanded
+            specs.append(MaskSpec.family(key, value, width, domain=_BID_DOMAIN))
+            specs.append(MaskSpec.cover(key, value, emax, width, domain=_BID_DOMAIN))
+    masked = mask_specs(specs)
+    families = masked[0::2]
+    covers = iter(masked[1::2])
     tails: List[MaskedSet] = []
     nonces: List[int] = []
-    for batch in _distinct_rng_batches(rngs):
-        drawn = [
-            disguise_and_expand(bids[slot], scale, rngs[slot], policy=policies[slot])
-            for slot in batch
-        ]
-        specs: List[MaskSpec] = []
-        for channels in drawn:
-            for key, disclosure in zip(keys, channels):
-                value = disclosure.masked_expanded
-                specs.append(MaskSpec.family(key, value, width, domain=_BID_DOMAIN))
-                specs.append(MaskSpec.cover(key, value, emax, width, domain=_BID_DOMAIN))
-        masked = mask_specs(specs)
-        covers = iter(masked[1::2])
-        for slot in batch:
-            rng = rngs[slot]
-            for _ in range(n_channels):
-                tails.append(
-                    pad_masked_set(
-                        next(covers), ceiling=pad_to, digest_bytes=DEFAULT_DIGEST_BYTES, rng=rng
-                    )
+    for rng in rngs:
+        for _ in range(n_channels):
+            tails.append(
+                pad_masked_set(
+                    next(covers), ceiling=pad_to, digest_bytes=DEFAULT_DIGEST_BYTES, rng=rng
                 )
-                nonces.append(rng.getrandbits(32))
-        disclosures.extend(drawn)
-        families.extend(masked[0::2])
+            )
+            nonces.append(rng.getrandbits(32))
     ciphertexts = seal_bid_values(
         keyring.gc,
         [disclosure.true_expanded for channels in disclosures for disclosure in channels],

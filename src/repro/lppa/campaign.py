@@ -114,7 +114,7 @@ class Campaign:
             rd=self._rd,
             cr=self._cr,
             policy=self._policy,
-            rng=self._rng,
+            entropy=self._rng.getrandbits(64),
             conflict=self._conflict,
             revalidate=self._revalidate,
         )

@@ -11,7 +11,12 @@ round ``entropy`` label through the functions below, and all of them hand
 user ``i``'s stream to :func:`repro.lppa.bids_advanced.disguise_and_expand`
 *first*.  The same ``entropy`` therefore makes every path commit to
 identical masked values, which is what the differential-equivalence tests
-(fastsim vs session, networked round vs session) pin down.
+(fastsim vs session, networked round vs session) pin down.  It is the only
+way a round is seeded: each SU disguises and expands its bids from its own
+stream, as in the paper, and a round given no label draws one from
+:func:`repro.utils.rng.fresh_rng`.  A label is an ``int >= 0``, a ``str``
+or ``bytes``; a negative int cannot be encoded, so callers that take a
+signed seed build a string label from it.
 
 This module is deliberately leaf-level: it imports only
 :mod:`repro.utils.rng`, so the round core, the wrappers and the network

@@ -4,8 +4,8 @@ The HMAC masking is *order-preserving by design*: every decision the
 auctioneer makes — conflict edges, per-channel bid order, column maxima —
 equals what it would compute from the underlying integers.  The test suite
 proves this equivalence on the real crypto path (identical conflict graphs,
-identical rankings, identical allocations for a fixed RNG).  The evaluation
-sweeps of Figs. 4-5 need thousands of auction rounds, so they run this
+identical rankings, identical allocations for a fixed ``entropy``).  The
+evaluation sweeps of Figs. 4-5 need thousands of auction rounds, so they run this
 simulator, which executes *exactly the same value pipeline*
 (:func:`repro.lppa.bids_advanced.disguise_and_expand`) and the same
 Algorithm 3, skipping only the HMAC/encryption plumbing whose outputs are
@@ -25,7 +25,6 @@ are re-exported from their new homes.  (``derive_round_rngs`` lives in
 
 from __future__ import annotations
 
-import random
 from typing import Optional, Sequence, Union
 
 from repro.obs import trace
@@ -58,7 +57,6 @@ def run_fast_lppa(
     rd: int = 4,
     cr: int = 8,
     policy: Union[ZeroDisguisePolicy, Sequence[ZeroDisguisePolicy], None] = None,
-    rng: Optional[random.Random] = None,
     entropy: Optional[Seed] = None,
     conflict: Optional[ConflictGraph] = None,
     revalidate: bool = False,
@@ -71,13 +69,13 @@ def run_fast_lppa(
     protocol's output.  Charging follows the TTP's rules: a winner whose
     *true* offset value lies in the zero band ``[0, rd]`` is invalid.
 
-    ``entropy`` opts into the label-addressed seeding of
-    :func:`repro.lppa.entropy.derive_round_rngs` (overriding ``rng``):
-    every user draws from its own stream, so the round's results match a
-    full-crypto :func:`repro.lppa.session.run_lppa_auction` run with the
-    same ``entropy`` and do not depend on how other randomness consumers
-    interleave.  With neither ``rng`` nor ``entropy`` the round is
-    non-deterministic via a fork-safe fresh RNG.
+    ``entropy`` is the round's seed label, split by
+    :func:`repro.lppa.entropy.derive_round_rngs` into one stream per user
+    plus an allocation stream, so the round's results match a full-crypto
+    :func:`repro.lppa.session.run_lppa_auction` run with the same
+    ``entropy`` and do not depend on how other randomness consumers
+    interleave.  ``None`` draws fresh entropy from the fork-safe
+    :func:`repro.utils.rng.fresh_rng`.
 
     ``revalidate`` enables the section-V.B extension: the TTP's
     invalid-winner notifications feed back into the allocation loop, which
@@ -107,13 +105,9 @@ def run_fast_lppa(
     n_channels = users[0].n_channels
     if any(u.n_channels != n_channels for u in users):
         raise ValueError("all users must bid over the same channel set")
-    if entropy is not None:
-        user_rngs, alloc_rng = _entropy.derive_round_rngs(entropy, len(users))
-    else:
-        if rng is None:
-            rng = fresh_rng()
-        user_rngs = [rng] * len(users)
-        alloc_rng = rng
+    if entropy is None:
+        entropy = fresh_rng().getrandbits(128)
+    user_rngs, alloc_rng = _entropy.derive_round_rngs(entropy, len(users))
 
     # §IV.C.3: "the zero-replace probabilities are selected independently
     # by each user" — accept one shared policy or one per user.

@@ -12,14 +12,13 @@ role in-process —
 5. bookkeeping — communication-cost accounting and the attacker-facing
    views (per-channel bid rankings) used by the evaluation.
 
-This module owns only the call-signature conveniences (entropy/rng
+This module owns only the call-signature conveniences (entropy
 resolution, the shared default policy) and re-exports
 :class:`~repro.lppa.round.results.LppaResult` from its historical home.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Optional, Sequence
 
 from repro.obs import trace
@@ -49,7 +48,6 @@ def run_lppa_auction(
     rd: int = 4,
     cr: int = 8,
     policy: Optional[ZeroDisguisePolicy] = None,
-    rng: Optional[random.Random] = None,
     entropy: Optional[Seed] = None,
     shards: Optional[int] = None,
     scheme: Optional[str] = None,
@@ -73,16 +71,14 @@ def run_lppa_auction(
         Zero-disguise policy shared by all users this round (defaults to no
         disguise); per-user policies are possible by calling the submission
         layer directly.
-    rng:
-        Randomness for expansion offsets, disguises, nonce generation and
-        the allocation's channel/tie choices.
     entropy:
-        Label-addressed seeding (overrides ``rng``): derives one stream per
-        bidder plus an allocation stream via
-        :func:`repro.lppa.entropy.derive_round_rngs`, so the round's
-        conflict graph, rankings, allocations and charges are identical to
-        a :func:`repro.lppa.fastsim.run_fast_lppa` run with the same
-        ``entropy`` — the enforced fastsim equivalence contract.
+        The round's seed label: derives one stream per bidder (expansion
+        offsets, disguises, tail fillers, nonces) plus an allocation stream
+        (channel/tie choices) via :func:`repro.lppa.entropy.derive_round_rngs`,
+        so the round's conflict graph, rankings, allocations and charges are
+        identical to a :func:`repro.lppa.fastsim.run_fast_lppa` run with the
+        same ``entropy`` — the enforced fastsim equivalence contract.
+        ``None`` draws fresh entropy from :func:`repro.utils.rng.fresh_rng`.
     shards:
         Compatibility only: ``None`` and ``1`` both run the one round path.
         Process sharding was removed; any other value raises ValueError.
@@ -101,13 +97,9 @@ def run_lppa_auction(
     n_channels = users[0].n_channels
     if any(u.n_channels != n_channels for u in users):
         raise ValueError("all users must bid over the same channel set")
-    if entropy is not None:
-        user_rngs, alloc_rng = derive_round_rngs(entropy, len(users))
-    else:
-        if rng is None:
-            rng = fresh_rng()
-        user_rngs = [rng] * len(users)
-        alloc_rng = rng
+    if entropy is None:
+        entropy = fresh_rng().getrandbits(128)
+    user_rngs, alloc_rng = derive_round_rngs(entropy, len(users))
     if policy is None:
         policy = KeepZeroPolicy()
 

@@ -63,9 +63,9 @@ def fresh_rng() -> random.Random:
     Seeds from ``os.urandom`` mixed with the current PID at *call* time, so
     two worker processes forked from the same parent can never share a
     stream — unlike the module-level ``random`` functions, whose global
-    state is duplicated by ``fork``.  Every ``rng=None`` fallback in the
-    protocol paths routes through here; deterministic runs should pass an
-    explicit seeded RNG (or use label-addressed ``entropy`` seeding)
-    instead.
+    state is duplicated by ``fork``.  Every unseeded fallback routes through
+    here: a round run with ``entropy=None`` draws its entropy label from a
+    fresh RNG, and an ``rng=None`` campaign or range padding uses one.
+    Deterministic runs pass an ``entropy`` label or a seeded RNG instead.
     """
     return random.Random(os.urandom(16) + os.getpid().to_bytes(8, "big"))

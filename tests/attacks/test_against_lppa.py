@@ -1,7 +1,5 @@
 """The anti-LPPA adversary."""
 
-import random
-
 import numpy as np
 import pytest
 
@@ -52,7 +50,7 @@ def test_infer_rejects_unknown_users():
 def test_attack_pipeline_shapes(tiny_db, rng):
     users = generate_users(tiny_db, 12, rng)
     result = run_fast_lppa(
-        users, two_lambda=3, bmax=127, rng=random.Random(0)
+        users, two_lambda=3, bmax=127, entropy=0
     )
     masks = lppa_bcm_attack(tiny_db, result.rankings, len(users), 0.5)
     grid = tiny_db.coverage.grid
@@ -77,7 +75,7 @@ def test_disguises_raise_failure_rate(tiny_db, rng):
             two_lambda=3,
             bmax=127,
             policy=UniformReplacePolicy(replace),
-            rng=random.Random(1),
+            entropy=1,
         )
         masks = lppa_bcm_attack(tiny_db, result.rankings, len(users), 0.5)
         scores = [

@@ -23,7 +23,7 @@ def campaign(tiny_db):
             two_lambda=3,
             bmax=127,
             policy=UniformReplacePolicy(0.2),
-            rng=rng,
+            entropy=rng.getrandbits(64),
         )
         rounds.append(result.rankings)
         population = rebid_users(population, tiny_db, rng)

@@ -70,6 +70,6 @@ def test_exact_graph_allocations_are_always_clean(small_users):
         two_lambda=8,
         bmax=127,
         policy=UniformReplacePolicy(0.7),
-        rng=random.Random(1),
+        entropy=1,
     )
     assert count_violations(private.outcome, cells, 8).n_violations == 0

@@ -84,7 +84,7 @@ def test_fastsim_second_price(small_users):
     from repro.lppa.fastsim import run_fast_lppa
 
     result = run_fast_lppa(
-        small_users, two_lambda=6, bmax=127, rng=random.Random(2),
+        small_users, two_lambda=6, bmax=127, entropy=2,
         pricing="second",
     )
     for win in result.outcome.valid_wins:

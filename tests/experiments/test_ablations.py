@@ -87,7 +87,7 @@ def test_per_user_policies_flow_into_fastsim():
     users = generate_users(database, 10, random.Random(0))
     policies = [KeepZeroPolicy()] * 5 + [UniformReplacePolicy(1.0)] * 5
     result = run_fast_lppa(
-        users, two_lambda=6, bmax=127, policy=policies, rng=random.Random(1)
+        users, two_lambda=6, bmax=127, policy=policies, entropy=1
     )
     keepers = sum(
         c.disguised for d in result.disclosures[:5] for c in d.channels

@@ -64,7 +64,7 @@ def test_lppa_never_violates_interference(world):
         two_lambda=two_lambda,
         bmax=50,
         policy=UniformReplacePolicy(0.7),
-        rng=random.Random(seed),
+        entropy=seed,
     )
     cells = [u.cell for u in users]
     assert count_violations(result.outcome, cells, two_lambda).n_violations == 0
@@ -103,9 +103,9 @@ def test_revalidation_dominates_batching(world):
         bmax=50,
         policy=UniformReplacePolicy(1.0),
     )
-    batched = run_fast_lppa(users, rng=random.Random(seed), **kwargs)
+    batched = run_fast_lppa(users, entropy=seed, **kwargs)
     revalidated = run_fast_lppa(
-        users, rng=random.Random(seed), revalidate=True, **kwargs
+        users, entropy=seed, revalidate=True, **kwargs
     )
     assert (
         revalidated.outcome.user_satisfaction()
@@ -123,7 +123,7 @@ def test_lppa_charges_are_bounded_by_true_bids(world):
         two_lambda=two_lambda,
         bmax=50,
         policy=UniformReplacePolicy(0.5),
-        rng=random.Random(seed),
+        entropy=seed,
         pricing="second",
     )
     for win in result.outcome.valid_wins:

@@ -27,7 +27,7 @@ def world(small_db, small_users):
         two_lambda=6,
         bmax=127,
         policy=UniformReplacePolicy(0.5),
-        rng=random.Random(2024),
+        entropy=2024,
     )
     return small_db, users, result
 
@@ -99,7 +99,7 @@ def test_lppa_cost_is_bounded(small_db, small_users):
         two_lambda=6,
         bmax=127,
         policy=UniformReplacePolicy(0.3),
-        rng=random.Random(5),
+        entropy=5,
     )
     ratio = private.outcome.sum_of_winning_bids() / plain.sum_of_winning_bids()
     assert 0.4 <= ratio <= 1.3

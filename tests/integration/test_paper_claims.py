@@ -88,7 +88,7 @@ def test_claim_4_lppa_thwarts_the_attacker(world, attacked):
         two_lambda=TWO_LAMBDA,
         bmax=127,
         policy=UniformReplacePolicy(0.5),
-        rng=random.Random(1),
+        entropy=1,
     )
     masks = lppa_bcm_attack(database, result.rankings, len(users), 0.5)
     scores = [score_attack(m, u.cell, grid) for m, u in zip(masks, users)]
@@ -105,7 +105,7 @@ def test_claim_5_performance_cost_is_bounded(world):
         two_lambda=TWO_LAMBDA,
         bmax=127,
         policy=UniformReplacePolicy(1.0),  # the harshest setting
-        rng=random.Random(2),
+        entropy=2,
     )
     ratio = private.outcome.sum_of_winning_bids() / plain.sum_of_winning_bids()
     assert ratio > 0.6  # the paper's "maximum cost is less than 30%" band
@@ -122,7 +122,7 @@ def test_claim_6_conflict_graph_is_exact(world):
         two_lambda=TWO_LAMBDA,
         bmax=127,
         policy=UniformReplacePolicy(0.8),
-        rng=random.Random(3),
+        entropy=3,
     )
     audit = count_violations(
         result.outcome, [u.cell for u in users], TWO_LAMBDA

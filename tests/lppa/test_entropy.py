@@ -37,3 +37,22 @@ def test_fastsim_no_longer_re_exports_derive_round_rngs():
     with pytest.raises(AttributeError):
         fastsim.derive_round_rngs
     assert "derive_round_rngs" not in fastsim.__all__
+
+
+@pytest.mark.parametrize("entry", ["session", "fastsim"])
+def test_round_entry_points_take_no_shared_rng(entry, tiny_db):
+    """Every round is seeded by ``entropy``; the shared-stream ``rng=`` is gone."""
+    import random
+
+    from repro.auction.bidders import generate_users
+    from repro.lppa.fastsim import run_fast_lppa
+    from repro.lppa.session import run_lppa_auction
+
+    users = generate_users(tiny_db, 3, random.Random(5))
+    with pytest.raises(TypeError, match="rng"):
+        if entry == "session":
+            run_lppa_auction(
+                users, tiny_db.coverage.grid, two_lambda=6, bmax=127, rng=random.Random(1)
+            )
+        else:
+            run_fast_lppa(users, two_lambda=6, bmax=127, rng=random.Random(1))

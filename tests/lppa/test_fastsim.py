@@ -1,7 +1,5 @@
 """The fast numeric simulator vs the full-crypto session."""
 
-import random
-
 import pytest
 
 from repro.auction.conflict import build_conflict_graph
@@ -12,7 +10,7 @@ from repro.lppa.session import run_lppa_auction
 
 def test_outcome_invariants(small_users):
     result = run_fast_lppa(
-        small_users, two_lambda=6, bmax=127, rng=random.Random(1)
+        small_users, two_lambda=6, bmax=127, entropy=1
     )
     outcome = result.outcome
     for win in outcome.wins:
@@ -24,7 +22,7 @@ def test_outcome_invariants(small_users):
 def test_every_user_wins_exactly_once(small_users):
     """With full masked rows (zeros included) every row is consumed by a win."""
     result = run_fast_lppa(
-        small_users, two_lambda=6, bmax=127, rng=random.Random(2)
+        small_users, two_lambda=6, bmax=127, entropy=2
     )
     assert sorted(w.bidder for w in result.outcome.wins) == list(
         range(len(small_users))
@@ -33,7 +31,7 @@ def test_every_user_wins_exactly_once(small_users):
 
 def test_conflict_graph_matches_plaintext(small_users):
     result = run_fast_lppa(
-        small_users, two_lambda=6, bmax=127, rng=random.Random(3)
+        small_users, two_lambda=6, bmax=127, entropy=3
     )
     assert result.conflict_graph.edges == build_conflict_graph(
         [u.cell for u in small_users], 6
@@ -43,7 +41,7 @@ def test_conflict_graph_matches_plaintext(small_users):
 def test_prebuilt_conflict_graph_is_used(small_users):
     conflict = build_conflict_graph([u.cell for u in small_users], 6)
     result = run_fast_lppa(
-        small_users, two_lambda=6, bmax=127, rng=random.Random(4), conflict=conflict
+        small_users, two_lambda=6, bmax=127, entropy=4, conflict=conflict
     )
     assert result.conflict_graph is conflict
 
@@ -60,7 +58,7 @@ def test_full_crypto_rankings_equal_integer_rankings(small_db, small_users):
 
     users = small_users[:10]
     full = run_lppa_auction(
-        users, small_db.coverage.grid, two_lambda=6, bmax=127, rng=random.Random(9)
+        users, small_db.coverage.grid, two_lambda=6, bmax=127, entropy=9
     )
     values = [
         [c.masked_expanded for c in d.channels] for d in full.disclosures
@@ -74,7 +72,7 @@ def test_disguises_flow_through(small_users):
         two_lambda=6,
         bmax=127,
         policy=UniformReplacePolicy(1.0),
-        rng=random.Random(5),
+        entropy=5,
     )
     assert any(c.disguised for d in result.disclosures for c in d.channels)
 

@@ -1,7 +1,5 @@
 """The revalidation extension in the fast simulator."""
 
-import random
-
 import pytest
 
 from repro.lppa.fastsim import run_fast_lppa
@@ -14,7 +12,7 @@ def test_revalidated_round_has_no_invalid_wins(small_users):
         two_lambda=6,
         bmax=127,
         policy=UniformReplacePolicy(1.0),
-        rng=random.Random(1),
+        entropy=1,
         revalidate=True,
     )
     assert all(win.valid for win in result.outcome.wins)
@@ -26,7 +24,7 @@ def test_revalidation_counts_rejections(small_users):
         two_lambda=6,
         bmax=127,
         policy=UniformReplacePolicy(1.0),
-        rng=random.Random(2),
+        entropy=2,
         revalidate=True,
     )
     assert result.ttp_rejections > 0
@@ -38,7 +36,7 @@ def test_batched_mode_reports_zero_rejections(small_users):
         two_lambda=6,
         bmax=127,
         policy=UniformReplacePolicy(1.0),
-        rng=random.Random(3),
+        entropy=3,
     )
     assert result.ttp_rejections == 0
 
@@ -50,7 +48,7 @@ def test_revalidation_never_hurts_satisfaction(small_users):
             two_lambda=6,
             bmax=127,
             policy=UniformReplacePolicy(0.8),
-            rng=random.Random(4),
+            entropy=4,
             revalidate=revalidate,
         ).outcome.user_satisfaction()
 

@@ -5,11 +5,11 @@ in one :func:`mask_specs` call and seals every ciphertext in one keystream
 call, while each SU's disguise/expand values, fillers and nonces still
 come from its own RNG in the one-SU order.  The oracle is the per-SU
 loop.  Populations repeat bid values across SUs (shared cache entries in
-one batch), bid zero (disguise draws), mix disguise policies and may share
-one RNG object between SUs (the legacy ``rng=`` round), and every case
-runs on a cold and then a warm cache.  Submissions, disclosures, every
-RNG's final state and the deterministic counters must all be equal; only
-the number of HMAC batches may differ, which is the point.
+one batch), bid zero (disguise draws) and mix disguise policies, each SU
+with its own RNG, and every case runs on a cold and then a warm cache.
+Submissions, disclosures, every RNG's final state and the deterministic
+counters must all be equal; only the number of HMAC batches may differ,
+which is the point.
 """
 
 import random
@@ -56,28 +56,18 @@ def populations(draw):
         for _ in range(n_users)
     ]
     policies = [draw(st.sampled_from(POLICIES)) for _ in range(n_users)]
-    # owners[i] names SU i's RNG; equal owners share one RNG object.  Every
-    # driver but the legacy rng= round gives each SU its own.
-    if draw(st.booleans()):
-        owners = list(range(n_users))
-    else:
-        owner = st.integers(min_value=0, max_value=max(0, n_users - 1))
-        owners = [draw(owner) for _ in range(n_users)]
-    seeds = draw(st.lists(st.integers(min_value=0, max_value=2**32), min_size=6, max_size=6))
+    seeds = draw(
+        st.lists(st.integers(min_value=0, max_value=2**32), min_size=n_users, max_size=n_users)
+    )
     user_ids = draw(
         st.lists(st.integers(min_value=0, max_value=999), min_size=n_users, max_size=n_users)
     )
     key_seed = draw(st.binary(min_size=1, max_size=8))
-    return n_channels, bids, policies, owners, seeds, user_ids, key_seed
-
-
-def _rngs(seeds, owners):
-    pool = [random.Random(seed) for seed in seeds]
-    return pool, [pool[owner] for owner in owners]
+    return n_channels, bids, policies, seeds, user_ids, key_seed
 
 
 def _population(case, rngs):
-    n_channels, bids, policies, _, _, user_ids, key_seed = case
+    n_channels, bids, policies, _, user_ids, key_seed = case
     keyring = generate_keyring(key_seed, n_channels, rd=SCALE.rd, cr=SCALE.cr)
     return submit_population_bids(
         bids, keyring, SCALE, rngs, policies=policies, user_ids=user_ids
@@ -85,7 +75,7 @@ def _population(case, rngs):
 
 
 def _per_su(case, rngs):
-    n_channels, bids, policies, _, _, user_ids, key_seed = case
+    n_channels, bids, policies, _, user_ids, key_seed = case
     keyring = generate_keyring(key_seed, n_channels, rd=SCALE.rd, cr=SCALE.cr)
     results = [
         submit_bids_advanced(uid, row, keyring, SCALE, rng, policy=policy)
@@ -96,12 +86,12 @@ def _per_su(case, rngs):
 
 def _run_cold_then_warm(run, case):
     """Two rounds of ``run`` on a fresh cache; per round the output, the
-    RNG pool's final states and the counters."""
+    RNGs' final states and the counters."""
     previous = set_mask_cache(MaskCache())
     try:
         rounds = []
         for round_seed in (0, 1):
-            pool, rngs = _rngs([seed + round_seed for seed in case[4]], case[3])
+            rngs = [random.Random(seed + round_seed) for seed in case[3]]
             with obs.collecting() as registry:
                 output = run(case, rngs)
             counters = {
@@ -109,7 +99,7 @@ def _run_cold_then_warm(run, case):
                 for name, value in registry.counters.items()
                 if name not in BATCH_COUNTERS
             }
-            rounds.append((output, [rng.getstate() for rng in pool], counters))
+            rounds.append((output, [rng.getstate() for rng in rngs], counters))
         return rounds
     finally:
         set_mask_cache(previous)
@@ -140,19 +130,14 @@ def test_one_mask_batch_and_one_seal_for_independent_rngs():
     assert registry.counters["crypto.speck.encrypt"] == len(bids) * 3
 
 
-def test_a_shared_rng_splits_the_batch_where_it_repeats():
+def test_a_repeated_rng_object_is_rejected():
     keyring = generate_keyring(b"population", 2, rd=SCALE.rd, cr=SCALE.cr)
     shared = random.Random(5)
-    rngs = [shared, random.Random(6), shared, shared]
-    bids = [[1, 2], [3, 4], [5, 6], [7, 8]]
-    previous = set_mask_cache(MaskCache())
-    try:
-        with obs.collecting() as registry:
-            submit_population_bids(bids, keyring, SCALE, rngs)
-    finally:
-        set_mask_cache(previous)
-    # Slots {0, 1}, {2}, {3}: each batch holds the shared RNG once.
-    assert registry.counters["crypto.hmac_batches"] == 3
+    rngs = [shared, random.Random(6), shared]
+    before = shared.getstate()
+    with pytest.raises(ValueError, match="own RNG"):
+        submit_population_bids([[1, 2], [3, 4], [5, 6]], keyring, SCALE, rngs)
+    assert shared.getstate() == before
 
 
 def test_rejects_misaligned_arguments_and_channel_counts():

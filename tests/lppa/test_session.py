@@ -1,7 +1,5 @@
 """End-to-end LPPA session (full cryptographic path)."""
 
-import random
-
 import pytest
 
 from repro.auction.conflict import build_conflict_graph
@@ -17,7 +15,7 @@ def round_result(small_db, small_users):
         small_db.coverage.grid,
         two_lambda=6,
         bmax=127,
-        rng=random.Random(77),
+        entropy=77,
     )
     return users, result
 
@@ -81,7 +79,7 @@ def test_session_with_disguise_policy(small_db, small_users):
         two_lambda=6,
         bmax=127,
         policy=UniformReplacePolicy(1.0),
-        rng=random.Random(3),
+        entropy=3,
     )
     assert any(
         c.disguised for d in result.disclosures for c in d.channels

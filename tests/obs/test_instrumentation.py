@@ -1,7 +1,5 @@
 """Instrumentation wiring: the protocol and engine record what they should."""
 
-import random
-
 from repro import obs
 from repro.experiments.engine import run_sweep
 from repro.lppa.fastsim import run_fast_lppa
@@ -16,7 +14,7 @@ def _session_round(small_db, small_users, *, seed=7):
         small_db.coverage.grid,
         two_lambda=6,
         bmax=127,
-        rng=random.Random(seed),
+        entropy=seed,
     )
 
 
@@ -52,7 +50,7 @@ def test_fastsim_records_same_phase_keys_without_crypto(small_users):
             small_users[:10],
             two_lambda=6,
             bmax=127,
-            rng=random.Random(7),
+            entropy=7,
         )
     timers = registry.timers
     for phase in PHASES:

@@ -25,6 +25,16 @@ def test_demo(capsys):
     assert "revenue" in out and "satisfaction" in out
 
 
+def test_demo_with_a_negative_seed_is_reproducible(capsys):
+    """The demo's round entropy is a string label, so any int seed works."""
+    outputs = []
+    for _ in range(2):
+        assert main(["demo", "--users", "6", "--channels", "4", "--seed", "-1"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "revenue" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 def test_coverage(capsys):
     assert main(
         ["coverage", "--area", "4", "--channel", "1", "--channels", "4",
