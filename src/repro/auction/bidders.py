@@ -76,6 +76,19 @@ def _truthful_bid(quality: float, beta: float, rng: random.Random) -> int:
     return max(0, round(value + noise))
 
 
+def _truthful_bids(
+    database: GeoLocationDatabase, cell: Cell, beta: float, rng: random.Random
+) -> Tuple[int, ...]:
+    """One SU's truthful bid vector; one noise draw per available channel,
+    in channel order."""
+    qualities = database.coverage.quality_vector(cell)
+    available = database.available_channels(cell)
+    return tuple(
+        _truthful_bid(float(qualities[ch]), beta, rng) if ch in available else 0
+        for ch in range(database.n_channels)
+    )
+
+
 def generate_users_from_sensing(
     database: GeoLocationDatabase,
     n_users: int,
@@ -133,22 +146,15 @@ def rebid_users(
     the multi-round linkage attack (section V.C.3) exploits: the *noise*
     varies per round, the underlying availability does not.
     """
-    result = []
-    for user in users:
-        qualities = database.coverage.quality_vector(user.cell)
-        available = database.available_channels(user.cell)
-        bids = tuple(
-            _truthful_bid(float(qualities[ch]), user.beta, rng)
-            if ch in available
-            else 0
-            for ch in range(database.n_channels)
+    return [
+        SecondaryUser(
+            user_id=user.user_id,
+            cell=user.cell,
+            beta=user.beta,
+            bids=_truthful_bids(database, user.cell, user.beta, rng),
         )
-        result.append(
-            SecondaryUser(
-                user_id=user.user_id, cell=user.cell, beta=user.beta, bids=bids
-            )
-        )
-    return result
+        for user in users
+    ]
 
 
 def generate_users(
@@ -181,11 +187,6 @@ def generate_users(
     for uid, cell in enumerate(placements):
         grid.require(cell)
         beta = rng.uniform(lo, hi)
-        qualities = database.coverage.quality_vector(cell)
-        available = database.available_channels(cell)
-        bids = tuple(
-            _truthful_bid(float(qualities[ch]), beta, rng) if ch in available else 0
-            for ch in range(database.n_channels)
-        )
+        bids = _truthful_bids(database, cell, beta, rng)
         users.append(SecondaryUser(user_id=uid, cell=cell, beta=beta, bids=bids))
     return users

@@ -1113,31 +1113,22 @@ def _cmd_serve(args) -> int:
     import contextlib
 
     from repro import obs
-    from repro.geo.grid import GridSpec
-    from repro.lppa.batching import TtpSchedule
-    from repro.lppa.ttp import TrustedThirdParty
-    from repro.net import (
-        AuctioneerServer,
-        RoundAborted,
-        ServerConfig,
-        TcpTransport,
-        TtpService,
-    )
-    from repro.net.loadgen import protocol_seed, round_entropy
+    from repro.net import RoundAborted
+    from repro.net.loadgen import LoadgenConfig, hosted_server, round_entropy
 
-    grid = GridSpec(rows=args.grid, cols=args.grid, cell_km=75.0 / args.grid)
-    config = ServerConfig(
+    config = LoadgenConfig(
         n_users=args.users,
         n_channels=args.channels,
-        grid=grid,
-        two_lambda=6,
-        bmax=127,
-        seed=protocol_seed(args.seed),
+        seed=args.seed,
+        grid_n=args.grid,
+        scheme=_resolved_scheme(),
+        transport="tcp",
+        host=args.host,
+        port=args.port,
         location_deadline=args.location_deadline,
         bid_deadline=args.bid_deadline,
-        metrics_port=args.metrics_port,
-        metrics_host=args.metrics_host,
-        scheme=_resolved_scheme(),
+        ttp_period=args.ttp_period,
+        ttp_capacity=args.ttp_capacity,
     )
 
     # A scrape endpoint with no registry collecting would serve an empty
@@ -1151,47 +1142,35 @@ def _cmd_serve(args) -> int:
     )
 
     async def _serve() -> int:
-        ttp_service = None
-        if args.ttp_period is not None:
-            ttp, _, _ = TrustedThirdParty.setup(
-                config.seed, args.channels, bmax=config.bmax
-            )
-            schedule = TtpSchedule(
-                period=args.ttp_period,
-                capacity=args.ttp_capacity or args.users,
-            )
-            ttp_service = TtpService(ttp, schedule)
-            await ttp_service.start()
-        server = AuctioneerServer(
-            config, TcpTransport(args.host, args.port), ttp_service=ttp_service
-        )
-        await server.start()
-        print(f"serving on {server.address}", flush=True)
-        if server.metrics_address is not None:
-            print(f"metrics on http://{server.metrics_address}/metrics",
-                  flush=True)
-        try:
-            if args.epochs is not None:
-                return await _serve_epochs(args, server)
-            await server.wait_for_clients(args.users, timeout=args.join_timeout)
-            for round_index in range(args.rounds):
-                report = await server.run_round(
-                    round_entropy(args.seed, round_index)
+        async with hosted_server(
+            config,
+            metrics_port=args.metrics_port,
+            metrics_host=args.metrics_host,
+        ) as server:
+            print(f"serving on {server.address}", flush=True)
+            if server.metrics_address is not None:
+                print(f"metrics on http://{server.metrics_address}/metrics",
+                      flush=True)
+            try:
+                if args.epochs is not None:
+                    return await _serve_epochs(args, server)
+                await server.wait_for_clients(
+                    args.users, timeout=args.join_timeout
                 )
-                print(
-                    f"round {round_index}: "
-                    f"{len(report.result.outcome.wins)} winners, "
-                    f"{len(report.participants)} participants, "
-                    f"{report.latency_s * 1e3:.1f} ms",
-                    flush=True,
-                )
-        except (RoundAborted, asyncio.TimeoutError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        finally:
-            await server.stop()
-            if ttp_service is not None:
-                await ttp_service.stop()
+                for round_index in range(args.rounds):
+                    report = await server.run_round(
+                        round_entropy(args.seed, round_index)
+                    )
+                    print(
+                        f"round {round_index}: "
+                        f"{len(report.result.outcome.wins)} winners, "
+                        f"{len(report.participants)} participants, "
+                        f"{report.latency_s * 1e3:.1f} ms",
+                        flush=True,
+                    )
+            except (RoundAborted, asyncio.TimeoutError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
         print(
             f"served {args.rounds} rounds, "
             f"{server.wire.total_bytes} wire bytes",

@@ -18,6 +18,7 @@ normalisation just keeps bids in a convenient integer range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Sequence, Set
 
 import numpy as np
@@ -33,9 +34,18 @@ __all__ = ["ChannelCoverage", "CoverageMap", "build_channel_coverage"]
 QUALITY_SCALE_DB = 40.0
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class ChannelCoverage:
-    """Coverage data for a single channel over the whole grid."""
+    """Coverage data for a single channel over the whole grid.
+
+    The derived grids (:attr:`available`, :attr:`covered`, :attr:`quality`)
+    are computed once per channel and are read-only.
+    """
 
     channel: int
     rss_dbm: np.ndarray
@@ -45,21 +55,21 @@ class ChannelCoverage:
         if self.rss_dbm.ndim != 2:
             raise ValueError("rss_dbm must be a 2-D (rows x cols) array")
 
-    @property
+    @cached_property
     def available(self) -> np.ndarray:
         """Boolean mask of ``C_r``: cells where an SU may transmit."""
-        return self.rss_dbm <= self.threshold_dbm
+        return _frozen(self.rss_dbm <= self.threshold_dbm)
 
-    @property
+    @cached_property
     def covered(self) -> np.ndarray:
         """Boolean mask of the PU's protected coverage (unavailable cells)."""
-        return ~self.available
+        return _frozen(~self.available)
 
-    @property
+    @cached_property
     def quality(self) -> np.ndarray:
         """``q*_r(m, n)``: normalised protection margin, 0 on covered cells."""
         margin = np.clip(self.threshold_dbm - self.rss_dbm, 0.0, QUALITY_SCALE_DB)
-        return margin / QUALITY_SCALE_DB
+        return _frozen(margin / QUALITY_SCALE_DB)
 
     def is_available(self, cell: Cell) -> bool:
         """True when an SU at ``cell`` may use this channel."""

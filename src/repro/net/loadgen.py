@@ -6,6 +6,12 @@ one it hosts itself (memory or TCP transport) or a remote ``repro serve``
 process (``--connect``) — and reports throughput (rounds/sec), p50/p95
 round latency and exact bytes on the wire.
 
+This module is the one networked harness: :class:`Fleet` seats every SU
+client (loadgen's and the soak's, :mod:`repro.service.soak`),
+:func:`hosted_server` starts and stops every self-hosted server (loadgen,
+the soak and ``repro serve``), and :func:`reference_round` is the one
+in-process reference a networked round is checked against.
+
 Determinism ties the whole thing together: the protocol seed and the
 per-round entropy labels are pure functions of the loadgen seed, and the
 SU population is regenerated from the same
@@ -21,18 +27,21 @@ distribution).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, AsyncIterator, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.auction.bidders import SecondaryUser, generate_users
+from repro.crypto.keys import KeyRing
 from repro.geo.datasets import make_database
 from repro.geo.grid import GridSpec
 from repro.lppa.batching import TtpSchedule
+from repro.lppa.bids_advanced import BidScale
 from repro.lppa.policies import KeepZeroPolicy, UniformReplacePolicy
 from repro.lppa.session import LppaResult, run_lppa_auction
 from repro.lppa.ttp import TrustedThirdParty
-from repro.net.client import RetryPolicy, SUClient
+from repro.net.client import ServerGoodbye, SUClient
 from repro.net.server import AuctioneerServer, NetRoundReport, ServerConfig
 from repro.net.transport import MemoryTransport, TcpTransport, Transport
 from repro.net.ttp_service import TtpService
@@ -45,8 +54,12 @@ __all__ = [
     "LoadgenConfig",
     "LoadgenReport",
     "EquivalenceFailure",
+    "Fleet",
     "build_population",
+    "check_result_equivalence",
+    "hosted_server",
     "protocol_seed",
+    "reference_round",
     "round_entropy",
     "run_loadgen",
 ]
@@ -97,10 +110,6 @@ class LoadgenConfig:
     #: default so multi-hour runs stay bounded: the histogram alone costs
     #: a fixed ~100 buckets no matter how many rounds complete.
     raw_latencies: bool = False
-    #: Keep one latency histogram *per round/epoch* besides the aggregate,
-    #: so warm-up rounds cannot skew a steady-state tail percentile.  Costs
-    #: O(rounds) bounded histograms; disable for unbounded multi-hour runs.
-    per_epoch_hists: bool = True
     #: Which per-round entropy labels the run derives: ``"loadgen"``
     #: (:func:`round_entropy`, the `repro serve` pairing) or ``"service"``
     #: (:func:`repro.service.scheduler.service_entropy`, for driving or
@@ -127,7 +136,8 @@ class LoadgenReport:
     latency_hist: Histogram = field(default_factory=Histogram)
     #: Per-round/epoch histograms (key: round or epoch index).  The
     #: aggregate ``latency_hist`` always folds everything; these exist so
-    #: steady-state percentiles can exclude warm-up epochs.
+    #: steady-state percentiles can exclude warm-up epochs.  They cost
+    #: O(rounds) bounded histograms.
     epoch_hists: Dict[int, Histogram] = field(default_factory=dict)
     raw_latencies_s: Optional[List[float]] = None
     wire_bytes: int = 0
@@ -135,33 +145,41 @@ class LoadgenReport:
     stragglers: int = 0
     equivalence_checked: int = 0
 
-    def record_latency(self, seconds: float, *, epoch: Optional[int] = None) -> None:
-        """Fold one round latency into the bounded histogram (and, when
-        the ``raw_latencies`` escape hatch is on, the exact sample list).
-
-        With ``epoch`` given, the sample additionally lands in that
-        epoch's own histogram — the aggregate keeps folding everything, so
-        existing consumers see no change, while steady-state consumers can
-        slice warm-up epochs away (:meth:`steady_histogram`).
-        """
+    def record_latency(self, seconds: float, epoch: int) -> None:
+        """Fold one round latency of round/epoch ``epoch`` into the bounded
+        aggregate histogram and that epoch's own histogram (and, when the
+        ``raw_latencies`` escape hatch is on, the exact sample list)."""
         self.latency_hist.observe(seconds)
-        if epoch is not None:
-            hist = self.epoch_hists.get(epoch)
-            if hist is None:
-                hist = self.epoch_hists[epoch] = Histogram()
-            hist.observe(seconds)
+        hist = self.epoch_hists.get(epoch)
+        if hist is None:
+            hist = self.epoch_hists[epoch] = Histogram()
+        hist.observe(seconds)
         if self.raw_latencies_s is not None:
             self.raw_latencies_s.append(seconds)
 
-    def steady_histogram(self, warmup: int = 1) -> Histogram:
-        """Latencies of epochs ``>= warmup`` merged into one histogram.
+    def add_round(
+        self, round_index: int, result: Union[LppaResult, Dict[str, Any]]
+    ) -> None:
+        """Append one round's summary line, from the server's
+        :class:`LppaResult` or an SU's RESULT document."""
+        if isinstance(result, LppaResult):
+            outcome = result.outcome
+            result = {
+                "wins": outcome.wins,
+                "revenue": outcome.sum_of_winning_bids(),
+                "framed_bytes": result.framed_bytes,
+            }
+        self.round_summaries.append(
+            {
+                "round": round_index,
+                "winners": len(result.get("wins", ())),
+                "revenue": result.get("revenue", 0),
+                "framed_bytes": result.get("framed_bytes", 0),
+            }
+        )
 
-        Without per-epoch data (``per_epoch_hists=False``, or a report
-        predating them) this degrades to a copy of the aggregate — the
-        permissive reading, matching the old folded-together behaviour.
-        """
-        if not self.epoch_hists:
-            return self.latency_hist.copy()
+    def steady_histogram(self, warmup: int = 1) -> Histogram:
+        """Latencies of epochs ``>= warmup`` merged into one histogram."""
         steady = Histogram()
         for epoch, hist in self.epoch_hists.items():
             if epoch >= warmup:
@@ -300,13 +318,17 @@ def _entropy(config: LoadgenConfig, round_index: int) -> str:
     return round_entropy(config.seed, round_index)
 
 
+def _grid(config: LoadgenConfig) -> GridSpec:
+    return GridSpec(
+        rows=config.grid_n, cols=config.grid_n, cell_km=75.0 / config.grid_n
+    )
+
+
 def build_population(
     config: LoadgenConfig,
 ) -> Tuple[GridSpec, List[SecondaryUser]]:
     """The CLI's standard population recipe, keyed only by the config."""
-    grid = GridSpec(
-        rows=config.grid_n, cols=config.grid_n, cell_km=75.0 / config.grid_n
-    )
+    grid = _grid(config)
     database = make_database(config.area, n_channels=config.n_channels, grid=grid)
     users = generate_users(database, config.n_users, random.Random(config.seed))
     return grid, users
@@ -318,13 +340,16 @@ def _policy(config: LoadgenConfig):
     return KeepZeroPolicy()
 
 
-def _session_result(
+def reference_round(
     config: LoadgenConfig,
     users: Sequence[SecondaryUser],
     grid: GridSpec,
     round_index: int,
     scheme: Optional[str] = None,
 ) -> LppaResult:
+    """Round ``round_index`` of ``users`` run in-process, unmeasured: the
+    reference a networked round must equal (``scheme`` overrides the
+    config's, for a server that announced its own)."""
     with obs.unmeasured():
         return run_lppa_auction(
             users,
@@ -387,55 +412,141 @@ async def run_loadgen(config: LoadgenConfig) -> LoadgenReport:
     return await _run_self_hosted(config, grid, users)
 
 
-def _make_clients(
-    config: LoadgenConfig,
-    grid: GridSpec,
-    users: Sequence[SecondaryUser],
-    keyring,
-    scale,
-    transport: Transport,
-    *,
-    recorders: Sequence[trace.TraceRecorder] = (),
-) -> List[SUClient]:
-    return [
-        SUClient(
-            su_id,
+class Fleet:
+    """SU clients seated on one transport, one round-loop task per seat.
+
+    A seat plays rounds until its round budget runs out, the server sends
+    BYE, or :meth:`dismiss` closes it.  Each RESULT a seat receives folds
+    the SU's round latency into ``report`` (when given) under the round
+    index, and the first RESULT document of every round is kept in
+    :attr:`results`.  With ``traced`` each SU records into a private
+    :class:`~repro.obs.trace.TraceRecorder` (``client.recorder``).
+    """
+
+    def __init__(
+        self,
+        config: LoadgenConfig,
+        grid: GridSpec,
+        scale: BidScale,
+        transport: Transport,
+        *,
+        report: Optional[LoadgenReport] = None,
+        traced: bool = False,
+    ) -> None:
+        self._config = config
+        self._grid = grid
+        self._scale = scale
+        self._transport = transport
+        self._report = report
+        self._traced = traced
+        self._tasks: Dict[int, asyncio.Future] = {}
+        #: Seated clients by key (the SU id, or a soak's logical id).
+        self.clients: Dict[int, SUClient] = {}
+        #: The first RESULT document each round delivered, by round index.
+        self.results: Dict[int, Dict[str, Any]] = {}
+
+    def seat(
+        self,
+        key: int,
+        wire_id: int,
+        user: SecondaryUser,
+        keyring: KeyRing,
+        rounds: Optional[int] = None,
+    ) -> None:
+        """Seat ``user`` as SU ``wire_id``; it plays ``rounds`` rounds, or
+        until dismissed when ``rounds`` is ``None``."""
+        client = SUClient(
+            wire_id,
             user,
             keyring,
-            scale,
-            grid,
-            config.two_lambda,
-            transport,
-            policy=_policy(config),
-            retry=RetryPolicy(),
-            frame_timeout=config.frame_timeout,
-            recorder=recorders[su_id] if recorders else None,
+            self._scale,
+            self._grid,
+            self._config.two_lambda,
+            self._transport,
+            policy=_policy(self._config),
+            frame_timeout=self._config.frame_timeout,
+            recorder=trace.TraceRecorder() if self._traced else None,
         )
-        for su_id, user in enumerate(users)
-    ]
+        self.clients[key] = client
+        self._tasks[key] = asyncio.ensure_future(self._play(key, rounds))
+
+    async def _play(self, key: int, rounds: Optional[int]) -> None:
+        client = self.clients[key]
+        try:
+            await client.connect()
+            played = 0
+            while rounds is None or played < rounds:
+                record = await client.run_round()
+                played += 1
+                if self._report is not None:
+                    self._report.record_latency(
+                        record.latency_s, record.round_index
+                    )
+                self.results.setdefault(record.round_index, record.result)
+        except ServerGoodbye:
+            pass
+        except (asyncio.IncompleteReadError, ConnectionError, RuntimeError):
+            # A dismissed seat ends here, on the connection the fleet
+            # closed.  Ending cleanly matters: an exception left on the
+            # task would hold the seat's frames in a reference cycle.
+            if self.clients.get(key) is client:
+                raise
+        finally:
+            client.close()
+
+    async def dismiss(self, key: int, timeout: float) -> None:
+        """Unseat one SU; never raises.
+
+        Close first, then await: cancelling a loop task parked on an
+        already-completed read can be swallowed by ``wait_for``, stalling
+        the dismissal until the client's own frame timeout.  Closing the
+        connection wakes both ends at once, and buffered frames stay
+        readable past EOF, so the task still consumes its final RESULT
+        (recording the last latency sample) before dying on the next read.
+        """
+        client = self.clients.pop(key)
+        task = self._tasks.pop(key)
+        client.close()
+        try:
+            await asyncio.wait_for(task, timeout)
+        except Exception:
+            # Timeout (wait_for already cancelled the task), the closed
+            # connection, or any other loop failure: the seat is gone.
+            pass
+
+    async def finish(self) -> None:
+        """Await every seat still held; a client's error propagates."""
+        await asyncio.gather(*self._tasks.values())
 
 
-async def _run_self_hosted(
-    config: LoadgenConfig,
-    grid: GridSpec,
-    users: Sequence[SecondaryUser],
-) -> LoadgenReport:
-    transport: Transport
-    if config.transport == "tcp":
-        transport = TcpTransport(config.host, config.port)
-    else:
-        transport = MemoryTransport()
+@contextlib.asynccontextmanager
+async def hosted_server(
+    config: LoadgenConfig, **server_options: Any
+) -> AsyncIterator[AuctioneerServer]:
+    """A started :class:`AuctioneerServer` for ``config``, stopped on exit.
+
+    It listens on the config's transport and charges through an always-on
+    TTP, or through a :class:`TtpService` on the ``ttp_period`` schedule.
+    ``server_options`` go to :class:`ServerConfig` (``repro serve`` adds
+    its scrape endpoint there).
+    """
     server_config = ServerConfig(
         n_users=config.n_users,
         n_channels=config.n_channels,
-        grid=grid,
+        grid=_grid(config),
         two_lambda=config.two_lambda,
         bmax=config.bmax,
         seed=protocol_seed(config.seed),
         location_deadline=config.location_deadline,
         bid_deadline=config.bid_deadline,
         scheme=config.scheme,
+        **server_options,
     )
+    transport: Transport
+    if config.transport == "tcp":
+        transport = TcpTransport(config.host, config.port)
+    else:
+        transport = MemoryTransport()
     ttp_service: Optional[TtpService] = None
     if config.ttp_period is not None:
         ttp, _, _ = TrustedThirdParty.setup(
@@ -449,13 +560,23 @@ async def _run_self_hosted(
         await ttp_service.start()
     server = AuctioneerServer(server_config, transport, ttp_service=ttp_service)
     await server.start()
-    clients = _make_clients(
-        config, grid, users, server.keyring, server.scale, transport
-    )
     try:
-        client_tasks = [
-            asyncio.ensure_future(c.run(config.rounds)) for c in clients
-        ]
+        yield server
+    finally:
+        await server.stop()
+        if ttp_service is not None:
+            await ttp_service.stop()
+
+
+async def _run_self_hosted(
+    config: LoadgenConfig,
+    grid: GridSpec,
+    users: Sequence[SecondaryUser],
+) -> LoadgenReport:
+    async with hosted_server(config) as server:
+        fleet = Fleet(config, grid, server.scale, server.transport)
+        for su_id, user in enumerate(users):
+            fleet.seat(su_id, su_id, user, server.keyring, config.rounds)
         await server.wait_for_clients(config.n_users, timeout=30.0)
         t0 = monotonic()
         reports: List[NetRoundReport] = []
@@ -464,11 +585,7 @@ async def _run_self_hosted(
                 await server.run_round(_entropy(config, round_index))
             )
         elapsed = monotonic() - t0
-        await asyncio.gather(*client_tasks)
-    finally:
-        await server.stop()
-        if ttp_service is not None:
-            await ttp_service.stop()
+        await fleet.finish()
 
     report = LoadgenReport(
         address=server.address,
@@ -480,21 +597,10 @@ async def _run_self_hosted(
         stragglers=sum(len(r.stragglers) for r in reports),
     )
     for r in reports:
-        report.record_latency(
-            r.latency_s,
-            epoch=r.round_index if config.per_epoch_hists else None,
-        )
-    for r in reports:
-        report.round_summaries.append(
-            {
-                "round": r.round_index,
-                "winners": len(r.result.outcome.wins),
-                "revenue": r.result.outcome.sum_of_winning_bids(),
-                "framed_bytes": r.result.framed_bytes,
-            }
-        )
+        report.record_latency(r.latency_s, r.round_index)
+        report.add_round(r.round_index, r.result)
         if config.check_equivalence:
-            session = _session_result(config, users, grid, r.round_index)
+            session = reference_round(config, users, grid, r.round_index)
             check_result_equivalence(r.result, session)
             report.equivalence_checked += 1
     return report
@@ -508,67 +614,48 @@ async def _run_connect(
     host, _, port_text = config.connect.rpartition(":")  # type: ignore[union-attr]
     if not host or not port_text.isdigit():
         raise ValueError(f"--connect wants host:port, got {config.connect!r}")
-    transport = TcpTransport(host, int(port_text))
     # Out-of-band key distribution: the TTP setup is deterministic in the
     # shared seed, so the fleet derives the same ring the server holds.
     _, keyring, scale = TrustedThirdParty.setup(
         protocol_seed(config.seed), config.n_channels, bmax=config.bmax
     )
-    recorder = trace.get_active()
-    client_recorders = (
-        [trace.TraceRecorder() for _ in users] if recorder is not None else []
-    )
-    clients = _make_clients(
-        config, grid, users, keyring, scale, transport,
-        recorders=client_recorders,
-    )
-    t0 = monotonic()
-    rounds_per_client = await asyncio.gather(
-        *(c.run(config.rounds) for c in clients)
-    )
-    elapsed = monotonic() - t0
-    if recorder is not None:
-        # No server runs in this process: the trace is the SUs' own
-        # records, in `repro trace merge` order.
-        _, events = trace.merge_traces(
-            [(r.header(), r.events()) for r in client_recorders]
-        )
-        recorder.extend(events)
-
-    by_round: Dict[int, Dict[str, Any]] = {}
     report = LoadgenReport(
         address=f"{host}:{port_text}",
         n_users=config.n_users,
         rounds_completed=0,
-        elapsed_s=elapsed,
+        elapsed_s=0.0,
         raw_latencies_s=[] if config.raw_latencies else None,
-        wire_bytes=sum(c.bytes_sent + c.bytes_received for c in clients),
-        stragglers=0,
     )
-    for rounds in rounds_per_client:
-        for record in rounds:
-            report.record_latency(
-                record.latency_s,
-                epoch=record.round_index if config.per_epoch_hists else None,
-            )
-            by_round.setdefault(record.round_index, record.result)
-    report.rounds_completed = len(by_round)
-    for round_index in sorted(by_round):
-        doc = by_round[round_index]
-        report.round_summaries.append(
-            {
-                "round": round_index,
-                "winners": len(doc.get("wins", [])),
-                "revenue": doc.get("revenue", 0),
-                "framed_bytes": doc.get("framed_bytes", 0),
-            }
+    recorder = trace.get_active()
+    fleet = Fleet(
+        config, grid, scale, TcpTransport(host, int(port_text)),
+        report=report, traced=recorder is not None,
+    )
+    t0 = monotonic()
+    for su_id, user in enumerate(users):
+        fleet.seat(su_id, su_id, user, keyring, config.rounds)
+    await fleet.finish()
+    report.elapsed_s = monotonic() - t0
+    clients = list(fleet.clients.values())
+    if recorder is not None:
+        # No server runs in this process: the trace is the SUs' own
+        # records, in `repro trace merge` order.
+        recorders = [c.recorder for c in clients if c.recorder is not None]
+        _, events = trace.merge_traces(
+            [(r.header(), r.events()) for r in recorders]
         )
+        recorder.extend(events)
+
+    report.wire_bytes = sum(c.bytes_sent + c.bytes_received for c in clients)
+    report.rounds_completed = len(fleet.results)
+    for round_index in sorted(fleet.results):
+        doc = fleet.results[round_index]
+        report.add_round(round_index, doc)
         if config.check_equivalence:
             # The reference session must run the scheme the server announced
             # in its WELCOME frame, not whatever this process defaults to.
-            session = _session_result(
-                config, users, grid, round_index,
-                scheme=clients[0].scheme.name,
+            session = reference_round(
+                config, users, grid, round_index, scheme=clients[0].scheme.name
             )
             _check_wire_summary(doc, session, round_index)
             report.equivalence_checked += 1

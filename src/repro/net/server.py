@@ -282,6 +282,11 @@ class AuctioneerServer:
         return self._ttp_service
 
     @property
+    def transport(self) -> Transport:
+        """The transport this server listens on (SUs dial the same one)."""
+        return self._transport
+
+    @property
     def address(self) -> str:
         return self._transport.address
 

@@ -18,11 +18,15 @@ Everything is a pure function of the soak seed:
 * the key-ring rotations (membership version -> ``gc`` label).
 
 That determinism is what makes the soak *checkable*: with
-``check_equivalence=True`` every full-participation epoch is re-run as a
-single-round in-process :func:`~repro.lppa.session.run_lppa_auction` over
-the same epoch's final membership and demanded bit-identical.  (An epoch
+``check_equivalence=True`` every full-participation epoch is re-run as
+loadgen's in-process :func:`~repro.net.loadgen.reference_round` over the
+same epoch's final membership and demanded bit-identical.  (An epoch
 with stragglers is skipped: survivor wire ids are non-contiguous, so the
 dense-id equivalence contract does not apply — the PR-4 caveat.)
+
+The soak shares loadgen's harness: :func:`~repro.net.loadgen.hosted_server`
+hosts the server and :class:`~repro.net.loadgen.Fleet` seats the SUs,
+reseated between epochs by dismissing and seating fleet clients.
 
 Latency telemetry lands in a :class:`~repro.net.loadgen.LoadgenReport`
 with **per-epoch histograms**: the steady-state percentiles exclude the
@@ -32,40 +36,32 @@ ramp) cannot mask a tail regression in the epochs that matter.
 
 from __future__ import annotations
 
-import asyncio
 import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro import obs
-from repro.auction.bidders import SecondaryUser
-from repro.geo.grid import GridSpec
-from repro.lppa.policies import KeepZeroPolicy
-from repro.lppa.session import run_lppa_auction
-from repro.net.client import ServerGoodbye, SUClient
+from repro.crypto.keys import KeyRing
 from repro.net.loadgen import (
+    Fleet,
     LoadgenConfig,
     LoadgenReport,
     build_population,
     check_result_equivalence,
+    hosted_server,
     protocol_seed,
+    reference_round,
 )
-from repro.net.server import AuctioneerServer, NetRoundReport, ServerConfig
-from repro.net.transport import MemoryTransport, TcpTransport, Transport
+from repro.net.server import NetRoundReport
 from repro.obs.clock import monotonic
 from repro.service.membership import (
     MembershipDelta,
     MembershipManager,
     MembershipSnapshot,
 )
-from repro.service.scheduler import (
-    EpochConfig,
-    EpochRecord,
-    EpochScheduler,
-    service_entropy,
-)
+from repro.service.scheduler import EpochConfig, EpochRecord, EpochScheduler
 from repro.service.store import EpochStore
 
 __all__ = ["SoakConfig", "SoakReport", "churn_plan", "run_soak"]
@@ -211,136 +207,6 @@ def churn_plan(config: SoakConfig) -> List[MembershipDelta]:
     return deltas
 
 
-class _Seat:
-    """One seated member: its client object and its round-loop task."""
-
-    __slots__ = ("client", "task")
-
-    def __init__(self, client: SUClient, task: asyncio.Task) -> None:
-        self.client = client
-        self.task = task
-
-
-class _Fleet:
-    """The soak's SU clients, reseated as the membership evolves."""
-
-    def __init__(
-        self,
-        config: SoakConfig,
-        grid: GridSpec,
-        users: Sequence[SecondaryUser],
-        server: AuctioneerServer,
-        transport: Transport,
-        report: LoadgenReport,
-    ) -> None:
-        self._config = config
-        self._grid = grid
-        self._users = users
-        self._server = server
-        self._transport = transport
-        self._report = report
-        self._seats: Dict[int, _Seat] = {}
-
-    @property
-    def wire_bytes(self) -> int:
-        return sum(
-            seat.client.bytes_sent + seat.client.bytes_received
-            for seat in self._seats.values()
-        )
-
-    async def reseat(
-        self,
-        epoch: int,
-        snapshot: MembershipSnapshot,
-        ring,
-        delta: MembershipDelta,
-    ) -> None:
-        """Apply one boundary's churn to the client fleet.
-
-        Leavers (and members whose dense wire id shifted) are disconnected
-        first and their departure *awaited* on the server roster — a new
-        HELLO under a freed wire id must not race the old connection's
-        teardown (the server rejects duplicate SUs).  Stationary members
-        keep their connection and simply adopt the redistributed ring.
-        """
-        member_set = set(snapshot.members)
-        kept: List[int] = []
-        dropped = 0
-        for logical, seat in list(self._seats.items()):
-            wire = snapshot.wire_ids.get(logical)
-            if logical in member_set and seat.client.su_id == wire:
-                seat.client.rekey(ring)
-                kept.append(seat.client.su_id)
-                continue
-            await self._dismiss(logical)
-            dropped += 1
-        if dropped:
-            await self._server.wait_for_roster(
-                kept, timeout=self._config.roster_timeout
-            )
-        seated = 0
-        for logical in snapshot.members:
-            if logical in self._seats:
-                continue
-            self._seat(logical, snapshot.wire_ids[logical], ring)
-            seated += 1
-        if seated or dropped:
-            obs.count("service.reseats", seated + dropped)
-
-    def _seat(self, logical: int, wire_id: int, ring) -> None:
-        client = SUClient(
-            wire_id,
-            self._users[logical],
-            ring,
-            self._server.scale,
-            self._grid,
-            self._config.two_lambda,
-            self._transport,
-            policy=KeepZeroPolicy(),
-            frame_timeout=self._config.frame_timeout,
-        )
-        task = asyncio.ensure_future(self._member_loop(client))
-        self._seats[logical] = _Seat(client, task)
-
-    async def _dismiss(self, logical: int) -> None:
-        """Close first, then await: cancelling a loop task parked on an
-        already-completed read can be swallowed by ``wait_for``, stalling
-        the dismissal until the client's own frame timeout.  Closing the
-        connection wakes both ends immediately — and buffered frames stay
-        readable past EOF, so the task still consumes its final RESULT
-        (recording the last latency sample) before dying on the next read."""
-        seat = self._seats.pop(logical)
-        seat.client.close()
-        try:
-            await asyncio.wait_for(seat.task, self._config.roster_timeout)
-        except Exception:
-            # Timeout (wait_for already cancelled the task), a connection
-            # error, or any other loop failure: the seat is gone either way.
-            pass
-
-    async def _member_loop(self, client: SUClient) -> None:
-        """Connect, then play every round until dismissed or told BYE."""
-        try:
-            await client.connect()
-            while True:
-                record = await client.run_round()
-                self._report.record_latency(
-                    record.latency_s, epoch=record.round_index
-                )
-        except ServerGoodbye:
-            pass
-        except (asyncio.IncompleteReadError, ConnectionError, RuntimeError):
-            # The connection went away (a dismissal closing under us, or
-            # the server stopping): a normal end of service, not an error.
-            pass
-        finally:
-            client.close()
-
-    async def dismiss_all(self) -> None:
-        for logical in list(self._seats):
-            await self._dismiss(logical)
-
-
 async def run_soak(config: SoakConfig) -> SoakReport:
     """Run one configured soak; see the module docstring."""
     base = LoadgenConfig(
@@ -352,42 +218,22 @@ async def run_soak(config: SoakConfig) -> SoakReport:
         grid_n=config.grid_n,
         two_lambda=config.two_lambda,
         bmax=config.bmax,
+        transport=config.transport,
+        host=config.host,
+        port=config.port,
+        location_deadline=config.location_deadline,
+        bid_deadline=config.bid_deadline,
+        frame_timeout=config.frame_timeout,
+        entropy_scheme="service",
     )
     grid, users = build_population(base)
-
-    transport: Transport
-    if config.transport == "tcp":
-        transport = TcpTransport(config.host, config.port)
-    else:
-        transport = MemoryTransport()
-    server = AuctioneerServer(
-        ServerConfig(
-            n_users=config.population,
-            n_channels=config.n_channels,
-            grid=grid,
-            two_lambda=config.two_lambda,
-            bmax=config.bmax,
-            seed=protocol_seed(config.seed),
-            location_deadline=config.location_deadline,
-            bid_deadline=config.bid_deadline,
-        ),
-        transport,
-    )
-    membership = MembershipManager(
-        config.population,
-        initial_members=range(config.n_initial),
-        master_seed=protocol_seed(config.seed),
-        base_ring=server.keyring,
-    )
     deltas = churn_plan(config)
-
     report = LoadgenReport(
         address="",
         n_users=config.population,
         rounds_completed=0,
         elapsed_s=0.0,
     )
-    fleet = _Fleet(config, grid, users, server, transport, report)
 
     def _check(
         epoch: int, snapshot: MembershipSnapshot, net: NetRoundReport
@@ -399,17 +245,10 @@ async def run_soak(config: SoakConfig) -> SoakReport:
             # not the identity, so bit-equality does not apply (PR-4).
             obs.count("service.equivalence_skipped")
             return None
-        with obs.unmeasured():
-            session = run_lppa_auction(
-                [users[logical] for logical in snapshot.members],
-                grid,
-                two_lambda=config.two_lambda,
-                bmax=config.bmax,
-                seed=protocol_seed(config.seed),
-                policy=KeepZeroPolicy(),
-                entropy=service_entropy(config.seed, epoch),
-            )
-        check_result_equivalence(net.result, session)
+        members = [users[logical] for logical in snapshot.members]
+        check_result_equivalence(
+            net.result, reference_round(base, members, grid, epoch)
+        )
         return True
 
     store: Optional[EpochStore] = None
@@ -428,50 +267,83 @@ async def run_soak(config: SoakConfig) -> SoakReport:
             },
         )
 
-    scheduler = EpochScheduler(
-        server,
-        membership,
-        EpochConfig(
-            epochs=config.epochs,
-            seed=config.seed,
-            interval_s=config.interval_s,
-            roster_timeout=config.roster_timeout,
-            retire_after=config.retire_after,
-        ),
-        plan=lambda epoch: deltas[epoch],
-        store=store,
-        on_membership=fleet.reseat,
-        check_epoch=_check,
-    )
+    async with hosted_server(base) as server:
+        fleet = Fleet(base, grid, server.scale, server.transport, report=report)
 
-    await server.start()
-    t0 = monotonic()
-    try:
-        records = await scheduler.run()
-    finally:
-        elapsed = monotonic() - t0
-        wire_bytes = fleet.wire_bytes
-        await fleet.dismiss_all()
-        await server.stop()
+        async def reseat(
+            epoch: int,
+            snapshot: MembershipSnapshot,
+            ring: KeyRing,
+            delta: MembershipDelta,
+        ) -> None:
+            """Apply one boundary's churn to the fleet.
+
+            Leavers (and members whose dense wire id shifted) are dismissed
+            first and their departure *awaited* on the server roster — a
+            new HELLO under a freed wire id must not race the old
+            connection's teardown (the server rejects duplicate SUs).
+            Stationary members keep their connection and simply adopt the
+            redistributed ring.
+            """
+            kept: List[int] = []
+            dropped = 0
+            for logical, client in list(fleet.clients.items()):
+                if client.su_id == snapshot.wire_ids.get(logical):
+                    client.rekey(ring)
+                    kept.append(client.su_id)
+                else:
+                    await fleet.dismiss(logical, config.roster_timeout)
+                    dropped += 1
+            if dropped:
+                await server.wait_for_roster(
+                    kept, timeout=config.roster_timeout
+                )
+            seated = 0
+            for logical in snapshot.members:
+                if logical not in fleet.clients:
+                    wire_id = snapshot.wire_ids[logical]
+                    fleet.seat(logical, wire_id, users[logical], ring)
+                    seated += 1
+            if seated or dropped:
+                obs.count("service.reseats", seated + dropped)
+
+        scheduler = EpochScheduler(
+            server,
+            MembershipManager(
+                config.population,
+                initial_members=range(config.n_initial),
+                master_seed=protocol_seed(config.seed),
+                base_ring=server.keyring,
+            ),
+            EpochConfig(
+                epochs=config.epochs,
+                seed=config.seed,
+                interval_s=config.interval_s,
+                roster_timeout=config.roster_timeout,
+                retire_after=config.retire_after,
+            ),
+            plan=lambda epoch: deltas[epoch],
+            store=store,
+            on_membership=reseat,
+            check_epoch=_check,
+        )
+        t0 = monotonic()
+        try:
+            records = await scheduler.run()
+        finally:
+            report.elapsed_s = monotonic() - t0
+            for logical in list(fleet.clients):
+                await fleet.dismiss(logical, config.roster_timeout)
 
     report.address = server.address
     report.rounds_completed = len(records)
-    report.elapsed_s = elapsed
-    report.wire_bytes = server.wire.total_bytes or wire_bytes
+    report.wire_bytes = server.wire.total_bytes
     report.stragglers = sum(len(r.straggler_logicals) for r in records)
     report.equivalence_checked = sum(1 for r in records if r.equivalent)
     for record in records:
-        outcome = record.report.result.outcome
-        report.round_summaries.append(
-            {
-                "round": record.epoch,
-                "winners": len(outcome.wins),
-                "revenue": outcome.sum_of_winning_bids(),
-                "framed_bytes": record.report.result.framed_bytes,
-            }
-        )
+        report.add_round(record.epoch, record.report.result)
 
-    soak = SoakReport(
+    return SoakReport(
         loadgen=report,
         records=list(records),
         joins=sum(len(deltas[r.epoch].joins) for r in records),
@@ -479,4 +351,3 @@ async def run_soak(config: SoakConfig) -> SoakReport:
         + sum(len(r.retired) for r in records),
         run_dir=store.root if store is not None else None,
     )
-    return soak

@@ -37,6 +37,16 @@ def test_availability_is_threshold_complement():
     assert np.array_equal(cov.covered, ~cov.available)
 
 
+@pytest.mark.parametrize("name", ["available", "covered", "quality"])
+def test_derived_grids_are_computed_once_and_read_only(name):
+    """Per-cell lookups reuse one grid per channel, so nobody may write it."""
+    cov = _coverage()
+    grid = getattr(cov, name)
+    assert getattr(cov, name) is grid
+    with pytest.raises(ValueError):
+        grid[0, 0] = grid[0, 0]
+
+
 def test_coverage_shrinks_with_distance():
     """Cells near the tower are covered; far corners become available."""
     cov = _coverage(power=55.0)

@@ -218,7 +218,7 @@ def test_histogram_percentiles_track_exact_sort_within_one_bucket():
     )
     samples = [rng.lognormvariate(-4.0, 1.0) for _ in range(5000)]
     for value in samples:
-        report.record_latency(value)
+        report.record_latency(value, epoch=0)
     assert report.raw_latencies_s is None  # bounded by default
     ordered = sorted(samples)
     width = Histogram().growth
@@ -264,12 +264,6 @@ def test_steady_histogram_excludes_warmup_epochs():
     # The cold epoch dominates the aggregate p99 but not the steady p99.
     assert report.p99_latency_s > 1.0
     assert steady.quantile(0.99) < 1.0
-    # Without per-epoch data the permissive fallback is the aggregate.
-    bare = LoadgenReport(
-        address="t", n_users=1, rounds_completed=1, elapsed_s=1.0
-    )
-    bare.record_latency(0.5)
-    assert bare.steady_histogram(1).count == bare.latency_hist.count
 
 
 def test_record_metrics_emits_steady_keys_only_when_asked():

@@ -129,6 +129,9 @@ def test_connect_mode_trace_holds_every_client_round():
         for index in range(config.rounds)
     )
     assert [e["seq"] for e in recorder.events()] == list(range(len(recorder)))
+    # The SUs' RESULT documents summarise each round as the server does.
+    hosted = asyncio.run(run_loadgen(config))
+    assert report.round_summaries == hosted.round_summaries
 
 
 def test_loadgen_is_deterministic_across_runs():

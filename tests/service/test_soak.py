@@ -138,6 +138,18 @@ def test_soak_report_has_per_epoch_and_steady_histograms():
     assert steady.count < loadgen.latency_hist.count
 
 
+def test_every_participant_adds_one_latency_sample_per_epoch():
+    """Each SU that played an epoch records exactly one client-side sample
+    in that epoch's histogram, a leaver's last epoch included: dismissing
+    a seat must not drop the RESULT already on its wire."""
+    report = _run()
+    assert report.leaves > 0
+    for record in report.records:
+        assert report.loadgen.epoch_hists[record.epoch].count == len(
+            record.report.participants
+        )
+
+
 def test_soak_over_tcp_persists_a_validating_run_dir(tmp_path):
     run_dir = tmp_path / "soak"
     report = _run(transport="tcp", run_dir=str(run_dir))
