@@ -155,10 +155,20 @@ class SUClient:
     def keyring(self) -> KeyRing:
         return self._keyring
 
-    def rekey(self, keyring: KeyRing) -> None:
-        """Adopt a redistributed key ring (out-of-band, as the paper's TTP
-        does on join/leave).  Takes effect from the next round's masking."""
+    def rekey(self, keyring: KeyRing, wire_id: int) -> None:
+        """Adopt a redistributed key ring and this SU's wire id under it.
+
+        Out of band, as the paper's TTP hands out the ring on join/leave.
+        The dense id shifts when a lower id leaves or joins; the connection
+        stays (the server side is
+        :meth:`~repro.net.server.AuctioneerServer.renumber`).
+        Both take effect from the next round's masking, so the SU draws
+        ``bidder_rng(entropy, wire_id)`` exactly as a fresh client would.
+        """
         self._keyring = keyring
+        self._su_id = wire_id
+        if self._recorder is not None:
+            self._recorder.set_correlation(role=f"su:{wire_id}")
 
     @property
     def announcement(self) -> Optional[Dict[str, Any]]:

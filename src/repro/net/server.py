@@ -64,7 +64,7 @@ import contextlib
 import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.obs import trace
@@ -410,6 +410,38 @@ class AuctioneerServer:
         self._keyring = keyring
         self._ttp_service.rekey(ttp)
         obs.count("service.rekeys")
+
+    def renumber(self, mapping: Mapping[int, int]) -> None:
+        """Move connected SUs to new wire ids, keeping their connections.
+
+        The epoch service's dense wire ids shift when a lower id leaves or
+        joins; ``mapping`` (old id -> new id) re-keys the stayers in place, and
+        each SU adopts its new id out of band with the redistributed ring
+        (:meth:`repro.net.client.SUClient.rekey`).  SUs not named keep
+        their id.  Only between rounds (phase IDLE); a mapping that names
+        an SU that is not connected, leaves ``[0, n_users)`` or would put
+        two connections under one id is refused whole.  A submission a
+        renumbered SU sent under its old id cannot land under any SU: it
+        arrives outside a collect phase (``ERR_LATE``) or claims an id
+        that is no longer its connection's (``ERR_WRONG_USER``).
+        """
+        if self._phase is not RoundPhase.IDLE:
+            raise RuntimeError("cannot renumber mid-round")
+        unknown = sorted(set(mapping) - set(self._clients))
+        if unknown:
+            raise ValueError(f"cannot renumber SUs {unknown}: not connected")
+        clients: Dict[int, _ClientState] = {}
+        for su, state in self._clients.items():
+            new = mapping.get(su, su)
+            if not 0 <= new < self._config.n_users:
+                raise ValueError(f"su {new} outside [0, {self._config.n_users})")
+            if new in clients:
+                raise ValueError(f"renumbering would put two SUs under id {new}")
+            clients[new] = state
+        for new, state in clients.items():
+            state.su = new
+        self._clients = clients
+        self._roster_changed.set()
 
     # -- connection handling ------------------------------------------------
 

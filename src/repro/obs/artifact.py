@@ -41,6 +41,7 @@ its committed baseline in ``benchmarks/baselines/``.
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 from datetime import datetime, timezone
@@ -66,12 +67,16 @@ SCHEMA_VERSION = 1
 ARTIFACT_PREFIX = "BENCH_"
 
 
-def git_sha(repo_dir: Optional[Union[str, Path]] = None) -> str:
-    """The current commit hash, or ``"unknown"`` outside a usable git repo."""
+@functools.lru_cache(maxsize=None)
+def git_sha() -> str:
+    """The current commit hash, or ``"unknown"`` outside a usable git repo.
+
+    Resolved once per process: an epoch service writes one artifact per
+    epoch, and forking ``git`` for each cost more than writing it.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=str(repo_dir) if repo_dir is not None else None,
             capture_output=True,
             text=True,
             timeout=10,

@@ -63,7 +63,8 @@ __all__ = [
 ChurnPlanner = Callable[[int], MembershipDelta]
 
 #: Hook run after churn is applied, before the roster barrier: the driver
-#: reconnects/rekeys its SU clients here.  (epoch, snapshot, ring, delta).
+#: seats joiners, dismisses leavers and rekeys (and renumbers) stayers
+#: here.  (epoch, snapshot, ring, delta).
 MembershipHook = Callable[
     [int, MembershipSnapshot, KeyRing, MembershipDelta], Awaitable[None]
 ]

@@ -25,8 +25,11 @@ with stragglers is skipped: survivor wire ids are non-contiguous, so the
 dense-id equivalence contract does not apply — the PR-4 caveat.)
 
 The soak shares loadgen's harness: :func:`~repro.net.loadgen.hosted_server`
-hosts the server and :class:`~repro.net.loadgen.Fleet` seats the SUs,
-reseated between epochs by dismissing and seating fleet clients.
+hosts the server and :class:`~repro.net.loadgen.Fleet` seats the SUs.
+At each epoch boundary only leavers disconnect and only joiners dial;
+stayers whose dense wire id shifted are renumbered on their connection
+(:meth:`~repro.net.server.AuctioneerServer.renumber` plus
+:meth:`~repro.net.client.SUClient.rekey`).
 
 Latency telemetry lands in a :class:`~repro.net.loadgen.LoadgenReport`
 with **per-epoch histograms**: the steady-state percentiles exclude the
@@ -278,34 +281,41 @@ async def run_soak(config: SoakConfig) -> SoakReport:
         ) -> None:
             """Apply one boundary's churn to the fleet.
 
-            Leavers (and members whose dense wire id shifted) are dismissed
-            first and their departure *awaited* on the server roster — a
-            new HELLO under a freed wire id must not race the old
-            connection's teardown (the server rejects duplicate SUs).
-            Stationary members keep their connection and simply adopt the
-            redistributed ring.
+            Leavers are dismissed first and their departure *awaited* on
+            the server roster, so the renumbering sees stayers only and a
+            joiner's HELLO cannot race a leaver's teardown.  Dense wire ids
+            shift when a lower id leaves or joins: the server re-keys each
+            stayer's connection to its new id, and the client adopts that
+            id with the redistributed ring.  Only joiners dial.
             """
-            kept: List[int] = []
-            dropped = 0
-            for logical, client in list(fleet.clients.items()):
-                if client.su_id == snapshot.wire_ids.get(logical):
-                    client.rekey(ring)
-                    kept.append(client.su_id)
-                else:
-                    await fleet.dismiss(logical, config.roster_timeout)
-                    dropped += 1
-            if dropped:
+            leavers = [
+                logical for logical in fleet.clients
+                if logical not in snapshot.wire_ids
+            ]
+            for logical in leavers:
+                await fleet.dismiss(logical, config.roster_timeout)
+            stayers = fleet.clients
+            if leavers:
                 await server.wait_for_roster(
-                    kept, timeout=config.roster_timeout
+                    [client.su_id for client in stayers.values()],
+                    timeout=config.roster_timeout,
                 )
-            seated = 0
-            for logical in snapshot.members:
-                if logical not in fleet.clients:
-                    wire_id = snapshot.wire_ids[logical]
-                    fleet.seat(logical, wire_id, users[logical], ring)
-                    seated += 1
-            if seated or dropped:
-                obs.count("service.reseats", seated + dropped)
+            server.renumber({
+                client.su_id: snapshot.wire_ids[logical]
+                for logical, client in stayers.items()
+                if client.su_id != snapshot.wire_ids[logical]
+            })
+            for logical, client in stayers.items():
+                client.rekey(ring, snapshot.wire_ids[logical])
+            joiners = [
+                logical for logical in snapshot.members
+                if logical not in stayers
+            ]
+            for logical in joiners:
+                fleet.seat(logical, snapshot.wire_ids[logical], users[logical], ring)
+            # Epoch 0 seats the initial roster: no boundary, no reseat.
+            if epoch and (leavers or joiners):
+                obs.count("service.reseats", len(leavers) + len(joiners))
 
         scheduler = EpochScheduler(
             server,

@@ -35,7 +35,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.obs.artifact import git_sha, validate_artifact, write_artifact
+from repro.obs.artifact import (
+    ARTIFACT_PREFIX,
+    build_artifact,
+    git_sha,
+    validate_artifact,
+)
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
@@ -64,6 +69,17 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return f"sha256:{digest.hexdigest()}"
+
+
+def _write_digested(path: Path, data: bytes) -> str:
+    """Write ``data`` to ``path``; the manifest digest of what was written."""
+    path.write_bytes(data)
+    return f"sha256:{hashlib.sha256(data).hexdigest()}"
+
+
+def _json_bytes(document: Dict[str, Any]) -> bytes:
+    """The on-disk form of every JSON file in a run (and of BENCH files)."""
+    return (json.dumps(document, indent=2, sort_keys=True) + "\n").encode()
 
 
 @dataclass(frozen=True)
@@ -134,20 +150,18 @@ class EpochStore:
         directory.mkdir(parents=True, exist_ok=True)
         files: Dict[str, str] = {}
 
-        result_path = directory / _RESULT_FILE
-        result_path.write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n"
+        files[_RESULT_FILE] = _write_digested(
+            directory / _RESULT_FILE, _json_bytes(document)
         )
-        files[_RESULT_FILE] = _sha256_file(result_path)
-
         if registry is not None:
-            artifact_path = write_artifact(
-                directory,
-                f"epoch_{index:04d}",
-                registry,
-                config={"epoch": index, **self._config},
+            name = f"epoch_{index:04d}"
+            artifact = build_artifact(
+                name, registry, config={"epoch": index, **self._config}
             )
-            files[artifact_path.name] = _sha256_file(artifact_path)
+            artifact_name = f"{ARTIFACT_PREFIX}{name}.json"
+            files[artifact_name] = _write_digested(
+                directory / artifact_name, _json_bytes(artifact)
+            )
 
         self._entries.append(
             _EpochEntry(
@@ -167,11 +181,8 @@ class EpochStore:
         if "/" in name or name in (MANIFEST_NAME, _EPOCH_DIR):
             raise ValueError(f"bad attachment name {name!r}")
         path = self._root / name
-        if isinstance(content, str):
-            path.write_text(content)
-        else:
-            path.write_bytes(content)
-        self._attachments[name] = _sha256_file(path)
+        data = content.encode() if isinstance(content, str) else content
+        self._attachments[name] = _write_digested(path, data)
         return path
 
     def finalize(self, summary: Optional[Dict[str, Any]] = None) -> Path:
@@ -189,7 +200,7 @@ class EpochStore:
             "summary": dict(summary or {}),
         }
         path = self._root / MANIFEST_NAME
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        path.write_bytes(_json_bytes(manifest))
         self._finalized = True
         return path
 

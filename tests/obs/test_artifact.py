@@ -1,9 +1,11 @@
 """BENCH_*.json artifacts: build, write, load, validate."""
 
 import json
+import subprocess
 
 import pytest
 
+from repro.obs import artifact
 from repro.obs.artifact import (
     ARTIFACT_PREFIX,
     SCHEMA_VERSION,
@@ -37,6 +39,27 @@ def test_build_artifact_shape():
         "max": 0.05,
     }
     assert validate_artifact(document) == []
+
+
+def test_git_sha_is_resolved_once_per_process(monkeypatch):
+    """Two artifacts, at most one ``git`` process: an epoch service writes
+    one artifact per epoch."""
+    calls = []
+    real_run = subprocess.run
+
+    def counting_run(args, **kwargs):
+        calls.append(args)
+        return real_run(args, **kwargs)
+
+    artifact.git_sha.cache_clear()
+    monkeypatch.setattr(artifact.subprocess, "run", counting_run)
+    try:
+        first = build_artifact("one", _registry())
+        second = build_artifact("two", _registry())
+    finally:
+        artifact.git_sha.cache_clear()
+    assert [c[0] for c in calls] == ["git"]
+    assert first["git_sha"] == second["git_sha"]
 
 
 def test_build_artifact_rejects_empty_name():

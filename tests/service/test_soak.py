@@ -11,6 +11,8 @@ import asyncio
 import pytest
 
 from repro import obs
+from repro.net.loadgen import Fleet
+from repro.net.server import AuctioneerServer
 from repro.service.membership import MembershipDelta
 from repro.service.soak import SoakConfig, churn_plan, run_soak
 from repro.service.store import load_manifest, validate_run
@@ -161,3 +163,42 @@ def test_soak_over_tcp_persists_a_validating_run_dir(tmp_path):
     assert manifest["config"]["transport"] == "tcp"
     assert [e["index"] for e in manifest["epochs"]] == list(range(5))
     assert all(e["summary"]["equivalent"] for e in manifest["epochs"])
+
+
+def test_only_churned_sus_connect_or_disconnect_at_a_boundary(monkeypatch):
+    """At every boundary the server welcomes exactly that boundary's
+    joiners and the fleet dismisses exactly its leavers: a stayer whose
+    dense wire id shifted keeps its connection."""
+    registry = obs.MetricsRegistry()
+    joined, dismissed, pending = [], [], []
+    run_round, dismiss = AuctioneerServer.run_round, Fleet.dismiss
+
+    async def observed_round(self, entropy):
+        joined.append(registry.totals().get("net.clients_joined", 0))
+        dismissed.append(sorted(pending))
+        pending.clear()
+        return await run_round(self, entropy)
+
+    async def observed_dismiss(self, key, timeout):
+        pending.append(key)
+        await dismiss(self, key, timeout)
+
+    monkeypatch.setattr(AuctioneerServer, "run_round", observed_round)
+    monkeypatch.setattr(Fleet, "dismiss", observed_dismiss)
+    with obs.collecting(registry):
+        report = _run()
+    config = SoakConfig(**SOAK)
+    deltas = churn_plan(config)
+    members = [r.members for r in report.records]
+    shifted = [
+        logical
+        for before, after in zip(members, members[1:])
+        for logical in set(before) & set(after)
+        if before.index(logical) != after.index(logical)
+    ]
+    assert shifted, "the plan must shift some stayer's wire id"
+    assert joined[0] == config.n_initial and dismissed[0] == []
+    for epoch in range(1, SOAK["epochs"]):
+        assert joined[epoch] - joined[epoch - 1] == len(deltas[epoch].joins)
+        assert dismissed[epoch] == list(deltas[epoch].leaves)
+    assert registry.totals()["service.reseats"] == report.joins + report.leaves

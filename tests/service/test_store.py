@@ -1,10 +1,12 @@
 """EpochStore: the digest-manifested run directory and its validator."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.obs.registry import MetricsRegistry
+from repro.service import store as store_module
 from repro.service.store import (
     MANIFEST_NAME,
     EpochStore,
@@ -52,6 +54,37 @@ def test_roundtrip_and_validation(tmp_path):
     assert manifest["summary"] == {"epochs": 3}
     assert "TRACE_service.jsonl" in manifest["attachments"]
     assert load_epoch_result(root, 1)["epoch"] == 1
+    assert validate_run(root) == []
+
+
+def test_digests_come_from_the_written_bytes_not_a_read_back(
+    tmp_path, monkeypatch
+):
+    """Writing a run reads no file back, and each manifest digest is the
+    SHA-256 of the bytes on disk; the BENCH file is in the artifact's own
+    pretty-printed form."""
+
+    def no_read_back(path):
+        raise AssertionError(f"read back {path}")
+
+    monkeypatch.setattr(store_module, "_sha256_file", no_read_back)
+    root = _write_run(tmp_path)
+    monkeypatch.undo()
+    manifest = load_manifest(root)
+    files = {
+        root / entry["dir"] / name: digest
+        for entry in manifest["epochs"]
+        for name, digest in entry["files"].items()
+    }
+    files.update(
+        (root / name, digest) for name, digest in manifest["attachments"].items()
+    )
+    assert len(files) == 3 * 2 + 1
+    for path, digest in files.items():
+        assert digest == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    bench = root / "epochs" / "epoch_0000" / "BENCH_epoch_0000.json"
+    document = json.loads(bench.read_text())
+    assert bench.read_text() == json.dumps(document, indent=2, sort_keys=True) + "\n"
     assert validate_run(root) == []
 
 
