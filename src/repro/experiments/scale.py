@@ -14,7 +14,10 @@ conflict graph + psd allocation, and TTP charging.  ``auctioneer_wall_s``
 isolates the two auctioneer-side phases (the ``lppa.conflict_graph`` timer
 plus the ``psd_allocation`` phase), where the index lookups and the
 per-channel rankings live.  Bidder-side masking is client-side work in a
-deployment (each SU masks its own submission).
+deployment (each SU masks its own submission).  ``collector_wall_s`` is
+the time CPython's cyclic garbage collector ran during the point (the
+``runtime.gc`` timer; the round itself runs with the collector paused,
+DESIGN.md §7).
 
 The population is synthetic (uniform cells, uniform bids) at the paper's
 density — the grid side grows as ``ceil(sqrt(10 N))`` so ~10% of cells are
@@ -115,7 +118,8 @@ class ScalePoint:
 
     ``verified`` is ``None`` when the plaintext check did not run, else
     whether the round's conflict graph matched it.  ``peak_rss_mib`` is the
-    process's peak RSS after the point (see the module docstring).
+    process's peak RSS after the point and ``collector_wall_s`` the cyclic
+    collector's time during it (see the module docstring).
     """
 
     size: int
@@ -127,11 +131,21 @@ class ScalePoint:
     auctioneer_wall_s: float
     peak_rss_mib: float = 0.0
     verified: Optional[bool] = None
+    collector_wall_s: float = 0.0
 
 
 def _peak_rss_mib() -> float:
     """The process's peak RSS so far (Linux reports ``ru_maxrss`` in KiB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _collector_seconds(registry: MetricsRegistry) -> float:
+    """Cyclic-collector time (``runtime.gc``, every phase scope) of one point."""
+    return sum(
+        stat.seconds
+        for key, stat in registry.timers.items()
+        if key.rsplit("/", 1)[-1] == "runtime.gc"
+    )
 
 
 def _auctioneer_seconds(registry: MetricsRegistry) -> float:
@@ -178,6 +192,7 @@ def run_scale_point(
         winners=len(result.outcome.wins),
         round_wall_s=watch.elapsed(),
         auctioneer_wall_s=_auctioneer_seconds(registry),
+        collector_wall_s=_collector_seconds(registry),
         peak_rss_mib=_peak_rss_mib(),
     )
     if verify:
@@ -197,6 +212,7 @@ def _record_point(point: ScalePoint) -> None:
     prefix = f"scale.{point.size}"
     obs.record_seconds(f"{prefix}.round", point.round_wall_s)
     obs.record_seconds(f"{prefix}.auctioneer", point.auctioneer_wall_s)
+    obs.record_seconds(f"{prefix}.collector", point.collector_wall_s)
     obs.count(f"{prefix}.edges", point.n_edges)
     obs.count(f"{prefix}.winners", point.winners)
     if point.verified is not None:
@@ -229,13 +245,15 @@ def format_scale_table(points: Sequence[ScalePoint]) -> str:
     verdicts = {None: "-", True: "ok", False: "MISMATCH"}
     lines = [
         f"{'SUs':>8}  {'grid':>9}  {'edges':>9}  {'winners':>8}  "
-        f"{'round':>9}  {'auctioneer':>11}  {'peak RSS':>10}  {'plaintext':>9}",
+        f"{'round':>9}  {'auctioneer':>11}  {'collector':>10}  {'peak RSS':>10}  "
+        f"{'plaintext':>9}",
     ]
     for p in points:
         lines.append(
             f"{p.size:>8}  {p.grid_side:>4}x{p.grid_side:<4}  {p.n_edges:>9}  "
             f"{p.winners:>8}  {p.round_wall_s:8.2f}s  "
-            f"{p.auctioneer_wall_s:10.2f}s  {p.peak_rss_mib:6.0f} MiB  "
+            f"{p.auctioneer_wall_s:10.2f}s  {p.collector_wall_s:9.2f}s  "
+            f"{p.peak_rss_mib:6.0f} MiB  "
             f"{verdicts[p.verified]:>9}"
         )
     return "\n".join(lines)

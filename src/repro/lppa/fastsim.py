@@ -38,6 +38,7 @@ from repro.lppa.round import (
     FastLppaResult,
     IntegerMaskedTable,
     RoundState,
+    collector_paused,
     execute_round,
 )
 from repro.utils.rng import Seed, fresh_rng
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 
+@collector_paused()
 def run_fast_lppa(
     users: Sequence[SecondaryUser],
     *,

@@ -31,6 +31,7 @@ from repro.lppa.round.backends import (
 from repro.lppa.round.core import (
     PHASE_STEPS,
     PhaseStep,
+    collector_paused,
     execute_round,
     execute_round_async,
     observe_steps,
@@ -55,6 +56,7 @@ __all__ = [
     "RoundDriver",
     "RoundState",
     "ValueBackend",
+    "collector_paused",
     "execute_round",
     "execute_round_async",
     "observe_steps",

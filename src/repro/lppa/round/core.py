@@ -29,12 +29,19 @@ events shared by all paths (round begin/end, per-message records) and the
 ``lppa.rounds`` vs ``lppa.fast_rounds``) lives in the backends; the
 executors wrap each keyed step in :func:`repro.obs.phase` so every
 emission lands in the right phase scope on every path.
+
+The three round entry points run under :func:`collector_paused`: a round
+allocates tens of thousands of containers that reference counting frees
+and that form no cycles, so the cyclic collector's passes during a round
+only re-scan live objects (DESIGN.md §7, "Collector pause").
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import inspect
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Coroutine, Iterator, List, Optional, Tuple
 
@@ -44,6 +51,7 @@ from repro.lppa.round.state import RoundState
 __all__ = [
     "PHASE_STEPS",
     "PhaseStep",
+    "collector_paused",
     "execute_round",
     "execute_round_async",
     "observe_steps",
@@ -153,6 +161,39 @@ PHASE_STEPS: Tuple[PhaseStep, ...] = (
 )
 
 _observers: List[Callable[[PhaseStep, RoundState], None]] = []
+
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_resume_collector = False
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Hold CPython's cyclic garbage collector off for a ``with`` block.
+
+    Pauses may nest and overlap (two server rounds interleaved on one
+    event loop): the collector is disabled when the first pause begins and
+    re-enabled when the last one ends, and only if it was enabled when the
+    first began, so a caller that disabled it finds it still disabled.
+
+    Also a decorator (``@collector_paused()``), the form the in-process
+    entry points use: the wrapped function's frame, and with it the
+    round's :class:`RoundState`, is released before the pause ends, so the
+    collector's first pass after the round sees only what the caller kept.
+    """
+    global _pause_depth, _resume_collector
+    with _pause_lock:
+        if _pause_depth == 0:
+            _resume_collector = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_depth -= 1
+            if _pause_depth == 0 and _resume_collector:
+                gc.enable()
 
 
 @contextlib.contextmanager

@@ -30,6 +30,7 @@ from repro.lppa.round import (
     IN_PROCESS_DRIVER,
     LppaResult,
     RoundState,
+    collector_paused,
     execute_round,
 )
 from repro.lppa.schemes.registry import resolve_scheme
@@ -38,6 +39,7 @@ from repro.utils.rng import Seed, fresh_rng
 __all__ = ["LppaResult", "run_lppa_auction"]
 
 
+@collector_paused()
 def run_lppa_auction(
     users: Sequence[SecondaryUser],
     grid: GridSpec,

@@ -80,6 +80,7 @@ from repro.lppa.round import (
     PhaseStep,
     RoundDriver,
     RoundState,
+    collector_paused,
     execute_round_async,
 )
 from repro.lppa.schemes.registry import get_scheme
@@ -627,6 +628,13 @@ class AuctioneerServer:
         the abort protocol, and :class:`_NetRoundDriver` the transport
         interaction points.
         """
+        # The round's state lives in _play_round's frame, which is released
+        # before the pause ends; overlapping rounds share one pause.
+        with collector_paused():
+            return await self._play_round(entropy)
+
+    async def _play_round(self, entropy: str) -> NetRoundReport:
+        """One round's body; :meth:`run_round` holds the collector off around it."""
         if self._phase is not RoundPhase.IDLE:
             raise RuntimeError(f"round already in progress (phase {self._phase})")
         cfg = self._config

@@ -28,6 +28,11 @@ registry; per-sweep rollups are recorded parent-side by the engine itself,
 so sweep metrics survive parallel runs while per-op counts are only
 complete in serial runs (the CLI's ``--metrics`` default).
 
+While :func:`collecting` is active, a ``gc.callbacks`` hook times every
+pass of CPython's cyclic garbage collector as the ``runtime.gc`` timer
+under the phase scope it lands in, so collector cost is a named layer
+rather than time hidden in whatever line happened to allocate.
+
 Tracing (:mod:`repro.obs.trace`, the protocol flight recorder) composes
 under the same context: ``collecting(trace=True)`` installs a trace
 recorder alongside the registry, and :func:`phase` then opens a metrics
@@ -38,9 +43,10 @@ per-event records share one set of phase names.
 from __future__ import annotations
 
 from types import TracebackType
-from typing import ContextManager, Iterator, Optional, Type, Union
+from typing import ContextManager, Dict, Iterator, Optional, Type, Union
 
 import contextlib
+import gc
 
 from repro.obs.artifact import (
     ARTIFACT_PREFIX,
@@ -50,6 +56,7 @@ from repro.obs.artifact import (
     validate_artifact,
     write_artifact,
 )
+from repro.obs.clock import monotonic
 from repro.obs.diff import DiffReport, diff_artifacts
 from repro.obs.hist import Gauge, Histogram
 from repro.obs.openmetrics import render_openmetrics
@@ -136,6 +143,25 @@ def disable() -> Optional[MetricsRegistry]:
     return previous
 
 
+_gc_started = 0.0
+
+
+def _time_collection(stage: str, info: Dict[str, int]) -> None:
+    """``gc.callbacks`` hook: record each collector pass as ``runtime.gc``.
+
+    Only the duration is recorded.  How many passes run depends on the
+    interpreter's allocation counts, so no counter is emitted: it would
+    break the exact counter gate of ``repro metrics diff``.
+    """
+    global _gc_started
+    if stage == "start":
+        _gc_started = monotonic()
+        return
+    registry = _active
+    if registry is not None:
+        registry.record_seconds("runtime.gc", monotonic() - _gc_started)
+
+
 @contextlib.contextmanager
 def collecting(
     registry: Optional[MetricsRegistry] = None,
@@ -152,10 +178,16 @@ def collecting(
     pass ``True`` for a fresh :class:`TraceRecorder`, or an existing
     recorder instance.  Retrieve it afterwards via the recorder you passed
     (or :func:`repro.obs.trace.get_active` inside the block).
+
+    The outermost block also installs the ``runtime.gc`` collector hook and
+    removes it on exit, so runs that collect nothing pay nothing for it.
     """
     global _active
     previous = _active
     installed = enable(registry)
+    hook = _time_collection not in gc.callbacks
+    if hook:
+        gc.callbacks.append(_time_collection)
     try:
         if trace is None or trace is False:
             yield installed
@@ -165,6 +197,8 @@ def collecting(
                 yield installed
     finally:
         _active = previous
+        if hook:
+            gc.callbacks.remove(_time_collection)
 
 
 @contextlib.contextmanager

@@ -317,7 +317,9 @@ class MetricsRegistry:
         """JSON-ready view: counters, timers, totals, histograms, gauges."""
         return {
             "counters": dict(self._counters),
-            "timers": {k: t.as_dict() for k, t in self._timers.items()},
+            # A copy: a collector pass inside as_dict() may add a
+            # ``runtime.gc`` key (repro.obs.collecting's hook).
+            "timers": {k: t.as_dict() for k, t in self.timers.items()},
             "totals": self.totals(),
             "histograms": {k: h.as_dict() for k, h in self._histograms.items()},
             "gauges": {k: g.value for k, g in self._gauges.items()},

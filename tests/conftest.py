@@ -4,6 +4,7 @@ Session-scoped where construction is expensive (coverage maps); tests must
 treat them as read-only.
 """
 
+import gc
 import random
 
 import pytest
@@ -35,3 +36,16 @@ def tiny_db():
 def rng():
     """A fresh deterministic RNG per test."""
     return random.Random(99)
+
+
+@pytest.fixture(autouse=True)
+def _collector_left_enabled():
+    """Fail any test that leaves the cyclic garbage collector disabled.
+
+    Round entry points pause the collector (``collector_paused``); a pause
+    that never ends would silently switch it off for every later test.
+    """
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("test left the cyclic garbage collector disabled")

@@ -108,3 +108,10 @@ def test_scale_table_shows_peak_rss_per_point():
     assert point.peak_rss_mib > 0
     header, row = format_scale_table([point]).splitlines()
     assert "peak RSS" in header and f"{point.peak_rss_mib:.0f} MiB" in row
+
+
+def test_scale_table_shows_collector_time_per_point():
+    point = run_scale_point(50)
+    assert point.collector_wall_s >= 0
+    header, row = format_scale_table([point]).splitlines()
+    assert "collector" in header and f"{point.collector_wall_s:9.2f}s" in row

@@ -1,5 +1,7 @@
 """Instrumentation wiring: the protocol and engine record what they should."""
 
+import gc
+
 from repro import obs
 from repro.experiments.engine import run_sweep
 from repro.lppa.fastsim import run_fast_lppa
@@ -83,3 +85,48 @@ def test_engine_records_sweep_rollups():
 def test_engine_silent_without_registry():
     assert run_sweep(abs, [-5], name="unit") == [5]
     assert obs.get_active() is None
+
+
+def test_collector_passes_are_timed_under_the_phase_they_land_in():
+    registry = obs.MetricsRegistry()
+    with obs.collecting(registry):
+        with obs.phase("psd_allocation"):
+            gc.collect()
+        gc.collect()
+    timers = registry.timers
+    assert timers["psd_allocation/runtime.gc"].count == 1
+    assert timers["runtime.gc"].count == 1
+    # Pass counts depend on the interpreter: no counter, only the timer.
+    assert not any("runtime.gc" in key for key in registry.counters)
+
+
+def test_collector_hook_lives_only_inside_the_outermost_collecting_block():
+    outer, inner = obs.MetricsRegistry(), obs.MetricsRegistry()
+    before = list(gc.callbacks)
+    with obs.collecting(outer):
+        installed = len(gc.callbacks)
+        with obs.collecting(inner):
+            assert len(gc.callbacks) == installed
+            gc.collect()
+        assert len(gc.callbacks) == installed
+    assert gc.callbacks == before
+    gc.collect()  # no block open: nobody records it
+    assert inner.timers["runtime.gc"].count == 1
+    assert "runtime.gc" not in outer.timers
+
+
+def test_snapshot_survives_a_collector_pass_adding_a_timer_key(monkeypatch):
+    registry = obs.MetricsRegistry()
+    as_dict = obs.TimerStat.as_dict
+
+    def as_dict_after_a_pass(stat):
+        gc.collect()  # records a new ``unit/runtime.gc`` key mid-snapshot
+        return as_dict(stat)
+
+    with obs.collecting(registry):
+        registry.record_seconds("unit.timer", 0.001)
+        with obs.phase("unit"):
+            monkeypatch.setattr(obs.TimerStat, "as_dict", as_dict_after_a_pass)
+            snapshot = registry.snapshot()
+    assert "unit/runtime.gc" in registry.timers
+    assert "unit.timer" in snapshot["timers"]
