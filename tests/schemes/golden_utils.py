@@ -1,17 +1,26 @@
-"""Golden capture/compare helpers for the PPBS differential suite.
+"""Golden capture/compare helpers for the per-scheme differential suites.
 
-The privacy-scheme refactor must leave the PPBS path bit-identical to the
-pre-refactor ``main``: results, trace summaries, the Theorem-4 audit and
-wire bytes, on the in-process, fastsim and TCP paths.  This module computes
-a deterministic "golden document" for a fixed scenario using only public
-APIs; ``goldens/ppbs_goldens.json`` was generated by running
+Refactors of the round core must leave every privacy scheme bit-identical:
+results, trace summaries, the communication audit and wire bytes, on the
+in-process, fastsim and TCP paths.  This module computes a deterministic
+"golden document" for a fixed scenario using only public APIs, one per
+scheme:
 
-    PYTHONPATH=src:tests python -m schemes.golden_utils
+* ``goldens/ppbs_goldens.json`` — captured from the tree before the
+  privacy-scheme seam existed; ``test_ppbs_differential.py`` compares it;
+* ``goldens/bloom_goldens.json`` — captured from the tree that still had a
+  Bloom-only value backend; ``test_bloom_differential.py`` compares it.
+  It adds a digest of the full in-process trace event sequence (timestamps
+  and durations stripped), which pins event order and every field — the
+  per-channel ``ranking`` -> ``ope_column`` pairs and the ``protocol_setup``
+  arguments included.
 
-against the pre-refactor tree, and ``test_ppbs_differential.py`` recomputes
-the document on every run and compares field by field.  Regenerating the
-file is only legitimate when a change *intends* to alter the PPBS wire
-behaviour — which the scheme-seam refactor explicitly must not.
+Regenerate with
+
+    PYTHONPATH=src:tests python -m schemes.golden_utils [ppbs|bloom]
+
+Regenerating a file is only legitimate when a change *intends* to alter
+that scheme's wire behaviour.
 """
 
 from __future__ import annotations
@@ -19,8 +28,9 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import sys
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.analysis.trace_audit import audit_comm_cost
 from repro.lppa.fastsim import run_fast_lppa
@@ -34,7 +44,10 @@ from repro.net.loadgen import (
 )
 from repro.obs.trace import TraceRecorder, recording
 
-GOLDEN_PATH = Path(__file__).parent / "goldens" / "ppbs_goldens.json"
+GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+#: Event fields that carry wall-clock time, dropped from the trace digest.
+_CLOCK_FIELDS = ("ts", "dur")
 
 #: The pinned scenario (loadgen-recipe population, CI-sized).
 SCENARIO = dict(
@@ -123,8 +136,17 @@ def comm_audit_document(recorder: TraceRecorder) -> Dict[str, Any]:
     }
 
 
-def capture_in_process() -> Dict[str, Any]:
-    """The crypto session path: per-round result digests + trace + audit."""
+def trace_digest(recorder: TraceRecorder) -> str:
+    """SHA-256 of every event in order, clock fields stripped."""
+    return _canonical_digest(
+        [
+            {k: v for k, v in event.items() if k not in _CLOCK_FIELDS}
+            for event in recorder.events()
+        ]
+    )
+
+
+def _in_process_rounds(scheme: str) -> Tuple[list, TraceRecorder]:
     config = LoadgenConfig(**SCENARIO)
     grid, users = build_population(config)
     recorder = TraceRecorder()
@@ -138,14 +160,26 @@ def capture_in_process() -> Dict[str, Any]:
                 bmax=config.bmax,
                 seed=protocol_seed(config.seed),
                 entropy=round_entropy(config.seed, index),
+                scheme=scheme,
             )
             rounds.append(result_document(result))
+    return rounds, recorder
+
+
+def capture_in_process(scheme: str = "ppbs") -> Dict[str, Any]:
+    """The crypto session path: per-round result digests + trace + audit."""
+    rounds, recorder = _in_process_rounds(scheme)
     return {
         "rounds": rounds,
         "result_digest": _canonical_digest(rounds),
         "trace_summary": trace_summary_document(recorder),
         "comm_audit": comm_audit_document(recorder),
     }
+
+
+def capture_trace_digest(scheme: str) -> str:
+    """:func:`trace_digest` of the in-process rounds' full trace."""
+    return trace_digest(_in_process_rounds(scheme)[1])
 
 
 def capture_fastsim() -> Dict[str, Any]:
@@ -164,9 +198,11 @@ def capture_fastsim() -> Dict[str, Any]:
     return {"rounds": rounds, "result_digest": _canonical_digest(rounds)}
 
 
-def capture_tcp() -> Dict[str, Any]:
+def capture_tcp(scheme: str = "ppbs") -> Dict[str, Any]:
     """The networked path over real TCP, equivalence-checked per round."""
-    config = LoadgenConfig(transport="tcp", check_equivalence=True, **SCENARIO)
+    config = LoadgenConfig(
+        transport="tcp", check_equivalence=True, scheme=scheme, **SCENARIO
+    )
     report = asyncio.run(run_loadgen(config))
     return {
         "rounds_completed": report.rounds_completed,
@@ -176,25 +212,42 @@ def capture_tcp() -> Dict[str, Any]:
     }
 
 
-def capture_goldens() -> Dict[str, Any]:
-    return {
+def golden_path(scheme: str) -> Path:
+    """Where one scheme's golden document lives."""
+    return GOLDEN_DIR / f"{scheme}_goldens.json"
+
+
+def capture_goldens(scheme: str = "ppbs") -> Dict[str, Any]:
+    """One scheme's golden document.
+
+    The fastsim path is scheme-independent, so only PPBS pins it; the
+    other schemes pin the full trace digest instead.
+    """
+    document: Dict[str, Any] = {
         "scenario": dict(SCENARIO),
-        "in_process": capture_in_process(),
-        "fastsim": capture_fastsim(),
-        "tcp": capture_tcp(),
+        "in_process": capture_in_process(scheme),
+        "tcp": capture_tcp(scheme),
     }
+    if scheme == "ppbs":
+        document["fastsim"] = capture_fastsim()
+    else:
+        document["scheme"] = scheme
+        document["trace_digest"] = capture_trace_digest(scheme)
+    return document
 
 
-def load_goldens() -> Dict[str, Any]:
-    return json.loads(GOLDEN_PATH.read_text())
+def load_goldens(scheme: str = "ppbs") -> Dict[str, Any]:
+    return json.loads(golden_path(scheme).read_text())
 
 
-def main() -> None:
-    document = capture_goldens()
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    print(f"goldens written to {GOLDEN_PATH}")
+def main(argv: Sequence[str] = ()) -> None:
+    scheme = argv[0] if argv else "ppbs"
+    document = capture_goldens(scheme)
+    path = golden_path(scheme)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    print(f"goldens written to {path}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
