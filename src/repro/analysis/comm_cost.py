@@ -93,7 +93,7 @@ def measure_bid_cost(
         width=width,
         digest_bytes=digest_bytes,
         predicted_bits=predicted_bid_bits(n_users, n_channels, width, digest_bytes),
-        measured_masked_bits=sum(s.masked_set_bytes() for s in submissions) * 8,
+        measured_masked_bits=sum(s.material_bytes() for s in submissions) * 8,
         measured_total_bits=sum(s.wire_bytes() for s in submissions) * 8,
     )
 

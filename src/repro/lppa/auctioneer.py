@@ -1,10 +1,12 @@
 """The (curious-but-honest) auctioneer endpoint.
 
 Everything this class touches is masked: location submissions become a
-conflict graph through the masked conflict index, bid submissions become a
-:class:`~repro.lppa.psd.MaskedBidTable`, Algorithm 3 allocates channels, and
-winners' ciphertexts go to the TTP for charging.  The class never imports
-:class:`~repro.crypto.keys.KeyRing` — it simply has no key material.
+conflict graph through the privacy scheme's membership test, bid
+submissions become the scheme's bid table (PPBS: a
+:class:`~repro.lppa.psd.MaskedBidTable`; Bloom: the OPE values), Algorithm 3
+allocates channels, and winners' sealed bids go to the TTP for charging.
+The class never imports :class:`~repro.crypto.keys.KeyRing` — it simply has
+no key material.
 
 The honest-but-curious part: :meth:`channel_rankings` exposes the bid order
 the auctioneer can always reconstruct from the masked sets.  That view is
@@ -14,31 +16,34 @@ what :mod:`repro.attacks.against_lppa` consumes.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from repro.auction.allocation import Assignment, greedy_allocate
 from repro.obs import trace
 from repro.auction.conflict import ConflictGraph
 from repro.auction.outcome import AuctionOutcome, WinRecord
-from repro.lppa.location import build_private_conflict_graph
-from repro.lppa.messages import BidSubmission, LocationSubmission, MaskedBid
-from repro.lppa.psd import MaskedBidTable
 from repro.lppa.ttp import ChargeStatus, TrustedThirdParty
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.lppa.schemes.base import PrivacyScheme
 
 __all__ = ["Auctioneer"]
 
 
 class Auctioneer:
-    """Runs one LPPA auction round over masked submissions."""
+    """Runs one LPPA auction round over one privacy scheme's masked
+    submissions."""
 
-    def __init__(self, n_channels: int) -> None:
+    def __init__(self, n_channels: int, scheme: "PrivacyScheme") -> None:
         if n_channels < 1:
             raise ValueError("need at least one channel")
         self._n_channels = n_channels
+        self._scheme = scheme
         self._conflict: Optional[ConflictGraph] = None
-        self._table: Optional[MaskedBidTable] = None
+        self._bids: Sequence[Any] = ()
+        self._table: Any = None
         self._assignments: Optional[List[Assignment]] = None
-        self._charge_material: List[Tuple[int, MaskedBid]] = []
+        self._charge_material: List[Tuple[int, Any]] = []
 
     @property
     def n_channels(self) -> int:
@@ -56,11 +61,9 @@ class Auctioneer:
             raise RuntimeError("allocation has not been run yet")
         return list(self._assignments)
 
-    def receive_locations(
-        self, submissions: Sequence[LocationSubmission]
-    ) -> ConflictGraph:
-        """PPBS location phase: masked membership tests -> conflict graph."""
-        self._conflict = build_private_conflict_graph(submissions)
+    def receive_locations(self, submissions: Sequence[Any]) -> ConflictGraph:
+        """Location phase: masked membership tests -> conflict graph."""
+        self._conflict = self._scheme.build_conflict_graph(submissions)
         tr = trace.get_active()
         if tr is not None:
             tr.instant(
@@ -71,15 +74,16 @@ class Auctioneer:
             )
         return self._conflict
 
-    def receive_bids(self, submissions: Sequence[BidSubmission]) -> None:
-        """PPBS bid phase: stash the masked table."""
+    def receive_bids(self, submissions: Sequence[Any]) -> None:
+        """Bid phase: stash the submissions and the scheme's bid table."""
         for sub in submissions:
             if sub.n_channels != self._n_channels:
                 raise ValueError(
                     f"submission covers {sub.n_channels} channels, expected "
                     f"{self._n_channels}"
                 )
-        self._table = MaskedBidTable(submissions)
+        self._bids = submissions
+        self._table = self._scheme.bid_table(submissions)
 
     def channel_rankings(self) -> List[List[List[int]]]:
         """The curious view: per-channel bid order (equivalence classes)."""
@@ -89,27 +93,26 @@ class Auctioneer:
         tr = trace.get_active()
         if tr is not None:
             for channel, classes in enumerate(rankings):
-                tr.ranking(channel, classes)
+                self._scheme.trace_ranking(tr, channel, classes, self._bids)
         return rankings
 
     def run_allocation(self, rng: random.Random) -> List[Assignment]:
-        """PSD allocation: Algorithm 3 over the masked table."""
+        """PSD allocation: Algorithm 3 over the scheme's bid table."""
         if self._table is None:
             raise RuntimeError("bid submissions not received yet")
         if self._conflict is None:
             raise RuntimeError("location submissions not received yet")
-        if self._conflict.n_users != self._table.n_users:
+        if self._conflict.n_users != len(self._bids):
             # greedy_allocate reads a missing node as "no conflicts", so a
             # graph over fewer SUs would let neighbours share a channel.
             raise ValueError(
                 f"conflict graph covers {self._conflict.n_users} SUs, bid "
-                f"table {self._table.n_users}"
+                f"table {len(self._bids)}"
             )
-        # Keep the charge material before the allocator consumes the table.
         assignments = greedy_allocate(self._table, self._conflict, rng)
         self._assignments = assignments
         self._charge_material = [
-            (a.channel, self._table.masked_bid(a.bidder, a.channel))
+            (a.channel, self._bids[a.bidder].channel_bids[a.channel])
             for a in assignments
         ]
         tr = trace.get_active()
@@ -120,8 +123,8 @@ class Auctioneer:
                 )
         return list(assignments)
 
-    def charge_material(self) -> List[Tuple[int, MaskedBid]]:
-        """The winner ciphertexts queued for the TTP, in assignment order.
+    def charge_material(self) -> List[Tuple[int, Any]]:
+        """The winners' sealed bids queued for the TTP, in assignment order.
 
         This is the request half of the charging exchange; callers that
         reach the TTP over a transport (the network runtime's

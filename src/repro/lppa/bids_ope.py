@@ -126,15 +126,16 @@ class OpeBidSubmission:
         """Protocol payload: user id plus every channel's sealed bid."""
         return 4 + sum(bid.wire_bytes() for bid in self.channel_bids)
 
+    def framing_bytes(self) -> int:
+        """Codec framing on top of the payload: the tag, the channel count
+        and every channel's length fields."""
+        return SUBMISSION_FRAMING_BASE + OPE_BID_FRAMING * len(self.channel_bids)
+
     def wire_size(self) -> int:
         """Payload plus framing, mirroring the encoded byte length."""
-        return (
-            SUBMISSION_FRAMING_BASE
-            + 4
-            + sum(bid.wire_size() for bid in self.channel_bids)
-        )
+        return self.wire_bytes() + self.framing_bytes()
 
-    def ope_material_bytes(self) -> int:
+    def material_bytes(self) -> int:
         """Total OPE value bytes — the Bloom analogue of masked-set bytes."""
         return sum(bid.ope_bytes for bid in self.channel_bids)
 
@@ -144,7 +145,7 @@ class OpeBidSubmission:
             "su": self.user_id,
             "payload_bytes": self.wire_bytes(),
             "wire_size": self.wire_size(),
-            "ope_bytes": self.ope_material_bytes(),
+            "ope_bytes": self.material_bytes(),
             "n_channels": len(self.channel_bids),
         }
 

@@ -150,9 +150,14 @@ class BloomLocationSubmission:
         """Protocol payload: user id + token + filter body."""
         return 4 + len(self.cell_token) + len(self.range_filter.bits)
 
+    def framing_bytes(self) -> int:
+        """Codec framing on top of the payload: tag, token length and the
+        filter's bit-count and hash-count fields."""
+        return LOCATION_FRAMING
+
     def wire_size(self) -> int:
         """Payload plus framing, mirroring the encoded byte length."""
-        return self.wire_bytes() + LOCATION_FRAMING
+        return self.wire_bytes() + self.framing_bytes()
 
     def trace_fields(self) -> Dict[str, int]:
         """The byte-accounting fields the flight recorder stores per message."""

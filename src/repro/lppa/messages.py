@@ -202,7 +202,7 @@ class BidSubmission:
         """Exact codec output size: payload plus framing."""
         return self.wire_bytes() + self.framing_bytes()
 
-    def masked_set_bytes(self) -> int:
+    def material_bytes(self) -> int:
         """Size of the prefix material alone (what Theorem 4 models)."""
         return sum(
             mb.family.wire_bytes() + mb.tail.wire_bytes() for mb in self.channel_bids
@@ -214,7 +214,7 @@ class BidSubmission:
             "su": self.user_id,
             "payload_bytes": self.wire_bytes(),
             "wire_size": self.wire_size(),
-            "masked_set_bytes": self.masked_set_bytes(),
+            "masked_set_bytes": self.material_bytes(),
             "n_channels": self.n_channels,
             "digest_bytes": self.channel_bids[0].family.digest_bytes,
         }

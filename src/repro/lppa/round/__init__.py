@@ -4,7 +4,8 @@ One auction round is a fixed phase pipeline (setup → location submission →
 bid submission → PSD allocation → TTP charging) with two plug points:
 
 * a **value backend** (:class:`CryptoBackend` / :class:`PlainBackend`) —
-  what the values flowing through the phases are;
+  what the values flowing through the phases are; the crypto backend runs
+  every privacy scheme through the scheme's hooks (``scheme.backend``);
 * a **driver** (:class:`InProcessDriver` / the net server's driver) —
   where submissions come from and how the TTP/result exchanges travel.
 
@@ -22,7 +23,6 @@ See ``DESIGN.md`` ("The round core") for the full architecture notes.
 """
 
 from repro.lppa.round.backends import (
-    CRYPTO_BACKEND,
     PLAIN_BACKEND,
     CryptoBackend,
     PlainBackend,
@@ -42,7 +42,6 @@ from repro.lppa.round.state import RoundState
 from repro.lppa.round.tables import IntegerMaskedTable
 
 __all__ = [
-    "CRYPTO_BACKEND",
     "IN_PROCESS_DRIVER",
     "PHASE_STEPS",
     "PLAIN_BACKEND",

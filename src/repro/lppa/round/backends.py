@@ -3,10 +3,12 @@
 The round core (:mod:`repro.lppa.round.core`) fixes the phase pipeline;
 a :class:`ValueBackend` decides how each phase manipulates values:
 
-* :class:`CryptoBackend` — the paper's actual protocol objects: masked
-  location/bid submissions, the HMAC-masked table inside
+* :class:`CryptoBackend` — the actual protocol objects of one privacy
+  scheme (:class:`~repro.lppa.schemes.base.PrivacyScheme`): its location
+  and bid submissions, the conflict graph and bid table it builds inside
   :class:`~repro.lppa.auctioneer.Auctioneer`, TTP decryption for charging,
-  and exact wire/framed byte accounting.  Produces
+  and exact wire/framed byte accounting.  One instance per scheme
+  (``scheme.backend``) runs every scheme's round.  Produces
   :class:`~repro.lppa.round.results.LppaResult`.
 * :class:`PlainBackend` — the order-isomorphic integer pipeline: the same
   :func:`~repro.lppa.bids_advanced.disguise_and_expand` values without the
@@ -14,16 +16,16 @@ a :class:`ValueBackend` decides how each phase manipulates values:
   allocation-time revalidation).  Produces
   :class:`~repro.lppa.round.results.FastLppaResult`.
 
-Backends are stateless — all per-round data lives on the
-:class:`~repro.lppa.round.state.RoundState` — so the module-level
-:data:`CRYPTO_BACKEND` / :data:`PLAIN_BACKEND` singletons are shared by
+Backends hold no per-round data — it all lives on the
+:class:`~repro.lppa.round.state.RoundState` — so each scheme's crypto
+backend and the module-level :data:`PLAIN_BACKEND` singleton are shared by
 every wrapper.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.auction.allocation import greedy_allocate, greedy_allocate_validated
@@ -35,16 +37,16 @@ from repro.lppa.bids_advanced import (
     BidScale,
     SubmissionDisclosure,
     disguise_and_expand,
-    submit_population_bids,
 )
-from repro.lppa.location import submit_locations
 from repro.lppa.round.results import FastLppaResult, LppaResult
 from repro.lppa.round.state import RoundState
 from repro.lppa.round.tables import IntegerMaskedTable
 from repro.lppa.ttp import TrustedThirdParty
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.lppa.schemes.base import PrivacyScheme
+
 __all__ = [
-    "CRYPTO_BACKEND",
     "PLAIN_BACKEND",
     "CryptoBackend",
     "PlainBackend",
@@ -105,9 +107,13 @@ class ValueBackend(ABC):
 
 
 class CryptoBackend(ValueBackend):
-    """The full protocol: masked submissions, masked table, TTP charging."""
+    """The full protocol over one scheme's masked material: submissions,
+    conflict graph, bid table, TTP charging."""
 
     name = "crypto"
+
+    def __init__(self, scheme: "PrivacyScheme") -> None:
+        self.scheme = scheme
 
     def setup(self, state: RoundState) -> None:
         # The net server performs TTP setup once at construction and
@@ -124,6 +130,7 @@ class CryptoBackend(ValueBackend):
     def setup_trace(self, state: RoundState) -> Sequence[TraceMeta]:
         scale = state.scale
         assert scale is not None and state.grid is not None
+        announced = self.scheme.announcement_fields()
         return (
             # rd/cr/width are hidden from the auctioneer (only bidders and
             # the TTP hold them); the announcement is what everyone sees.
@@ -131,6 +138,7 @@ class CryptoBackend(ValueBackend):
                 "protocol_setup",
                 "ttp",
                 {
+                    **announced,
                     "n_users": state.n_users,
                     "n_channels": state.n_channels,
                     "bmax": state.bmax,
@@ -139,12 +147,16 @@ class CryptoBackend(ValueBackend):
                     "width": scale.width,
                     "emax": scale.emax,
                     "two_lambda": state.two_lambda,
+                    **self.scheme.protocol_setup_fields(
+                        state.keyring, scale, state.two_lambda
+                    ),
                 },
             ),
             (
                 "auction_announcement",
                 "public",
                 {
+                    **announced,
                     "n_users": state.n_users,
                     "n_channels": state.n_channels,
                     "bmax": state.bmax,
@@ -158,10 +170,7 @@ class CryptoBackend(ValueBackend):
     def make_locations(self, state: RoundState) -> None:
         assert state.users is not None and state.keyring is not None
         assert state.grid is not None
-        # All SUs share g0, so the whole population's location masking is
-        # one batch through the crypto backend (digest-identical to the
-        # per-user submit_location loop).
-        state.location_subs = submit_locations(
+        state.location_subs = self.scheme.submit_locations(
             [user.cell for user in state.users],
             state.keyring.g0,
             state.grid,
@@ -170,7 +179,7 @@ class CryptoBackend(ValueBackend):
 
     def ingest_locations(self, state: RoundState) -> None:
         assert state.location_subs is not None
-        state.auctioneer = Auctioneer(state.n_channels)
+        state.auctioneer = Auctioneer(state.n_channels, self.scheme)
         # The conflict-graph timer isolates the auctioneer-side graph build
         # from the bidder-side masking that shares this phase.
         with obs.timer("lppa.conflict_graph"):
@@ -183,9 +192,7 @@ class CryptoBackend(ValueBackend):
         assert state.users is not None and state.user_rngs is not None
         assert state.keyring is not None and state.scale is not None
         assert state.policies is not None
-        # One population batch: one mask_specs call and one keystream call
-        # for every SU, each SU's draws still from its own RNG in order.
-        state.bid_subs, disclosures = submit_population_bids(
+        state.bid_subs, disclosures = self.scheme.submit_bids(
             [user.bids for user in state.users],
             state.keyring,
             state.scale,
@@ -245,7 +252,7 @@ class CryptoBackend(ValueBackend):
             disclosures=state.disclosure_tuple(),
             location_bytes=state.location_bytes,
             bid_bytes=state.bid_bytes,
-            masked_set_bytes=sum(s.masked_set_bytes() for s in state.bid_subs),
+            masked_set_bytes=sum(s.material_bytes() for s in state.bid_subs),
             framed_bytes=framed,
         )
         state.round_end_args = {
@@ -406,6 +413,5 @@ class PlainBackend(ValueBackend):
         state.round_end_args = {"winners": len(state.outcome.wins)}
 
 
-#: Shared stateless singletons — every wrapper runs through these instances.
-CRYPTO_BACKEND = CryptoBackend()
+#: Shared stateless singleton — every fastsim round runs through it.
 PLAIN_BACKEND = PlainBackend()

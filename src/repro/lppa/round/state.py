@@ -6,8 +6,9 @@ step by step as :data:`~repro.lppa.round.core.PHASE_STEPS` executes, and
 read back out at the end as ``state.result``.  Which fields a given round
 uses depends on the value backend:
 
-* crypto rounds populate the wire-object fields (``location_subs``,
-  ``bid_subs``), the TTP material (``ttp``/``keyring``/``scale``), the
+* crypto rounds, whatever their privacy scheme, populate the wire-object
+  fields (``location_subs``, ``bid_subs``: the scheme's submission types),
+  the TTP material (``ttp``/``keyring``/``scale``), the
   :class:`~repro.lppa.auctioneer.Auctioneer` and the byte counters;
 * plain rounds populate ``disclosures`` and the integer ``table`` and
   leave every wire field ``None`` — the core treats ``None`` byte counters
@@ -73,8 +74,8 @@ class RoundState:
     # -- flow state, written by the phase steps -----------------------------
     auctioneer: Optional[Auctioneer] = None
     #: Scheme-specific submission objects (PPBS LocationSubmission /
-    #: BidSubmission, Bloom BloomLocationSubmission / OpeBidSubmission, ...);
-    #: all expose user_id, wire_bytes(), wire_size() and trace_fields().
+    #: BidSubmission, Bloom BloomLocationSubmission / OpeBidSubmission, ...)
+    #: under one size contract (repro.lppa.schemes.base).
     location_subs: Optional[List[Any]] = None
     bid_subs: Optional[List[Any]] = None
     disclosures: List[SubmissionDisclosure] = field(default_factory=list)

@@ -1,20 +1,32 @@
 """The ``PrivacyScheme`` seam: what varies between privacy protocols.
 
-The round core fixes *when* things happen (phase pipeline) and the value
-backends fix *what the values are* inside one protocol; a
-:class:`PrivacyScheme` bundles everything that distinguishes one complete
-privacy protocol from another, end to end:
+The round core fixes *when* things happen (phase pipeline) and one crypto
+value backend (:class:`~repro.lppa.round.backends.CryptoBackend`) runs the
+paper's round for every scheme: locations become a conflict graph, bids
+become a per-channel ranking, Algorithm 3 allocates and the TTP charges
+the winners.  A :class:`PrivacyScheme` supplies the material inside each
+phase, end to end:
 
 * the **wire message types** and their payload codecs (each scheme's
   payloads carry a distinct leading tag byte, so a strict decoder for one
   scheme rejects another scheme's bytes as malformed);
 * the **bidder-side submission encoders** (how a cell and a bid vector
-  become privacy-preserving material);
-* the **value backend** driving the in-process round core, including the
-  conflict-membership test the auctioneer runs over location submissions;
+  become privacy-preserving material), one SU at a time and as the
+  population batches an in-process round submits;
+* the **round hooks** the backend and the
+  :class:`~repro.lppa.auctioneer.Auctioneer` call: the conflict-membership
+  test over location submissions, the bid table the auctioneer ranks and
+  allocates over, the ranking view the trace records and any extra
+  ``protocol_setup`` fields;
 * the **auditor hooks** the trace auditors use to re-derive framing and
   the scheme's exact bid-material size model (Theorem 4 for PPBS, the OPE
   ciphertext-width model for the Bloom scheme).
+
+Every scheme's submission types share one size contract: ``user_id``,
+``channel_bids`` (bids only), ``wire_bytes()`` (payload),
+``framing_bytes()``, ``wire_size()`` (their sum, the encoded length),
+``material_bytes()`` (bids only: the ranked material the size model
+covers) and ``trace_fields()``.
 
 Schemes are registered by name (:mod:`repro.lppa.schemes.registry`) and
 selected via ``--scheme`` / ``$REPRO_SCHEME`` through the session wrapper,
@@ -27,15 +39,18 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.auction.conflict import ConflictGraph
 from repro.geo.grid import Cell, GridSpec
+from repro.lppa.round.backends import CryptoBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.crypto.keys import KeyRing
     from repro.lppa.bids_advanced import BidScale, SubmissionDisclosure
     from repro.lppa.policies import ZeroDisguisePolicy
-    from repro.lppa.round.backends import ValueBackend
+    from repro.obs.trace import TraceRecorder
 
 __all__ = ["PrivacyScheme"]
 
@@ -54,10 +69,10 @@ class PrivacyScheme(ABC):
 
     # -- the round core plug point ------------------------------------------
 
-    @property
-    @abstractmethod
-    def backend(self) -> "ValueBackend":
-        """The value backend the in-process round core runs with."""
+    @cached_property
+    def backend(self) -> CryptoBackend:
+        """The crypto value backend bound to this scheme (one per scheme)."""
+        return CryptoBackend(self)
 
     # -- bidder side ---------------------------------------------------------
 
@@ -84,6 +99,65 @@ class PrivacyScheme(ABC):
         policy: Optional["ZeroDisguisePolicy"] = None,
     ) -> Tuple[Any, "SubmissionDisclosure"]:
         """Seal one SU's bid vector; returns (wire message, disclosure)."""
+
+    @abstractmethod
+    def submit_locations(
+        self, cells: Sequence[Cell], g0: bytes, grid: GridSpec, two_lambda: int
+    ) -> List[Any]:
+        """The population's location submissions, cell ``i`` as user ``i``."""
+
+    def submit_bids(
+        self,
+        bids: Sequence[Any],
+        keyring: "KeyRing",
+        scale: "BidScale",
+        rngs: Sequence[random.Random],
+        *,
+        policies: Sequence[Optional["ZeroDisguisePolicy"]],
+    ) -> Tuple[List[Any], List["SubmissionDisclosure"]]:
+        """The population's bid submissions and disclosures, SU ``i`` as
+        user ``i`` with ``rngs[i]`` and ``policies[i]``.
+
+        The default seals one SU at a time through :meth:`make_bids`.
+        """
+        subs: List[Any] = []
+        disclosures: List["SubmissionDisclosure"] = []
+        for idx, row in enumerate(bids):
+            sub, disclosure = self.make_bids(
+                idx, row, keyring, scale, rngs[idx], policy=policies[idx]
+            )
+            subs.append(sub)
+            disclosures.append(disclosure)
+        return subs, disclosures
+
+    # -- auctioneer side ------------------------------------------------------
+
+    @abstractmethod
+    def build_conflict_graph(self, location_subs: Sequence[Any]) -> ConflictGraph:
+        """The conflict graph over dense location submissions."""
+
+    @abstractmethod
+    def bid_table(self, bid_subs: Sequence[Any]) -> Any:
+        """Algorithm 3's :class:`~repro.auction.table.BidTable` over dense
+        bid submissions; its ``rankings()`` are the per-channel order the
+        auctioneer sees."""
+
+    def trace_ranking(
+        self,
+        tr: "TraceRecorder",
+        channel: int,
+        classes: List[List[int]],
+        bid_subs: Sequence[Any],
+    ) -> None:
+        """Record what the auctioneer learns from one channel's ranking."""
+        tr.ranking(channel, classes)
+
+    def protocol_setup_fields(
+        self, keyring: "KeyRing", scale: "BidScale", two_lambda: int
+    ) -> Dict[str, Any]:
+        """Extra ``protocol_setup`` trace fields (the TTP-side parameters a
+        scheme's auditor needs); none by default."""
+        return {}
 
     # -- payload codecs (scheme-tagged, strict) ------------------------------
 

@@ -2,8 +2,9 @@
 
 This is a *pure re-seam*: every method delegates to the exact functions
 the pre-scheme code path called (`submit_location`, `submit_bids_advanced`,
-the strict codec in :mod:`repro.lppa.codec`, the crypto value backend),
-so selecting ``ppbs`` — the default — is bit-identical to the historical
+their population batches, the strict codec in :mod:`repro.lppa.codec`, the
+masked conflict index and :class:`~repro.lppa.psd.MaskedBidTable`), so
+selecting ``ppbs`` — the default — is bit-identical to the historical
 pipeline.  The differential suite in ``tests/schemes`` pins that claim
 against goldens captured from the pre-refactor tree.
 """
@@ -11,16 +12,26 @@ against goldens captured from the pre-refactor tree.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.comm_cost import predicted_bid_bits
+from repro.auction.conflict import ConflictGraph
 from repro.geo.grid import Cell, GridSpec
 from repro.lppa import codec
-from repro.lppa.bids_advanced import BidScale, SubmissionDisclosure, submit_bids_advanced
-from repro.lppa.location import submit_location
+from repro.lppa.bids_advanced import (
+    BidScale,
+    SubmissionDisclosure,
+    submit_bids_advanced,
+    submit_population_bids,
+)
+from repro.lppa.location import (
+    build_private_conflict_graph,
+    submit_location,
+    submit_locations,
+)
 from repro.lppa.messages import BidSubmission, LocationSubmission
 from repro.lppa.policies import ZeroDisguisePolicy
-from repro.lppa.round.backends import CRYPTO_BACKEND, ValueBackend
+from repro.lppa.psd import MaskedBidTable
 from repro.lppa.schemes.base import PrivacyScheme
 
 __all__ = ["PpbsScheme"]
@@ -43,10 +54,6 @@ class PpbsScheme(PrivacyScheme):
     name = "ppbs"
     location_tag = b"L"
     bid_tag = b"B"
-
-    @property
-    def backend(self) -> ValueBackend:
-        return CRYPTO_BACKEND
 
     # -- bidder side ---------------------------------------------------------
 
@@ -73,6 +80,36 @@ class PpbsScheme(PrivacyScheme):
         return submit_bids_advanced(
             user_id, bids, keyring, scale, rng, policy=policy
         )
+
+    def submit_locations(
+        self, cells: Sequence[Cell], g0: bytes, grid: GridSpec, two_lambda: int
+    ) -> List[LocationSubmission]:
+        # All SUs share g0, so the whole population's location masking is
+        # one batch (digest-identical to the per-user submit_location loop).
+        return submit_locations(cells, g0, grid, two_lambda)
+
+    def submit_bids(
+        self,
+        bids: Sequence[Any],
+        keyring: Any,
+        scale: BidScale,
+        rngs: Sequence[random.Random],
+        *,
+        policies: Sequence[Optional[ZeroDisguisePolicy]],
+    ) -> Tuple[List[BidSubmission], List[SubmissionDisclosure]]:
+        # One population batch: one mask_specs call and one keystream call
+        # for every SU, each SU's draws still from its own RNG in order.
+        return submit_population_bids(bids, keyring, scale, rngs, policies=policies)
+
+    # -- auctioneer side -----------------------------------------------------
+
+    def build_conflict_graph(
+        self, location_subs: Sequence[LocationSubmission]
+    ) -> ConflictGraph:
+        return build_private_conflict_graph(location_subs)
+
+    def bid_table(self, bid_subs: Sequence[BidSubmission]) -> MaskedBidTable:
+        return MaskedBidTable(bid_subs)
 
     # -- payload codecs ------------------------------------------------------
 

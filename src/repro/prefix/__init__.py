@@ -14,13 +14,6 @@ from repro.prefix.membership import (
     mask_range,
     mask_value,
 )
-from repro.prefix.multidim import (
-    MaskedBox,
-    MaskedPoint,
-    mask_box,
-    mask_point,
-    point_in_box,
-)
 from repro.prefix.numericalize import (
     numericalize,
     numericalize_set,
@@ -37,11 +30,6 @@ __all__ = [
     "mask_prefixes",
     "mask_range",
     "mask_value",
-    "MaskedBox",
-    "MaskedPoint",
-    "mask_box",
-    "mask_point",
-    "point_in_box",
     "numericalize",
     "numericalize_set",
     "numericalized_to_bytes",

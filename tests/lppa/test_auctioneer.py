@@ -7,8 +7,11 @@ import pytest
 from repro.lppa.auctioneer import Auctioneer
 from repro.lppa.bids_advanced import submit_bids_advanced
 from repro.lppa.location import submit_location
+from repro.lppa.schemes.registry import get_scheme
 from repro.lppa.ttp import TrustedThirdParty
 from repro.geo.grid import GridSpec
+
+PPBS = get_scheme("ppbs")
 
 GRID = GridSpec(rows=20, cols=20, cell_km=1.0)
 
@@ -18,7 +21,7 @@ def _setup_round(bid_rows, cells, seed=0):
         b"auctioneer-test", len(bid_rows[0]), bmax=30
     )
     rng = random.Random(seed)
-    auctioneer = Auctioneer(len(bid_rows[0]))
+    auctioneer = Auctioneer(len(bid_rows[0]), PPBS)
     locations = [
         submit_location(i, cell, keyring.g0, GRID, 4)
         for i, cell in enumerate(cells)
@@ -63,7 +66,7 @@ def test_phase_ordering_enforced():
 
 
 def test_conflicting_submission_width_rejected():
-    auctioneer = Auctioneer(3)
+    auctioneer = Auctioneer(3, PPBS)
     _, _, _, bids, _ = _setup_round([[10, 0]], [(0, 0)])
     with pytest.raises(ValueError):
         auctioneer.receive_bids(bids)
@@ -91,7 +94,7 @@ def test_conflict_graph_property():
 
 def test_invalid_channel_count():
     with pytest.raises(ValueError):
-        Auctioneer(0)
+        Auctioneer(0, PPBS)
 
 
 def test_allocation_refuses_a_conflict_graph_smaller_than_the_bid_table():

@@ -9,8 +9,11 @@ from repro.lppa.bids_advanced import submit_bids_advanced
 from repro.lppa.bids_basic import encrypt_bid_value
 from repro.lppa.location import submit_location
 from repro.lppa.messages import BidSubmission, MaskedBid
+from repro.lppa.schemes.registry import get_scheme
 from repro.lppa.ttp import TrustedThirdParty
 from repro.geo.grid import GridSpec
+
+PPBS = get_scheme("ppbs")
 
 GRID = GridSpec(rows=10, cols=10, cell_km=1.0)
 
@@ -35,7 +38,7 @@ def test_cheating_winner_aborts_charging():
         ),
     )
 
-    auctioneer = Auctioneer(1)
+    auctioneer = Auctioneer(1, PPBS)
     auctioneer.receive_locations(
         [
             submit_location(0, (1, 1), keyring.g0, GRID, 2),
@@ -56,7 +59,7 @@ def test_assignments_property_roundtrip():
         submit_bids_advanced(i, [10, 3], keyring, scale, rng)[0]
         for i in range(2)
     ]
-    auctioneer = Auctioneer(2)
+    auctioneer = Auctioneer(2, PPBS)
     auctioneer.receive_locations(
         [
             submit_location(0, (0, 0), keyring.g0, GRID, 2),

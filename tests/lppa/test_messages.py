@@ -45,7 +45,7 @@ def test_bid_submission_sizes():
     sub = BidSubmission(user_id=0, channel_bids=bids)
     assert sub.n_channels == 3
     assert sub.wire_bytes() == USER_ID_BYTES + sum(b.wire_bytes() for b in bids)
-    assert sub.masked_set_bytes() == sum(
+    assert sub.material_bytes() == sum(
         b.family.wire_bytes() + b.tail.wire_bytes() for b in bids
     )
 
@@ -134,4 +134,4 @@ def test_roundtrip_survives_many_seeds():
         again = decode_bids(encode_bids(sub))
         assert again == sub
         assert again.wire_size() == sub.wire_size()
-        assert again.masked_set_bytes() == sub.masked_set_bytes()
+        assert again.material_bytes() == sub.material_bytes()

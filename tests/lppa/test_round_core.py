@@ -4,7 +4,9 @@
 must all execute the *same* ``PHASE_STEPS`` objects — not copies, not
 re-implementations.  The ``observe_steps`` hook records which step objects
 each executor ran; these tests assert identity against the module-level
-pipeline and check the backend/driver each wrapper plugged in.
+pipeline and check the backend/driver each wrapper plugged in.  Every
+privacy scheme runs the one crypto backend class, bound to the scheme
+(``scheme.backend``).
 """
 
 import asyncio
@@ -13,15 +15,16 @@ import pytest
 
 from repro.lppa.fastsim import run_fast_lppa
 from repro.lppa.round import (
-    CRYPTO_BACKEND,
     IN_PROCESS_DRIVER,
     PHASE_STEPS,
     PLAIN_BACKEND,
+    CryptoBackend,
     InProcessDriver,
     RoundState,
     execute_round,
     observe_steps,
 )
+from repro.lppa.schemes.registry import get_scheme
 from repro.lppa.session import run_lppa_auction
 from repro.net.client import SUClient
 from repro.net.loadgen import (
@@ -66,10 +69,31 @@ def test_session_and_fastsim_run_the_same_step_objects(small_db, small_users):
 
     session_state = seen[0][1]
     fastsim_state = seen[len(PHASE_STEPS)][1]
-    assert session_state.backend is CRYPTO_BACKEND
+    assert session_state.backend is get_scheme("ppbs").backend
     assert fastsim_state.backend is PLAIN_BACKEND
     assert session_state.driver is IN_PROCESS_DRIVER
     assert fastsim_state.driver is IN_PROCESS_DRIVER
+
+
+def test_bloom_session_runs_the_same_step_objects(small_db, small_users):
+    """A second scheme is hooks on the scheme, not a second backend."""
+    with observe_steps() as seen:
+        run_lppa_auction(
+            small_users[:6],
+            small_db.coverage.grid,
+            two_lambda=6,
+            bmax=127,
+            entropy="round-core-test",
+            scheme="bloom",
+        )
+    assert [step for step, _ in seen] == list(PHASE_STEPS)
+    assert all(a is b for (a, _), b in zip(seen, PHASE_STEPS))
+    state = seen[0][1]
+    bloom = get_scheme("bloom")
+    assert type(state.backend) is CryptoBackend
+    assert state.backend is bloom.backend
+    assert state.backend.scheme is bloom
+    assert state.driver is IN_PROCESS_DRIVER
 
 
 def test_networked_round_runs_the_same_step_objects():
@@ -111,7 +135,7 @@ def test_networked_round_runs_the_same_step_objects():
     assert all(a is b for a, b in zip(steps, PHASE_STEPS))
     assert len(steps) == len(PHASE_STEPS)
     state = seen[0][1]
-    assert state.backend is CRYPTO_BACKEND
+    assert state.backend is get_scheme("ppbs").backend
     assert state.driver.name == "network"
     # The networked result must never carry SU-private disclosures.
     assert report.result.disclosures == ()

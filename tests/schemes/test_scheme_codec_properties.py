@@ -1,7 +1,7 @@
-"""Property-based codec laws for the scheme-tagged payloads (Bloom scheme).
+"""Property-based codec laws for the scheme-tagged payloads.
 
 Mirrors ``tests/lppa/test_codec_properties.py`` for the second scheme's
-wire formats:
+wire formats, plus the size contract every registered scheme keeps:
 
 * **round-trip** — Bloom location submissions and OPE bid submissions built
   from the real submission layer under random inputs satisfy
@@ -12,7 +12,10 @@ wire formats:
   :class:`CodecError` or decode to a value whose re-encoding reproduces the
   input exactly (no third outcome);
 * **dispatch** — the registry routes every encoded payload to the scheme
-  that owns its tag byte.
+  that owns its tag byte;
+* **size contract** — for every registered scheme's location and bid
+  submissions, ``len(encode_*(s)) == s.wire_size() == s.wire_bytes() +
+  s.framing_bytes()``, the identity the round's byte accounting relies on.
 """
 
 import random
@@ -37,7 +40,11 @@ from repro.lppa.location_bloom import (
     encode_location_bloom,
     submit_location_bloom,
 )
-from repro.lppa.schemes.registry import get_scheme, scheme_for_payload
+from repro.lppa.schemes.registry import (
+    available_schemes,
+    get_scheme,
+    scheme_for_payload,
+)
 
 N_CHANNELS = 4
 KEYRING = generate_keyring(b"scheme-codec-prop", N_CHANNELS, rd=4, cr=8)
@@ -181,3 +188,34 @@ def test_ppbs_payloads_dispatch_to_ppbs():
 
     loc = submit_location(0, (1, 2), KEYRING.g0, GRID, TWO_LAMBDA)
     assert scheme_for_payload(encode_location(loc)) is get_scheme("ppbs")
+
+
+# --- one size contract for every registered scheme -----------------------------
+
+
+@pytest.mark.parametrize("name", available_schemes())
+@settings(max_examples=20, deadline=None)
+@given(
+    uid=st.integers(min_value=0, max_value=2**32 - 1),
+    x=st.integers(min_value=0, max_value=GRID.rows - 1),
+    y=st.integers(min_value=0, max_value=GRID.cols - 1),
+    bids=st.lists(
+        st.integers(min_value=0, max_value=SCALE.bmax),
+        min_size=N_CHANNELS,
+        max_size=N_CHANNELS,
+    ),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_submission_size_contract(name, uid, x, y, bids, seed):
+    scheme = get_scheme(name)
+    loc = scheme.make_location(uid, (x, y), KEYRING, GRID, TWO_LAMBDA)
+    sub, _ = scheme.make_bids(uid, bids, KEYRING, SCALE, random.Random(seed))
+    for blob, message in (
+        (scheme.encode_location(loc), loc),
+        (scheme.encode_bids(sub), sub),
+    ):
+        assert (
+            len(blob)
+            == message.wire_size()
+            == message.wire_bytes() + message.framing_bytes()
+        )
