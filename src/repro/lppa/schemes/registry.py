@@ -12,15 +12,15 @@ single place they are looked up:
 * :func:`scheme_for_payload` — wire bytes -> scheme, by the leading
   payload tag byte (each scheme's codecs use a distinct tag).
 
-Registration is *lazy*: the registry module itself imports no scheme, so
-``repro.lppa.schemes.registry`` is cycle-free for every protocol layer;
-the first lookup imports the :mod:`repro.lppa.schemes` package, whose
-``__init__`` registers the built-in schemes.
+The registry module itself imports no scheme, so the scheme modules can
+import it without a cycle.  The built-in schemes are registered by the
+:mod:`repro.lppa.schemes` package ``__init__``, which Python runs before
+this module whatever imports it first: importing the registry registers
+``ppbs`` and ``bloom``.
 """
 
 from __future__ import annotations
 
-import importlib
 import os
 from typing import Dict, Optional, Tuple
 
@@ -45,7 +45,6 @@ DEFAULT_SCHEME = "ppbs"
 
 _registry: Dict[str, PrivacyScheme] = {}
 _active: Optional[str] = None
-_builtins_loaded = False
 
 
 def register(scheme: PrivacyScheme) -> PrivacyScheme:
@@ -60,25 +59,13 @@ def register(scheme: PrivacyScheme) -> PrivacyScheme:
     return scheme
 
 
-def _ensure_builtins() -> None:
-    # The schemes package registers its members at import time; doing the
-    # import here (not at module top) keeps registry <- scheme imports
-    # acyclic and makes registration idempotent.
-    global _builtins_loaded
-    if not _builtins_loaded:
-        importlib.import_module("repro.lppa.schemes")
-        _builtins_loaded = True
-
-
 def available_schemes() -> Tuple[str, ...]:
     """Registered scheme names, sorted (the ``--scheme`` choices)."""
-    _ensure_builtins()
     return tuple(sorted(_registry))
 
 
 def get_scheme(name: str) -> PrivacyScheme:
     """Look one scheme up by name."""
-    _ensure_builtins()
     scheme = _registry.get(name)
     if scheme is None:
         raise ValueError(
@@ -114,7 +101,6 @@ def resolve_scheme(name: Optional[str] = None) -> PrivacyScheme:
 
 def scheme_for_payload(data: bytes) -> PrivacyScheme:
     """Which scheme's codec produced this payload, by its leading tag byte."""
-    _ensure_builtins()
     if data:
         tag = data[:1]
         for scheme in _registry.values():

@@ -24,7 +24,7 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro import obs
 from repro.obs import trace
@@ -263,33 +263,42 @@ class SUClient:
 
     async def run_round(self) -> ClientRound:
         """Participate in the next round; blocks until RESULT (or raises
-        :class:`ProtocolError` / :class:`ServerGoodbye`)."""
+        :class:`ProtocolError` / :class:`ServerGoodbye`).
+
+        Memory: each submission is encoded and dropped before its frame is
+        written, and the disclosure :meth:`PrivacyScheme.make_bids` returns
+        alongside the bids is never kept, so while this SU waits for the
+        server no masked object of the round is alive on its side.  The
+        returned :class:`ClientRound` (the parsed RESULT document) is the
+        only thing the round leaves behind.
+        """
         conn = self._require_conn()
         round_index, entropy = await self._await_round_begin(conn)
         t0 = monotonic()
-        # The per-bidder stream of the derive_round_rngs contract: masking
-        # randomness is a function of (round entropy, this SU's id) only.
-        rng = bidder_rng(entropy, self._su_id)
-
-        location = self._scheme.make_location(
-            self._su_id, self._user.cell, self._keyring,
-            self._grid, self._two_lambda,
+        payload = self._scheme.encode_location(
+            self._scheme.make_location(
+                self._su_id, self._user.cell, self._keyring,
+                self._grid, self._two_lambda,
+            )
         )
         t_sent = monotonic()
-        await self._write(
-            conn, FrameType.LOCATION, self._scheme.encode_location(location)
-        )
+        await self._write(conn, FrameType.LOCATION, payload)
 
         ftype, payload = await self._read(conn)
         obs.observe("net.client.frame_rtt", monotonic() - t_sent)
         if ftype is not FrameType.BID_REQUEST:
             self._unexpected(ftype, payload, expected="BID_REQUEST")
-        bids, _disclosure = self._scheme.make_bids(
-            self._su_id, self._user.bids, self._keyring, self._scale, rng,
-            policy=self._policy,
+        # The per-bidder stream of the derive_round_rngs contract: masking
+        # randomness is a function of (round entropy, this SU's id) only.
+        # make_bids returns (bids, disclosure); only the bids are sent.
+        payload = self._scheme.encode_bids(
+            self._scheme.make_bids(
+                self._su_id, self._user.bids, self._keyring, self._scale,
+                bidder_rng(entropy, self._su_id), policy=self._policy,
+            )[0]
         )
         t_sent = monotonic()
-        await self._write(conn, FrameType.BIDS, self._scheme.encode_bids(bids))
+        await self._write(conn, FrameType.BIDS, payload)
 
         ftype, payload = await self._read(conn)
         obs.observe("net.client.frame_rtt", monotonic() - t_sent)
@@ -309,19 +318,27 @@ class SUClient:
             round_index=round_index, result=result, latency_s=latency
         )
 
-    async def run(self, n_rounds: int) -> List[ClientRound]:
-        """Connect if needed, play ``n_rounds`` rounds, close."""
+    async def run(self, n_rounds: int) -> int:
+        """Connect if needed, play up to ``n_rounds`` rounds, close; returns
+        the number of rounds played (fewer when the server says BYE).
+
+        Memory stays flat however many rounds this plays: each round's
+        :class:`ClientRound` is dropped as soon as it returns.  A caller
+        that wants each round's RESULT document loops over
+        :meth:`run_round` itself, as :class:`~repro.net.loadgen.Fleet` does.
+        """
         if self._conn is None:
             await self.connect()
-        rounds: List[ClientRound] = []
+        played = 0
         try:
             for _ in range(n_rounds):
-                rounds.append(await self.run_round())
+                await self.run_round()
+                played += 1
         except ServerGoodbye:
             pass
         finally:
             self.close()
-        return rounds
+        return played
 
     async def _await_round_begin(self, conn: Connection) -> Tuple[int, str]:
         ftype, payload = await self._read(conn)

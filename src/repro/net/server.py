@@ -643,8 +643,6 @@ class AuctioneerServer:
             raise RoundAborted("no connected SUs")
         self._round += 1
         round_index = self._round
-        self._locations = {}
-        self._bids = {}
         t0 = monotonic()
 
         tr = trace.get_active()
@@ -683,6 +681,10 @@ class AuctioneerServer:
         finally:
             self._phase = RoundPhase.IDLE
             self._expected = set()
+            # Only the result outlives the round (DESIGN §7, "Collector
+            # pause"): the decoded submissions go while the pause holds.
+            self._locations.clear()
+            self._bids.clear()
 
         latency = monotonic() - t0
         obs.observe("net.round.latency", latency)

@@ -81,7 +81,16 @@ async def _scenario(grid, users, *, metrics_port=None, client_recorders=None):
         )
         for su_id, user in enumerate(users)
     ]
-    tasks = [asyncio.ensure_future(c.run(ROUNDS)) for c in clients]
+
+    async def _play(client):
+        # SUClient.run keeps no per-round history; collect the documents here.
+        await client.connect()
+        try:
+            return [await client.run_round() for _ in range(ROUNDS)]
+        finally:
+            client.close()
+
+    tasks = [asyncio.ensure_future(_play(c)) for c in clients]
     await server.wait_for_clients(CONFIG.n_users, timeout=10.0)
     reports = [
         await server.run_round(round_entropy(CONFIG.seed, r))

@@ -170,10 +170,13 @@ def test_manual_server_and_clients_match_session_exactly():
             )
             for su_id, user in enumerate(users)
         ]
-        tasks = [asyncio.ensure_future(c.run(1)) for c in clients]
-        await server.wait_for_clients(config.n_users, timeout=10.0)
+        for client in clients:
+            await client.connect()
+        tasks = [asyncio.ensure_future(c.run_round()) for c in clients]
         report = await server.run_round(entropy)
         client_rounds = await asyncio.gather(*tasks)
+        for client in clients:
+            client.close()
         await server.stop()
         return server, report, client_rounds, clients
 
@@ -196,7 +199,7 @@ def test_manual_server_and_clients_match_session_exactly():
     assert session.disclosures != ()
 
     # Every client saw the same RESULT document with original SU ids.
-    docs = [rounds[0].result for rounds in client_rounds]
+    docs = [record.result for record in client_rounds]
     assert all(doc == docs[0] for doc in docs)
     assert docs[0]["revenue"] == session.outcome.sum_of_winning_bids()
     assert {w["su"] for w in docs[0]["wins"]} == {
