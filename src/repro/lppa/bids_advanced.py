@@ -208,7 +208,9 @@ def submit_population_bids(
     fillers and its ciphertext nonce, from its own RNG in that order.
     Masking consumes no randomness, so the families and tail covers of the
     whole population go through one :func:`mask_specs` batch between the
-    two, and every ciphertext is sealed by one keystream call.  Each SU
+    two, and every ciphertext is sealed by one keystream call.  A tail is
+    a :class:`~repro.prefix.membership.PaddedSet`: the (typically cached)
+    cover's own digest set plus one blob of fillers.  Each SU
     needs its own RNG object: a shared one would be drawn in a different
     order than one SU at a time, so it raises ValueError.
     """
@@ -248,6 +250,9 @@ def submit_population_bids(
     masked = mask_specs(specs)
     families = masked[0::2]
     covers = iter(masked[1::2])
+    # Free the specs and the batch list before padding, where the
+    # phase's memory peaks.
+    del specs, masked
     tails: List[MaskedSet] = []
     nonces: List[int] = []
     for rng in rngs:

@@ -61,9 +61,9 @@ _CT_LEN = struct.Struct(">H")
 
 def encode_masked_set(masked: MaskedSet) -> bytes:
     """Serialize one masked set (canonical digest order)."""
-    if len(masked.digests) > U16_MAX or masked.digest_bytes > U8_MAX:
+    if len(masked) > U16_MAX or masked.digest_bytes > U8_MAX:
         raise CodecError(
-            f"masked set of {len(masked.digests)} digests of {masked.digest_bytes}"
+            f"masked set of {len(masked)} digests of {masked.digest_bytes}"
             " bytes exceeds the u16 count or u8 digest-length field"
         )
     parts: List[bytes] = []
@@ -73,9 +73,10 @@ def encode_masked_set(masked: MaskedSet) -> bytes:
 
 def _put_set(parts: List[bytes], masked: MaskedSet) -> None:
     # Unchecked: a submission's sets passed the field-bound checks when it
-    # was built, and encode_masked_set checks a bare set first.
-    parts.append(_SET_HEADER.pack(masked.digest_bytes, len(masked.digests)))
-    parts.extend(sorted(masked.digests))
+    # was built, and encode_masked_set checks a bare set first.  Sorting
+    # the set's own iteration reads a padded tail's parts in one pass.
+    parts.append(_SET_HEADER.pack(masked.digest_bytes, len(masked)))
+    parts.extend(sorted(masked))
 
 
 def decode_masked_set(data: bytes, offset: int = 0) -> Tuple[MaskedSet, int]:

@@ -76,9 +76,9 @@ def check_u16(what: str, value: int) -> None:
 
 
 def _check_set(what: str, masked: MaskedSet) -> None:
-    if len(masked.digests) > U16_MAX or masked.digest_bytes > U8_MAX:
+    if len(masked) > U16_MAX or masked.digest_bytes > U8_MAX:
         raise CodecError(
-            f"{what}: {len(masked.digests)} digests of {masked.digest_bytes} bytes"
+            f"{what}: {len(masked)} digests of {masked.digest_bytes} bytes"
             " exceed the u16 count or u8 digest-length field"
         )
 

@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.auction.table import BidTable
 from repro.lppa.messages import BidSubmission, MaskedBid
-from repro.prefix.membership import is_member, reaches
+from repro.prefix.membership import reaches
 
 __all__ = ["MaskedBidTable"]
 
@@ -118,10 +118,6 @@ class MaskedBidTable(BidTable):
         self._check_bidder(bidder)
         self._check_channel(channel)
         return self._bids[channel][bidder]
-
-    def bid_ge(self, i: int, j: int, channel: int) -> bool:
-        """``b_i >= b_j`` on this channel, decided purely on masked sets."""
-        return is_member(self._bids[channel][i].family, self._bids[channel][j].tail)
 
     def ranking(self, channel: int) -> List[List[int]]:
         """Total order of *all* bidders on a channel, best first.

@@ -418,9 +418,11 @@ class Fleet:
     A seat plays rounds until its round budget runs out, the server sends
     BYE, or :meth:`dismiss` closes it.  Each RESULT a seat receives folds
     the SU's round latency into ``report`` (when given) under the round
-    index, and the first RESULT document of every round is kept in
-    :attr:`results`.  With ``traced`` each SU records into a private
-    :class:`~repro.obs.trace.TraceRecorder` (``client.recorder``).
+    index.  With ``keep_results`` the first RESULT document of every round
+    is kept in :attr:`results`; without it nothing is, so a fleet that
+    plays for ever (the soak's) holds nothing per round.  With ``traced``
+    each SU records into a private :class:`~repro.obs.trace.TraceRecorder`
+    (``client.recorder``).
     """
 
     def __init__(
@@ -432,6 +434,7 @@ class Fleet:
         *,
         report: Optional[LoadgenReport] = None,
         traced: bool = False,
+        keep_results: bool = False,
     ) -> None:
         self._config = config
         self._grid = grid
@@ -439,10 +442,12 @@ class Fleet:
         self._transport = transport
         self._report = report
         self._traced = traced
+        self._keep_results = keep_results
         self._tasks: Dict[int, asyncio.Future] = {}
         #: Seated clients by key (the SU id, or a soak's logical id).
         self.clients: Dict[int, SUClient] = {}
-        #: The first RESULT document each round delivered, by round index.
+        #: The first RESULT document each round delivered, by round index
+        #: (``keep_results`` only).
         self.results: Dict[int, Dict[str, Any]] = {}
 
     def seat(
@@ -482,7 +487,8 @@ class Fleet:
                     self._report.record_latency(
                         record.latency_s, record.round_index
                     )
-                self.results.setdefault(record.round_index, record.result)
+                if self._keep_results:
+                    self.results.setdefault(record.round_index, record.result)
         except ServerGoodbye:
             pass
         except (asyncio.IncompleteReadError, ConnectionError, RuntimeError):
@@ -629,7 +635,7 @@ async def _run_connect(
     recorder = trace.get_active()
     fleet = Fleet(
         config, grid, scale, TcpTransport(host, int(port_text)),
-        report=report, traced=recorder is not None,
+        report=report, traced=recorder is not None, keep_results=True,
     )
     t0 = monotonic()
     for su_id, user in enumerate(users):

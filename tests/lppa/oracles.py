@@ -4,8 +4,9 @@ The protocol answers both jobs from one masked index
 (:func:`repro.prefix.membership.reaches`).
 These are the paper's literal per-pair procedures, kept only as oracles for
 the differential tests: the conflict graph as an all-pairs
-:func:`~repro.prefix.membership.is_member` scan, and the ranking as a
-comparison sort over ``b_i >= b_j``.
+:func:`~repro.prefix.membership.is_member` scan, the masked order
+``b_i >= b_j`` of one table entry pair (:func:`bid_ge`), and the ranking as
+a comparison sort over it.
 """
 
 import functools
@@ -14,6 +15,7 @@ from typing import Callable, List, Sequence
 
 from repro.auction.conflict import ConflictGraph
 from repro.lppa.messages import LocationSubmission
+from repro.lppa.psd import MaskedBidTable
 from repro.prefix.membership import is_member
 
 
@@ -28,6 +30,13 @@ def pairwise_conflict_graph(
         and is_member(submissions[i].y_family, submissions[j].y_range)
     )
     return ConflictGraph(n_users=len(submissions), edges=edges)
+
+
+def bid_ge(table: MaskedBidTable, i: int, j: int, channel: int) -> bool:
+    """``b_i >= b_j`` on ``channel`` of ``table``, decided purely on masked sets."""
+    return is_member(
+        table.masked_bid(i, channel).family, table.masked_bid(j, channel).tail
+    )
 
 
 def rank_by_ge(n_users: int, ge: Callable[[int, int], bool]) -> List[List[int]]:

@@ -23,7 +23,12 @@ from repro.lppa.location import build_private_conflict_graph
 from repro.lppa.messages import BidSubmission, LocationSubmission, MaskedBid
 from repro.lppa.psd import MaskedBidTable
 from repro.prefix.membership import MaskedSet, is_member, reaches
-from tests.lppa.oracles import is_total_preorder, pairwise_conflict_graph, rank_by_ge
+from tests.lppa.oracles import (
+    bid_ge,
+    is_total_preorder,
+    pairwise_conflict_graph,
+    rank_by_ge,
+)
 
 SCALE = BidScale(bmax=30, rd=4, cr=8)
 KEYRING = generate_keyring(b"masked-index-test", 3, rd=4, cr=8)
@@ -139,7 +144,7 @@ def _column_table(column):
 def test_ranking_equals_comparison_sort(bid_rows, seed):
     table = _bid_table(bid_rows, seed)
     for channel in range(3):
-        expected = rank_by_ge(len(bid_rows), lambda i, j: table.bid_ge(i, j, channel))
+        expected = rank_by_ge(len(bid_rows), lambda i, j: bid_ge(table, i, j, channel))
         assert table.ranking(channel) == expected
 
 
@@ -152,7 +157,7 @@ def test_ranking_on_arbitrary_sets_is_exact_or_refuses(column):
     n = len(column)
 
     def ge(i, j):
-        return table.bid_ge(i, j, 0)
+        return bid_ge(table, i, j, 0)
 
     if is_total_preorder(n, ge):
         assert table.ranking(0) == rank_by_ge(n, ge)
@@ -176,7 +181,7 @@ def test_ranking_refuses_a_relation_that_is_not_transitive():
         bid({d[4], d[5]}, {d[5], d[1]}),
     ]
     table = MaskedBidTable([BidSubmission(i, (b,)) for i, b in enumerate(column)])
-    assert rank_by_ge(3, lambda i, j: table.bid_ge(i, j, 0))
+    assert rank_by_ge(3, lambda i, j: bid_ge(table, i, j, 0))
     with pytest.raises(AssertionError, match="masked comparison is not total"):
         table.ranking(0)
 
@@ -190,7 +195,7 @@ def test_different_families_with_equal_reach_merge_in_index_order():
     table = _column_table(column)
 
     def ge(i, j):
-        return table.bid_ge(i, j, 0)
+        return bid_ge(table, i, j, 0)
 
     assert is_total_preorder(len(column), ge)
     assert table.ranking(0) == rank_by_ge(len(column), ge) == [[0, 1, 3], [2]]
@@ -208,6 +213,6 @@ def test_ranking_spans_blocks_and_refuses_a_violation_above_bit_2048():
     # With its tail {C} alone, bidder 2090 and the others are incomparable.
     column[low] = (_set(C), _set(C))
     table = _column_table(column)
-    assert not table.bid_ge(0, low, 0) and not table.bid_ge(low, 0, 0)
+    assert not bid_ge(table, 0, low, 0) and not bid_ge(table, low, 0, 0)
     with pytest.raises(AssertionError, match="masked comparison is not total"):
         table.ranking(0)

@@ -8,6 +8,7 @@ from repro.crypto.keys import generate_keyring
 from repro.lppa.bids_advanced import BidScale, submit_bids_advanced
 from repro.lppa.fastsim import IntegerMaskedTable
 from repro.lppa.psd import MaskedBidTable
+from tests.lppa.oracles import bid_ge
 
 SCALE = BidScale(bmax=30, rd=4, cr=8)
 KEYRING = generate_keyring(b"psd-test", 3, rd=4, cr=8)
@@ -50,7 +51,7 @@ def test_bid_ge_is_the_masked_order_oracle():
     table, values = _world([[5, 0, 0], [17, 0, 0]])
     for i in range(2):
         for j in range(2):
-            assert table.bid_ge(i, j, 0) == (values[i][0] >= values[j][0])
+            assert bid_ge(table, i, j, 0) == (values[i][0] >= values[j][0])
 
 
 def test_empty_column_raises():

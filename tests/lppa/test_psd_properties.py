@@ -4,7 +4,7 @@ Hypothesis drives random bid populations through the real crypto path
 (``submit_bids_advanced`` → ``MaskedBidTable``) and checks the two
 invariants everything downstream leans on:
 
-* the pairwise oracle ``bid_ge`` is a *total preorder* (total, transitive),
+* the pairwise oracle ``bid_ge`` (``tests.lppa.oracles``) is a *total preorder* (total, transitive),
   so ``ranking()``'s totality guard never fires on honest bids;
 * the masked ranking equals plain integer ordering of the hidden expanded
   values — the order-isomorphism the fast simulator's equivalence rests on.
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.crypto.keys import generate_keyring
 from repro.lppa.bids_advanced import BidScale, submit_bids_advanced
 from repro.lppa.psd import MaskedBidTable
+from tests.lppa.oracles import bid_ge
 
 SCALE = BidScale(bmax=30, rd=4, cr=8)
 KEYRING = generate_keyring(b"psd-prop-test", 2, rd=4, cr=8)
@@ -50,10 +51,10 @@ def test_bid_ge_is_a_total_preorder(bid_rows, seed):
     for channel in range(2):
         for i, j in itertools.product(range(n), repeat=2):
             # Totality: at least one direction holds for every pair.
-            assert table.bid_ge(i, j, channel) or table.bid_ge(j, i, channel)
+            assert bid_ge(table, i, j, channel) or bid_ge(table, j, i, channel)
         for i, j, k in itertools.product(range(n), repeat=3):
-            if table.bid_ge(i, j, channel) and table.bid_ge(j, k, channel):
-                assert table.bid_ge(i, k, channel)
+            if bid_ge(table, i, j, channel) and bid_ge(table, j, k, channel):
+                assert bid_ge(table, i, k, channel)
 
 
 @settings(max_examples=25, deadline=None)
@@ -74,6 +75,6 @@ def test_masked_ranking_agrees_with_plain_integer_ordering(bid_rows, seed):
         assert [sorted(cls) for cls in classes] == expected
         # And the oracle agrees with the integers pairwise.
         for i, j in itertools.product(range(len(bid_rows)), repeat=2):
-            assert table.bid_ge(i, j, channel) == (
+            assert bid_ge(table, i, j, channel) == (
                 values[i][channel] >= values[j][channel]
             )

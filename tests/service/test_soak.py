@@ -202,3 +202,23 @@ def test_only_churned_sus_connect_or_disconnect_at_a_boundary(monkeypatch):
         assert joined[epoch] - joined[epoch - 1] == len(deltas[epoch].joins)
         assert dismissed[epoch] == list(deltas[epoch].leaves)
     assert registry.totals()["service.reseats"] == report.joins + report.leaves
+
+
+def test_a_soak_fleet_keeps_no_result_per_epoch(monkeypatch):
+    """A soak's fleet plays for as long as the service runs, and nothing
+    reads its RESULT documents: the results it holds must not grow with
+    the epochs played."""
+    fleets = []
+    init = Fleet.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        fleets.append(self)
+
+    monkeypatch.setattr(Fleet, "__init__", recording_init)
+    held = []
+    for epochs in (10, 40):
+        report = _run(epochs=epochs, check_equivalence=False)
+        assert report.epochs_completed == epochs
+        held.append(len(fleets.pop().results))
+    assert held == [0, 0]
