@@ -365,9 +365,8 @@ class SUClient:
         return self._conn
 
     async def _read(self, conn: Connection) -> Tuple[FrameType, bytes]:
-        ftype, payload = await asyncio.wait_for(
-            read_frame(conn, strict=True), self._frame_timeout
-        )
+        async with asyncio.timeout(self._frame_timeout):
+            ftype, payload = await read_frame(conn, strict=True)
         self.bytes_received += FRAME_HEADER_BYTES + len(payload)
         return ftype, payload
 

@@ -69,6 +69,9 @@ class FrameType(enum.IntEnum):
     BYE = 9          #: server -> client, JSON ``{"rounds": n}``
 
 
+_FRAME_TYPES = {member.value: member for member in FrameType}
+
+
 def encode_frame(frame_type: int, payload: bytes = b"") -> bytes:
     """Wrap ``payload`` in the versioned envelope."""
     if not 0 <= int(frame_type) <= 0xFF:
@@ -133,9 +136,10 @@ async def read_frame(
     codec one.  The payload length is validated *before* payload bytes are
     read, so a hostile length announcement never allocates the buffer.
 
-    ``strict`` routes the reassembled bytes through :func:`decode_frame`'s
-    strict mode, so unknown frame types are rejected and the returned type
-    is a :class:`FrameType` member.
+    ``strict`` also rejects unknown frame types, from the header alone, and
+    returns the type as a :class:`FrameType` member.  A stream read takes
+    exactly the announced bytes, so :func:`decode_frame`'s trailing-bytes
+    rule cannot apply, and the payload is returned as read, never copied.
     """
     header = await conn.readexactly(FRAME_HEADER_BYTES)
     version, frame_type, length = _HEADER.unpack(header)
@@ -148,11 +152,12 @@ async def read_frame(
             f"frame announces {length} payload bytes, over the "
             f"{max_frame_bytes}-byte limit"
         )
-    payload = await conn.readexactly(length) if length else b""
     if strict:
-        return decode_frame(
-            header + payload, strict=True, max_frame_bytes=max_frame_bytes
-        )
+        member = _FRAME_TYPES.get(frame_type)
+        if member is None:
+            raise CodecError(f"unknown frame type {frame_type}")
+        frame_type = member
+    payload = await conn.readexactly(length) if length else b""
     return frame_type, payload
 
 

@@ -8,7 +8,10 @@ The invariants under test, straight from the runtime's contract:
 * a submission after the phase deadline is answered with a clean
   ``ERROR late-submission`` frame, and the connection stays usable;
 * malformed bytes get ``ERROR malformed-frame`` and a disconnect, while
-  everyone else's round completes.
+  everyone else's round completes;
+* an SU that stops reading holds up only its own frames: every other SU
+  gets each broadcast at once, and the stalled SU's frames arrive in send
+  order once it reads again.
 """
 
 import asyncio
@@ -16,6 +19,7 @@ import random
 
 import pytest
 
+from repro.lppa.entropy import bidder_rng
 from repro.net.client import ProtocolError, RetryPolicy, SUClient
 from repro.net.frames import (
     FrameType,
@@ -254,6 +258,115 @@ def test_client_read_timeout_is_bounded():
         await server.stop()
 
     asyncio.run(scenario())
+
+
+async def _until(predicate, timeout=5.0):
+    """Poll ``predicate`` until it holds; ``False`` if ``timeout`` passes."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        if loop.time() > deadline:
+            return False
+        await asyncio.sleep(0.005)
+    return True
+
+
+def test_a_stalled_reader_costs_only_itself():
+    config = LoadgenConfig(n_users=3, n_channels=6, seed=53)
+
+    async def scenario():
+        # A pipe limit under one control frame: a single unread frame puts
+        # a connection over its high-water mark.
+        transport = MemoryTransport(limit=16)
+        server, grid, users = _make_server(
+            config, transport, location_deadline=5.0, bid_deadline=5.0
+        )
+        await server.start()
+        scheme = server.scheme
+        entropy = round_entropy(config.seed, 0)
+
+        # SU 0 registers and stops reading: its WELCOME stays unread.
+        conn = await transport.connect()
+        await write_frame(conn, FrameType.HELLO, pack_json({"su": 0}))
+        good = [_make_client(server, grid, users, su, transport) for su in (1, 2)]
+        good_tasks = [asyncio.ensure_future(c.run(1)) for c in good]
+        await server.wait_for_clients(3, timeout=5.0)
+        round_task = asyncio.ensure_future(server.run_round(entropy))
+
+        # The location needs no round entropy, so SU 0 submits it without
+        # reading ROUND_BEGIN.  SUs 1 and 2 must get ROUND_BEGIN and submit
+        # while SU 0's copy waits: 3 HELLO + 3 LOCATION frames in.
+        assert await _until(lambda: server.phase.value == "collect-locations")
+        await write_frame(conn, FrameType.LOCATION, scheme.encode_location(
+            scheme.make_location(0, users[0].cell, server.keyring, grid, 6)
+        ))
+        located = await _until(lambda: server.wire.frames_in == 6)
+
+        # SU 0 reads its WELCOME only: ROUND_BEGIN takes its place in the
+        # pipe, so BID_REQUEST finds SU 0 over its mark again.  SUs 1 and 2
+        # must still get BID_REQUEST and submit their bids.
+        frames = [await asyncio.wait_for(read_frame(conn, strict=True), 5.0)]
+        bid = await _until(lambda: server.wire.frames_in == 8)
+
+        for _ in range(2):  # ROUND_BEGIN, BID_REQUEST
+            frames.append(await asyncio.wait_for(read_frame(conn, strict=True), 5.0))
+        bids = scheme.make_bids(
+            0, users[0].bids, server.keyring, server.scale,
+            bidder_rng(entropy, 0),
+        )[0]
+        await write_frame(conn, FrameType.BIDS, scheme.encode_bids(bids))
+        frames.append(await asyncio.wait_for(read_frame(conn, strict=True), 5.0))
+
+        report = await asyncio.wait_for(round_task, 10.0)
+        played = await asyncio.wait_for(asyncio.gather(*good_tasks), 10.0)
+        await server.stop()
+        return located, bid, [ftype for ftype, _ in frames], report, played
+
+    located, bid, frames, report, played = asyncio.run(scenario())
+    assert located, "SUs 1 and 2 did not submit locations while SU 0 stalled"
+    assert bid, "SUs 1 and 2 did not submit bids while SU 0 stalled"
+    assert frames == [
+        FrameType.WELCOME, FrameType.ROUND_BEGIN,
+        FrameType.BID_REQUEST, FrameType.RESULT,
+    ]
+    assert report.participants == (0, 1, 2)
+    assert report.stragglers == ()
+    assert played == [1, 1]
+
+
+def test_frames_to_one_su_keep_send_order():
+    """A frame queued behind the high-water mark is not overtaken by a later
+    frame that finds the pipe writable again before the queued one ran."""
+    config = LoadgenConfig(n_users=1, n_channels=6, seed=59)
+
+    async def scenario():
+        transport = MemoryTransport(limit=16)
+        server, _, _ = _make_server(config, transport)
+        await server.start()
+        conn = await transport.connect()
+        await write_frame(conn, FrameType.HELLO, pack_json({"su": 0}))
+        await server.wait_for_clients(1, timeout=5.0)
+        # WELCOME sits unread, so the first frame queues.
+        first = asyncio.ensure_future(
+            server._broadcast((0,), FrameType.ERROR, pack_json({"n": 1}))
+        )
+        await asyncio.sleep(0.01)
+        # The second broadcast takes its first turn right after the buffered
+        # WELCOME is read, which frees the pipe: before the queued first
+        # frame has had a turn to write.
+        second = asyncio.ensure_future(
+            server._broadcast((0,), FrameType.ERROR, pack_json({"n": 2}))
+        )
+        frames = [await read_frame(conn, strict=True)]
+        for _ in range(2):
+            frames.append(await asyncio.wait_for(read_frame(conn, strict=True), 5.0))
+        await asyncio.wait_for(asyncio.gather(first, second), 5.0)
+        await server.stop()
+        return frames
+
+    frames = asyncio.run(scenario())
+    assert frames[0][0] is FrameType.WELCOME
+    assert [unpack_json(payload)["n"] for _, payload in frames[1:]] == [1, 2]
 
 
 # --- malformed bytes and bad registrations ------------------------------------
