@@ -124,3 +124,56 @@ def test_tcp_connect_refused_maps_to_transport_closed():
             await transport.connect()
 
     asyncio.run(scenario())
+
+
+def test_memory_write_nowait_writes_under_the_mark_only():
+    async def scenario():
+        client, server = memory_pair(limit=16)
+        assert client.write_nowait(b"x" * 17)  # under the mark: written
+        assert not client.write_nowait(b"y")   # over it: nothing written
+        assert await server.readexactly(17) == b"x" * 17
+        assert client.write_nowait(b"y")
+        assert await server.readexactly(1) == b"y"
+        server.close()
+        with pytest.raises(TransportClosed):
+            client.write_nowait(b"z")
+
+    asyncio.run(scenario())
+
+
+def test_tcp_write_nowait_refuses_over_the_low_water_mark():
+    """With the peer not reading, ``write_nowait`` hands chunks to the
+    socket until the transport buffers more than its low-water mark, then
+    refuses without writing; an awaited write still lands after them."""
+    chunk = b"z" * 65536
+
+    async def scenario():
+        transport = TcpTransport()
+        expected = asyncio.get_running_loop().create_future()
+        received = asyncio.get_running_loop().create_future()
+
+        async def handler(conn):
+            n = await expected
+            received.set_result(await conn.readexactly(n))
+
+        await transport.listen(handler)
+        conn = await transport.connect()
+        written = 0
+        refused = False
+        for _ in range(256):  # at most 16 MiB
+            if not conn.write_nowait(chunk):
+                refused = True
+                break
+            written += len(chunk)
+        expected.set_result(written + 1)
+        await asyncio.wait_for(conn.write(b"!"), 10.0)
+        data = await asyncio.wait_for(received, 10.0)
+        conn.close()
+        await conn.wait_closed()
+        await transport.close()
+        return refused, written, data
+
+    refused, written, data = asyncio.run(scenario())
+    assert refused
+    assert written > 0
+    assert data == chunk * (written // len(chunk)) + b"!"
