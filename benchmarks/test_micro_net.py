@@ -10,6 +10,7 @@ counters CI diffs against ``benchmarks/baselines/BENCH_net_roundtrip.json``.
 import asyncio
 import random
 
+from repro.crypto.cache import MaskCache, set_mask_cache
 from repro.crypto.keys import generate_keyring
 from repro.lppa.bids_advanced import BidScale, submit_bids_advanced
 from repro.lppa.codec import encode_bids, encode_location
@@ -95,8 +96,14 @@ def test_bench_net_roundtrip_artifact(bench_artifact):
         n_users=8, n_channels=6, rounds=2, seed=41,
         transport="memory", check_equivalence=True,
     )
-    with obs.collecting() as registry:
-        report = asyncio.run(run_loadgen(config))
+    # The mask-cache gauges read the cache's size: start from an empty
+    # cache so they do not depend on what ran earlier in the process.
+    previous = set_mask_cache(MaskCache())
+    try:
+        with obs.collecting() as registry:
+            report = asyncio.run(run_loadgen(config))
+    finally:
+        set_mask_cache(previous)
     registry.count("loadgen.wire_bytes", report.wire_bytes)
     registry.count("loadgen.rounds_completed", report.rounds_completed)
 

@@ -28,11 +28,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import KeyRing
-from repro.lppa.bids_basic import seal_bid_values
-from repro.lppa.messages import BidSubmission, MaskedBid
+from repro.lppa.bids_basic import SEALED_BID_BYTES, seal_bid_values
+from repro.lppa.messages import BidSubmission, MaskedBid, check_bid_shape
 from repro.lppa.policies import KeepZeroPolicy, ZeroDisguisePolicy
 from repro.prefix.membership import (
+    COVER,
     DEFAULT_DIGEST_BYTES,
+    FAMILY,
     MaskedSet,
     MaskSpec,
     mask_specs,
@@ -147,42 +149,59 @@ def disguise_and_expand(
     full crypto path in :func:`submit_population_bids` and the fast simulator
     in :mod:`repro.lppa.fastsim` both run exactly this code, so the two are
     behaviourally identical by construction.
+
+    The uniform draws over ``[0, rd]`` and ``[0, cr)`` are the ones
+    ``rng.randint(0, rd)`` and ``rng.randrange(cr)`` make (CPython 3.11+):
+    ``getrandbits(n.bit_length())`` until the value is below ``n``.  They
+    are inlined, with the scale read once, because this loop is most of
+    the bidder's Python work; :meth:`BidScale.offset_value` and
+    :meth:`BidScale.expand` stay the per-value reference.  Every value a
+    bid or a policy supplies is range-checked here; the draws land in
+    range by construction, so the offset values need no second check.
     """
     if policy is None:
         policy = KeepZeroPolicy()
+    bmax, rd, cr = scale.bmax, scale.rd, scale.cr
+    zero_band = rd + 1
+    zero_bits = zero_band.bit_length()
+    slot_bits = cr.bit_length()
+    getrandbits = rng.getrandbits
+    sample = policy.sample
     user_bmax = max(bids) if bids else 0
     disclosures: List[ChannelDisclosure] = []
     for bid in bids:
-        if not 0 <= bid <= scale.bmax:
-            raise ValueError(f"bid {bid} outside [0, {scale.bmax}]")
+        if not 0 <= bid <= bmax:
+            raise ValueError(f"bid {bid} outside [0, {bmax}]")
+        disguised = False
         if bid > 0:
-            pretend = scale.offset_value(bid)  # b + rd
-            true_offset = pretend
-            disguised = False
+            pretend = bid + rd
         else:
-            t = policy.sample(rng, user_bmax)
+            t = sample(rng, user_bmax)
             if t > 0:
                 # Disguise: masked sets pretend the bid is t.
-                pretend = scale.offset_value(t)
+                if t > bmax:
+                    raise ValueError(f"bid {t} outside [0, {bmax}]")
+                pretend = t + rd
                 disguised = True
-                true_offset = rng.randint(0, scale.rd)
+                true_offset = getrandbits(zero_bits)
+                while true_offset >= zero_band:
+                    true_offset = getrandbits(zero_bits)
             else:
                 # Stay zero: spread uniformly over [0, rd].
-                pretend = rng.randint(0, scale.rd)
-                disguised = False
-                true_offset = pretend
-        masked_expanded = scale.expand(pretend, rng)
-        true_expanded = (
-            masked_expanded if not disguised else scale.expand(true_offset, rng)
-        )
+                pretend = getrandbits(zero_bits)
+                while pretend >= zero_band:
+                    pretend = getrandbits(zero_bits)
+        slot = getrandbits(slot_bits)
+        while slot >= cr:
+            slot = getrandbits(slot_bits)
+        masked_expanded = true_expanded = cr * pretend + slot
+        if disguised:
+            slot = getrandbits(slot_bits)
+            while slot >= cr:
+                slot = getrandbits(slot_bits)
+            true_expanded = cr * true_offset + slot
         disclosures.append(
-            ChannelDisclosure(
-                true_bid=bid,
-                pretend_value=pretend,
-                true_expanded=true_expanded,
-                masked_expanded=masked_expanded,
-                disguised=disguised,
-            )
+            ChannelDisclosure(bid, pretend, true_expanded, masked_expanded, disguised)
         )
     return disclosures
 
@@ -210,7 +229,11 @@ def submit_population_bids(
     whole population go through one :func:`mask_specs` batch between the
     two, and every ciphertext is sealed by one keystream call.  A tail is
     a :class:`~repro.prefix.membership.PaddedSet`: the (typically cached)
-    cover's own digest set plus one blob of fillers.  Each SU
+    cover's own digest set plus one blob of fillers.  Every bid of the
+    batch has one shape (a ``w + 1``-digest family, a ``2w - 2``-digest
+    tail, an 8-byte sealed value), so the codec bounds are checked once,
+    by :func:`~repro.lppa.messages.check_bid_shape`, and the bids are made
+    unchecked (:meth:`MaskedBid.of_parts`).  Each SU
     needs its own RNG object: a shared one would be drawn in a different
     order than one SU at a time, so it raises ValueError.
     """
@@ -241,49 +264,54 @@ def submit_population_bids(
         disguise_and_expand(row, scale, rng, policy=policy)
         for row, rng, policy in zip(bids, rngs, policies)
     ]
+    # MaskSpec tuples built in place: the fields its family/cover makers
+    # would set, without their frames.
+    spec = tuple.__new__
+    domain, size = _BID_DOMAIN, DEFAULT_DIGEST_BYTES
     specs: List[MaskSpec] = []
+    add = specs.append
     for channels in disclosures:
         for key, disclosure in zip(keys, channels):
             value = disclosure.masked_expanded
-            specs.append(MaskSpec.family(key, value, width, domain=_BID_DOMAIN))
-            specs.append(MaskSpec.cover(key, value, emax, width, domain=_BID_DOMAIN))
+            add(spec(MaskSpec, (key, domain, size, FAMILY, (value,), width)))
+            add(spec(MaskSpec, (key, domain, size, COVER, (value, emax), width)))
     masked = mask_specs(specs)
     families = masked[0::2]
     covers = iter(masked[1::2])
     # Free the specs and the batch list before padding, where the
     # phase's memory peaks.
-    del specs, masked
+    del specs, add, masked
     tails: List[MaskedSet] = []
     nonces: List[int] = []
     for rng in rngs:
+        getrandbits = rng.getrandbits
         for _ in range(n_channels):
             tails.append(
                 pad_masked_set(
                     next(covers), ceiling=pad_to, digest_bytes=DEFAULT_DIGEST_BYTES, rng=rng
                 )
             )
-            nonces.append(rng.getrandbits(32))
+            nonces.append(getrandbits(32))
     ciphertexts = seal_bid_values(
         keyring.gc,
         [disclosure.true_expanded for channels in disclosures for disclosure in channels],
         nonces,
     )
-    channel_bids = [
-        MaskedBid(family=family, tail=tail, ciphertext=ciphertext)
-        for family, tail, ciphertext in zip(families, tails, ciphertexts)
-    ]
+    # Validate once: a family holds at most width + 1 digests, a tail
+    # exactly pad_to (its cover has at most 2w - 2), every digest is
+    # DEFAULT_DIGEST_BYTES wide and every sealed bid SEALED_BID_BYTES long,
+    # so these bounds imply every per-bid check MaskedBid(...) would make.
+    check_bid_shape(width + 1, pad_to, DEFAULT_DIGEST_BYTES, SEALED_BID_BYTES)
+    channel_bids = list(map(MaskedBid.of_parts, families, tails, ciphertexts))
     submissions = []
     records = []
     for slot, (user_id, channels) in enumerate(zip(user_ids, disclosures)):
         submissions.append(
             BidSubmission(
-                user_id=user_id,
-                channel_bids=tuple(
-                    channel_bids[slot * n_channels : (slot + 1) * n_channels]
-                ),
+                user_id, tuple(channel_bids[slot * n_channels : (slot + 1) * n_channels])
             )
         )
-        records.append(SubmissionDisclosure(user_id=user_id, channels=tuple(channels)))
+        records.append(SubmissionDisclosure(user_id, tuple(channels)))
     return submissions, records
 
 

@@ -26,6 +26,7 @@ from repro.prefix.membership import MaskSpec, mask_specs
 from repro.prefix.prefixes import bit_width_for
 
 __all__ = [
+    "SEALED_BID_BYTES",
     "submit_bids_basic",
     "seal_bid_values",
     "encrypt_bid_value",
@@ -35,6 +36,9 @@ __all__ = [
 
 _BID_DOMAIN = b"lppa/bid"
 _PLAINTEXT_BYTES = 4
+
+#: Length of one sealed bid: the 4-byte nonce and the CTR ciphertext.
+SEALED_BID_BYTES = 4 + _PLAINTEXT_BYTES
 
 
 @lru_cache(maxsize=64)
@@ -52,8 +56,9 @@ def seal_bid_values(
     """(nonce || CTR ciphertext) of each value under the TTP key ``gc``.
 
     ``nonces`` are the 32-bit nonces the bidder drew for the values, in
-    order; every value is sealed by one keystream call.  Each blob equals
-    what :func:`encrypt_bid_value` gives for the same value and nonce draw.
+    order; every value is sealed by one keystream call.  Each blob is
+    :data:`SEALED_BID_BYTES` long and equals what :func:`encrypt_bid_value`
+    gives for the same value and nonce draw.
     """
     if values:
         obs.count("crypto.speck.encrypt", len(values))
@@ -79,7 +84,7 @@ def decrypt_bid_values(gc: bytes, blobs: Sequence[bytes]) -> List[int]:
     if blobs:
         obs.count("crypto.speck.decrypt", len(blobs))
     for blob in blobs:
-        if len(blob) != 4 + _PLAINTEXT_BYTES:
+        if len(blob) != SEALED_BID_BYTES:
             raise ValueError("malformed bid ciphertext")
     opened = ctr_encrypt_batch(
         _cipher_for(gc), [blob[:4] for blob in blobs], [blob[4:] for blob in blobs]

@@ -23,6 +23,10 @@ The constructors enforce the codec's field bounds (u32 user id, u8 digest
 length, u16 set counts, channel count and ciphertext length), raising
 :class:`CodecError`: a message that exists can always be encoded, so the
 round core can take its framed size from ``wire_size()`` without encoding.
+The one unchecked maker is :meth:`MaskedBid.of_parts`, for the bidder's
+batch: :func:`check_bid_shape` checks once, for a whole batch, the bounds
+that imply every one of its bids' checks.  Decoding always goes through
+the checked constructors, because wire data is untrusted.
 """
 
 from __future__ import annotations
@@ -73,6 +77,27 @@ def check_u16(what: str, value: int) -> None:
     """Reject a count or length above the codec's ``u16`` fields."""
     if value > U16_MAX:
         raise CodecError(f"{what} {value} exceeds the u16 field")
+
+
+def check_bid_shape(
+    family_size: int, tail_size: int, digest_bytes: int, ciphertext_bytes: int
+) -> None:
+    """Reject a bid shape the codec cannot carry, once for a whole batch.
+
+    A :class:`MaskedBid` whose family holds at most ``family_size``
+    digests, whose tail holds at most ``tail_size``, whose digests are
+    ``digest_bytes`` wide and whose ciphertext is ``ciphertext_bytes``
+    long passes every check of :meth:`MaskedBid.__post_init__` when these
+    bounds pass, so a batch that builds only such bids may make them with
+    :meth:`MaskedBid.of_parts`.
+    """
+    check_u16("bid family size", family_size)
+    check_u16("bid tail size", tail_size)
+    if digest_bytes > U8_MAX:
+        raise CodecError(f"digest length {digest_bytes} exceeds the u8 field")
+    if ciphertext_bytes < 5:
+        raise ValueError("ciphertext must contain a 4-byte nonce and payload")
+    check_u16("ciphertext length", ciphertext_bytes)
 
 
 def _check_set(what: str, masked: MaskedSet) -> None:
@@ -153,6 +178,23 @@ class MaskedBid:
         check_u16("ciphertext length", len(self.ciphertext))
         _check_set("family", self.family)
         _check_set("tail", self.tail)
+
+    @classmethod
+    def of_parts(cls, family: MaskedSet, tail: MaskedSet, ciphertext: bytes) -> "MaskedBid":
+        """A masked bid built without :meth:`__post_init__`'s checks.
+
+        The validate-once path of the bidder's batch: the caller must have
+        passed :func:`check_bid_shape` for bounds that hold for these
+        parts (family and tail sizes, digest width, ciphertext length).
+        Its one caller is
+        :func:`~repro.lppa.bids_advanced.submit_population_bids`; the
+        codec's decoder and everything else use ``MaskedBid(...)``.
+        """
+        bid = object.__new__(cls)
+        object.__setattr__(bid, "family", family)
+        object.__setattr__(bid, "tail", tail)
+        object.__setattr__(bid, "ciphertext", ciphertext)
+        return bid
 
     def wire_bytes(self) -> int:
         """Serialized size in bytes (masked sets + ciphertext)."""

@@ -457,24 +457,32 @@ def pad_masked_set(
         digests = frozenset(genuine)
         MaskedSet(digests, digest_bytes=digest_bytes)
     missing = ceiling - len(digests)
-    fillers = b""
-    if missing > 0:
-        fillers = _draw_fillers(digests, missing, digest_bytes, rng)
-        obs.count("prefix.masked_digests", missing)
-    return PaddedSet.of_parts(digests, fillers, digest_bytes)
-
-
-def _draw_fillers(
-    genuine: FrozenSet[bytes], missing: int, digest_bytes: int, rng: random.Random
-) -> bytes:
-    kept: Dict[bytes, None] = {}
+    if missing <= 0:
+        return PaddedSet.of_parts(digests, b"", digest_bytes)
+    obs.count("prefix.masked_digests", missing)
+    drawn: Tuple[bytes, ...] = ()
     if digest_bytes % 4 == 0:
         size = missing * digest_bytes
-        blob = rng.getrandbits(8 * size).to_bytes(size, "big")
-        drawn = _unpack_digests(digest_bytes, missing)(blob)
-        if len(set(drawn)) == missing and genuine.isdisjoint(drawn):
-            return blob  # no collision: the blob is the fillers as drawn
-        kept = dict.fromkeys(d for d in drawn if d not in genuine)
+        fillers = rng.getrandbits(8 * size).to_bytes(size, "big")
+        drawn = _unpack_digests(digest_bytes, missing)(fillers)
+        distinct = set(drawn)
+        if len(distinct) == missing and distinct.isdisjoint(digests):
+            return PaddedSet.of_parts(digests, fillers, digest_bytes)
+    return PaddedSet.of_parts(
+        digests, _redraw_fillers(digests, drawn, missing, digest_bytes, rng), digest_bytes
+    )
+
+
+def _redraw_fillers(
+    genuine: FrozenSet[bytes],
+    drawn: Tuple[bytes, ...],
+    missing: int,
+    digest_bytes: int,
+    rng: random.Random,
+) -> bytes:
+    # Keep the first draw's distinct non-genuine fillers in draw order, then
+    # draw one filler at a time until ``missing`` are kept.
+    kept = dict.fromkeys(d for d in drawn if d not in genuine)
     while len(kept) < missing:
         filler = rng.getrandbits(8 * digest_bytes).to_bytes(digest_bytes, "big")
         if filler not in genuine:
@@ -578,8 +586,12 @@ def reaches(
     probe sets are looked up once and share one entry.  Owner bits are
     OR-ed as small ints within blocks of :data:`_BLOCK` indexed sets and
     each block is shifted into place once, so no owner costs an N-bit
-    copy.  Counted as ``prefix.index_probes``: one per digest of every
-    probe, repeated sets included.
+    copy.  Within a block, each distinct genuine cover of the padded sets
+    is intersected once for all its owners, and all their fillers of one
+    digest width are checked against the probes in one pass; only a block
+    where some filler is a probe digest reads its fillers set by set.
+    Counted as ``prefix.index_probes``: one per digest of every probe,
+    repeated sets included.
     """
     probed = [p.digests for p in probes]
     if probed:
@@ -588,13 +600,33 @@ def reaches(
     wanted = frozenset().union(*distinct)
     owners: Dict[bytes, int] = {}
     for base in range(0, len(indexed), _BLOCK):
+        members = indexed[base : base + _BLOCK]
         block: Dict[bytes, int] = {}
         get = block.get
+        covers: Dict[FrozenSet[bytes], int] = {}
+        fillers: Dict[int, List[bytes]] = {}
         bit = 1
-        for masked in indexed[base : base + _BLOCK]:
-            for digest in masked.shared_with(wanted):
-                block[digest] = get(digest, 0) | bit
+        for masked in members:
+            if type(masked) is PaddedSet:
+                covers[masked.genuine] = covers.get(masked.genuine, 0) | bit
+                fillers.setdefault(masked.digest_bytes, []).append(masked.fillers)
+            else:
+                for digest in masked.shared_with(wanted):
+                    block[digest] = get(digest, 0) | bit
             bit <<= 1
+        for genuine, bits in covers.items():
+            for digest in wanted.intersection(genuine):
+                block[digest] = get(digest, 0) | bits
+        if not all(
+            wanted.isdisjoint(split_digests(b"".join(blobs), width))
+            for width, blobs in fillers.items()
+        ):
+            bit = 1
+            for masked in members:
+                if type(masked) is PaddedSet:
+                    for digest in wanted.intersection(masked.filler_digests()):
+                        block[digest] = get(digest, 0) | bit
+                bit <<= 1
         for digest, bits in block.items():
             owners[digest] = owners.get(digest, 0) | bits << base
     lookup = owners.get

@@ -1,20 +1,27 @@
-"""Pairwise reference implementations of the auctioneer's two masked jobs.
+"""Reference implementations kept only as oracles for differential tests.
 
-The protocol answers both jobs from one masked index
-(:func:`repro.prefix.membership.reaches`).
-These are the paper's literal per-pair procedures, kept only as oracles for
-the differential tests: the conflict graph as an all-pairs
+The protocol answers the auctioneer's two masked jobs from one masked index
+(:func:`repro.prefix.membership.reaches`).  The first oracles are the
+paper's literal per-pair procedures: the conflict graph as an all-pairs
 :func:`~repro.prefix.membership.is_member` scan, the masked order
 ``b_i >= b_j`` of one table entry pair (:func:`bid_ge`), and the ranking as
 a comparison sort over it.
+
+:func:`disguise_and_expand` is the bidder's numeric core as first written,
+one :class:`~repro.lppa.bids_advanced.BidScale` call and one
+``randint``/``randrange`` per value, against which the inlined core's
+draws are checked.
 """
 
 import functools
 import itertools
-from typing import Callable, List, Sequence
+import random
+from typing import Callable, List, Optional, Sequence
 
 from repro.auction.conflict import ConflictGraph
+from repro.lppa.bids_advanced import BidScale, ChannelDisclosure
 from repro.lppa.messages import LocationSubmission
+from repro.lppa.policies import KeepZeroPolicy, ZeroDisguisePolicy
 from repro.lppa.psd import MaskedBidTable
 from repro.prefix.membership import is_member
 
@@ -79,3 +86,48 @@ def is_total_preorder(n_users: int, ge: Callable[[int, int], bool]) -> bool:
             for i, j, k in itertools.product(users, repeat=3)
         )
     )
+
+
+def disguise_and_expand(
+    bids: Sequence[int],
+    scale: BidScale,
+    rng: random.Random,
+    *,
+    policy: Optional[ZeroDisguisePolicy] = None,
+) -> List[ChannelDisclosure]:
+    """Steps (i)-(ii) of the advanced scheme through ``randint``/``randrange``."""
+    if policy is None:
+        policy = KeepZeroPolicy()
+    user_bmax = max(bids) if bids else 0
+    disclosures: List[ChannelDisclosure] = []
+    for bid in bids:
+        if not 0 <= bid <= scale.bmax:
+            raise ValueError(f"bid {bid} outside [0, {scale.bmax}]")
+        if bid > 0:
+            pretend = scale.offset_value(bid)
+            true_offset = pretend
+            disguised = False
+        else:
+            t = policy.sample(rng, user_bmax)
+            if t > 0:
+                pretend = scale.offset_value(t)
+                disguised = True
+                true_offset = rng.randint(0, scale.rd)
+            else:
+                pretend = rng.randint(0, scale.rd)
+                disguised = False
+                true_offset = pretend
+        masked_expanded = scale.expand(pretend, rng)
+        true_expanded = (
+            masked_expanded if not disguised else scale.expand(true_offset, rng)
+        )
+        disclosures.append(
+            ChannelDisclosure(
+                true_bid=bid,
+                pretend_value=pretend,
+                true_expanded=true_expanded,
+                masked_expanded=masked_expanded,
+                disguised=disguised,
+            )
+        )
+    return disclosures

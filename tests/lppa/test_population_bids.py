@@ -10,6 +10,11 @@ with its own RNG, and every case runs on a cold and then a warm cache.
 Submissions, disclosures, every RNG's final state and the deterministic
 counters must all be equal; only the number of HMAC batches may differ,
 which is the point.
+
+The batch makes its bids with the unchecked ``MaskedBid.of_parts`` after
+checking, once, the shape bounds that imply every per-bid check; the last
+tests pin that those bids are ordinary ones and that the bounds still
+raise, in the batch and in the decoder.
 """
 
 import random
@@ -26,12 +31,15 @@ from repro.lppa.bids_advanced import (
     submit_bids_advanced,
     submit_population_bids,
 )
+from repro.lppa.codec import decode_bids, encode_bids
+from repro.lppa.messages import CodecError, MaskedBid
 from repro.lppa.policies import (
     KeepZeroPolicy,
     LinearDecreasingPolicy,
     UniformDisguisePolicy,
     UniformReplacePolicy,
 )
+from repro.prefix.membership import DEFAULT_DIGEST_BYTES
 
 SCALE = BidScale(bmax=31, rd=3, cr=4)
 #: Bid values a population draws from: small, so SUs repeat each other.
@@ -148,3 +156,47 @@ def test_rejects_misaligned_arguments_and_channel_counts():
         submit_population_bids([[1, 2]], keyring, SCALE, [random.Random(0)], user_ids=[])
     with pytest.raises(ValueError, match="channel keys"):
         submit_population_bids([[1, 2], [3]], keyring, SCALE, [random.Random(0)] * 2)
+
+
+def _one_batch(n_users=3):
+    keyring = generate_keyring(b"validate-once", 2, rd=SCALE.rd, cr=SCALE.cr)
+    bids = [[7, 0], [31, 1], [0, 0]][:n_users]
+    rngs = [random.Random(seed) for seed in range(n_users)]
+    return submit_population_bids(bids, keyring, SCALE, rngs)[0]
+
+
+def test_an_unchecked_bid_equals_hashes_and_encodes_like_a_checked_one():
+    for submission in _one_batch():
+        for made in submission.channel_bids:
+            checked = MaskedBid(made.family, made.tail, made.ciphertext)
+            assert made == checked and hash(made) == hash(checked)
+            assert vars(made) == vars(checked)
+            assert made.wire_size() == checked.wire_size()
+        decoded = decode_bids(encode_bids(submission))
+        assert decoded == submission and hash(decoded) == hash(submission)
+        assert len(encode_bids(submission)) == submission.wire_size()
+
+
+def test_the_batch_checks_the_shape_bounds_once(monkeypatch):
+    width = SCALE.width
+    assert (width + 1, SCALE.pad_to) == (9, 14)
+    # Tails (pad_to digests) over the bound, families (w + 1) under it.
+    monkeypatch.setattr("repro.lppa.messages.U16_MAX", SCALE.pad_to - 1)
+    with pytest.raises(CodecError, match="tail size"):
+        _one_batch()
+    # Families over the bound too.
+    monkeypatch.setattr("repro.lppa.messages.U16_MAX", width)
+    with pytest.raises(CodecError, match="family size"):
+        _one_batch()
+    monkeypatch.undo()
+    monkeypatch.setattr("repro.lppa.messages.U8_MAX", DEFAULT_DIGEST_BYTES - 1)
+    with pytest.raises(CodecError, match="u8"):
+        _one_batch()
+
+
+def test_the_decoder_still_checks_every_bid(monkeypatch):
+    (submission,) = _one_batch(n_users=1)
+    wire = encode_bids(submission)
+    monkeypatch.setattr("repro.lppa.messages.U16_MAX", SCALE.pad_to - 1)
+    with pytest.raises(CodecError, match="u16"):
+        decode_bids(wire)
