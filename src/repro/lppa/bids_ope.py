@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -77,7 +77,7 @@ def reset_ope_cache() -> None:
     _encoder.cache_clear()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpeBid:
     """One channel's sealed bid: OPE value for ranking + TTP ciphertext."""
 
@@ -105,18 +105,31 @@ class OpeBid:
         return self.wire_bytes() + OPE_BID_FRAMING
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpeBidSubmission:
-    """One SU's sealed bid vector (one :class:`OpeBid` per channel)."""
+    """One SU's sealed bid vector (one :class:`OpeBid` per channel).
+
+    Like a PPBS :class:`~repro.lppa.messages.BidSubmission`, it adds its
+    payload and OPE-value sizes up once, when it is made; they take no
+    part in equality, hashing or ``repr``.
+    """
 
     user_id: int
     channel_bids: Tuple[OpeBid, ...]
+    payload_bytes: int = field(init=False, repr=False, compare=False)
+    ope_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.channel_bids:
             raise ValueError("a bid submission must cover at least one channel")
         check_user_id(self.user_id)
         check_u16("channel count", len(self.channel_bids))
+        object.__setattr__(
+            self, "payload_bytes", 4 + sum(bid.wire_bytes() for bid in self.channel_bids)
+        )
+        object.__setattr__(
+            self, "ope_bytes", sum(bid.ope_bytes for bid in self.channel_bids)
+        )
 
     @property
     def n_channels(self) -> int:
@@ -124,7 +137,7 @@ class OpeBidSubmission:
 
     def wire_bytes(self) -> int:
         """Protocol payload: user id plus every channel's sealed bid."""
-        return 4 + sum(bid.wire_bytes() for bid in self.channel_bids)
+        return self.payload_bytes
 
     def framing_bytes(self) -> int:
         """Codec framing on top of the payload: the tag, the channel count
@@ -137,7 +150,7 @@ class OpeBidSubmission:
 
     def material_bytes(self) -> int:
         """Total OPE value bytes — the Bloom analogue of masked-set bytes."""
-        return sum(bid.ope_bytes for bid in self.channel_bids)
+        return self.ope_bytes
 
     def trace_fields(self) -> Dict[str, int]:
         """The byte-accounting fields the flight recorder stores per message."""

@@ -73,10 +73,23 @@ def encode_masked_set(masked: MaskedSet) -> bytes:
 
 def _put_set(parts: List[bytes], masked: MaskedSet) -> None:
     # Unchecked: a submission's sets passed the field-bound checks when it
-    # was built, and encode_masked_set checks a bare set first.  Sorting
-    # the set's own iteration reads a padded tail's parts in one pass.
-    parts.append(_SET_HEADER.pack(masked.digest_bytes, len(masked)))
-    parts.extend(sorted(masked))
+    # was built, and encode_masked_set checks a bare set first.  A plain
+    # set keeps its encoding (MaskedSet.encoded): families and location
+    # sets come from the mask cache and are re-sent every round.  A padded
+    # tail is drawn afresh every round, so it is never memoised; sorting
+    # its own iteration reads its parts in one pass.
+    if type(masked) is MaskedSet:
+        encoded = masked.encoded
+        if encoded is None:
+            digests = masked.digests
+            encoded = _SET_HEADER.pack(masked.digest_bytes, len(digests)) + b"".join(
+                sorted(digests)
+            )
+            object.__setattr__(masked, "encoded", encoded)
+        parts.append(encoded)
+    else:
+        parts.append(_SET_HEADER.pack(masked.digest_bytes, len(masked)))
+        parts.extend(sorted(masked))
 
 
 def decode_masked_set(data: bytes, offset: int = 0) -> Tuple[MaskedSet, int]:

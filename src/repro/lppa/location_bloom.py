@@ -90,7 +90,7 @@ def _positions(token: bytes, n_bits: int, n_hashes: int) -> List[int]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BloomFilter:
     """An immutable Bloom filter over cell tokens."""
 
@@ -125,7 +125,7 @@ class BloomFilter:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BloomLocationSubmission:
     """One SU's Bloom location message: own-cell token + range filter."""
 

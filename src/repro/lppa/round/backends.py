@@ -234,7 +234,8 @@ class CryptoBackend(ValueBackend):
         # Exact serialized sizes without encoding: the payloads summed at
         # ingest plus each message's fixed framing (wire_size() = payload +
         # framing is pinned to len(encode_*()) by the test suite, and the
-        # message constructors enforce the codec's field bounds).
+        # message constructors enforce the codec's field bounds).  Every
+        # size is the one the submission stored when it was made.
         framed = (
             state.location_bytes
             + state.bid_bytes

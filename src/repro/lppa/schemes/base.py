@@ -26,7 +26,8 @@ Every scheme's submission types share one size contract: ``user_id``,
 ``channel_bids`` (bids only), ``wire_bytes()`` (payload),
 ``framing_bytes()``, ``wire_size()`` (their sum, the encoded length),
 ``material_bytes()`` (bids only: the ranked material the size model
-covers) and ``trace_fields()``.
+covers) and ``trace_fields()``.  A submission adds its sizes up once, when
+it is made, so reading them walks no bid.
 
 Schemes are registered by name (:mod:`repro.lppa.schemes.registry`) and
 selected via ``--scheme`` / ``$REPRO_SCHEME`` through the session wrapper,

@@ -11,12 +11,14 @@ Submissions, disclosures, every RNG's final state and the deterministic
 counters must all be equal; only the number of HMAC batches may differ,
 which is the point.
 
-The batch makes its bids with the unchecked ``MaskedBid.of_parts`` after
-checking, once, the shape bounds that imply every per-bid check; the last
-tests pin that those bids are ordinary ones and that the bounds still
-raise, in the batch and in the decoder.
+The batch makes its bids and submissions with the unchecked ``of_parts``
+makers after checking, once, the shape bounds that imply every per-message
+check; the last tests pin that those messages are ordinary ones, their
+stored sizes included, and that the bounds still raise, in the batch and
+in the decoder.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -32,7 +34,7 @@ from repro.lppa.bids_advanced import (
     submit_population_bids,
 )
 from repro.lppa.codec import decode_bids, encode_bids
-from repro.lppa.messages import CodecError, MaskedBid
+from repro.lppa.messages import BidSubmission, CodecError, MaskedBid
 from repro.lppa.policies import (
     KeepZeroPolicy,
     LinearDecreasingPolicy,
@@ -165,13 +167,20 @@ def _one_batch(n_users=3):
     return submit_population_bids(bids, keyring, SCALE, rngs)[0]
 
 
+def _declared(record):
+    """Every declared field of a record, the stored sizes included."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 def test_an_unchecked_bid_equals_hashes_and_encodes_like_a_checked_one():
     for submission in _one_batch():
         for made in submission.channel_bids:
             checked = MaskedBid(made.family, made.tail, made.ciphertext)
             assert made == checked and hash(made) == hash(checked)
-            assert vars(made) == vars(checked)
+            assert _declared(made) == _declared(checked)
             assert made.wire_size() == checked.wire_size()
+        checked_sub = BidSubmission(submission.user_id, submission.channel_bids)
+        assert _declared(submission) == _declared(checked_sub)
         decoded = decode_bids(encode_bids(submission))
         assert decoded == submission and hash(decoded) == hash(submission)
         assert len(encode_bids(submission)) == submission.wire_size()

@@ -11,6 +11,8 @@ a tail is ever joined into a set of its own again.
 
 import random
 
+import pytest
+
 from repro import obs
 from repro.crypto.keys import generate_keyring
 from repro.lppa.bids_advanced import BidScale, submit_population_bids
@@ -196,8 +198,17 @@ def test_a_padded_tail_shares_its_cover_and_keeps_its_fillers_as_one_blob():
             assert type(tail.fillers) is bytes
             assert len(tail.fillers) == (SCALE.pad_to - len(cover)) * WIDTH
             assert len(tail) == SCALE.pad_to
-            assert vars(tail) == {
+            assert not hasattr(tail, "__dict__")
+            assert PaddedSet.__slots__ == ("genuine", "fillers")
+            assert {
+                name: getattr(tail, name)
+                for name in ("genuine", "fillers", "digest_bytes", "encoded")
+            } == {
                 "genuine": cover.digests,
                 "fillers": tail.fillers,
                 "digest_bytes": WIDTH,
+                "encoded": None,
             }
+            # The digests slot a tail inherits from MaskedSet stays empty.
+            with pytest.raises(AttributeError):
+                MaskedSet.__dict__["digests"].__get__(tail)
