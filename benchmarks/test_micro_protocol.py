@@ -2,8 +2,8 @@
 
 These are real pytest-benchmark measurements (many rounds), covering the
 operations whose costs the paper argues are small: HMAC masking, range
-covers, masked max-finding, private conflict-graph construction, and a full
-cryptographic auction round.
+covers, the masked PSD ranking of a column, private conflict-graph
+construction, and a full cryptographic auction round.
 """
 
 import random
@@ -17,8 +17,10 @@ from repro.crypto.keys import generate_keyring
 from repro.geo.grid import GridSpec
 from repro.lppa.bids_advanced import BidScale, submit_bids_advanced
 from repro.lppa.location import build_private_conflict_graph, submit_location
+from repro.lppa.messages import BidSubmission, MaskedBid
+from repro.lppa.psd import masked_rankings
 from repro.lppa.session import run_lppa_auction
-from repro.prefix.membership import find_maxima, mask_range, mask_value
+from repro.prefix.membership import mask_range, mask_value
 
 GRID = GridSpec(rows=100, cols=100)
 
@@ -58,12 +60,19 @@ def test_bench_mask_range_padded(benchmark):
 
 
 def test_bench_masked_max_finding(benchmark):
+    """What a round runs to find a column's maximum: the masked ranking of
+    one 50-bid channel."""
     rng = random.Random(1)
     bids = [rng.randrange(4096) for _ in range(50)]
-    families = [mask_value(b"key", b, 12) for b in bids]
-    tails = [mask_range(b"key", b, 4095, 12) for b in bids]
-    result = benchmark(find_maxima, families, tails)
-    assert result
+    submissions = [
+        BidSubmission(
+            uid,
+            (MaskedBid(mask_value(b"key", b, 12), mask_range(b"key", b, 4095, 12), bytes(5)),),
+        )
+        for uid, b in enumerate(bids)
+    ]
+    (ranking,) = benchmark(masked_rankings, submissions)
+    assert ranking[0] == [u for u, b in enumerate(bids) if b == max(bids)]
 
 
 def test_bench_advanced_submission(benchmark):

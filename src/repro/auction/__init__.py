@@ -2,7 +2,7 @@
 
 Implements the paper's baseline auction (section II.A) and the pieces LPPA
 reuses: truthful bid generation, the 2λ interference conflict graph, the
-greedy Algorithm 3 allocator (generic over plaintext / masked bid tables),
+greedy Algorithm 3 allocator (one ranked table for plaintext and masked bids),
 first-price charging, and outcome metrics.
 """
 
@@ -35,7 +35,7 @@ from repro.auction.pricing import (
     second_price_charge,
 )
 from repro.auction.plain_auction import run_plain_auction
-from repro.auction.table import BidTable, PlainBidTable
+from repro.auction.table import RankedTable, Ranking, rank_values
 
 __all__ = [
     "ConflictStats",
@@ -63,6 +63,7 @@ __all__ = [
     "greedy_allocate_priced",
     "second_price_charge",
     "run_plain_auction",
-    "BidTable",
-    "PlainBidTable",
+    "RankedTable",
+    "Ranking",
+    "rank_values",
 ]

@@ -8,10 +8,10 @@ remaining bid in that column, declares the bidder a winner, deletes the
 winner's whole row (one channel per buyer) and the conflicting neighbours'
 entries in that column.
 
-The algorithm is written against :class:`~repro.auction.table.BidTable`, so
-it is *identical* for the plaintext baseline and for LPPA's masked table —
-faithfully reflecting the paper's claim that PSD lets the auctioneer run the
-auction "transparently".
+The algorithm runs on :class:`~repro.auction.table.RankedTable`, built from
+each channel's ranking, so it is *identical* for the plaintext baseline and
+for LPPA's masked bids — faithfully reflecting the paper's claim that PSD
+lets the auctioneer run the auction "transparently".
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 from repro.auction.conflict import ConflictGraph
-from repro.auction.table import BidTable
+from repro.auction.table import RankedTable
 
 __all__ = ["Assignment", "greedy_allocate", "greedy_allocate_validated"]
 
@@ -35,7 +35,7 @@ class Assignment:
 
 
 def greedy_allocate(
-    table: BidTable,
+    table: RankedTable,
     conflict: ConflictGraph,
     rng: random.Random,
 ) -> List[Assignment]:
@@ -65,7 +65,7 @@ def greedy_allocate(
 
 
 def greedy_allocate_validated(
-    table: BidTable,
+    table: RankedTable,
     conflict: ConflictGraph,
     rng: random.Random,
     is_valid: Callable[[int, int], bool],

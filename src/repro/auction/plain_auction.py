@@ -14,16 +14,32 @@ roles in the reproduction:
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import List, Sequence
 
 from repro.auction.allocation import greedy_allocate
 from repro.auction.bidders import SecondaryUser
 from repro.auction.pricing import greedy_allocate_priced, second_price_charge
 from repro.auction.conflict import ConflictGraph, build_conflict_graph
 from repro.auction.outcome import AuctionOutcome, WinRecord
-from repro.auction.table import PlainBidTable
+from repro.auction.table import RankedTable, Ranking, rank_values
 
-__all__ = ["run_plain_auction"]
+__all__ = ["plain_rankings", "run_plain_auction"]
+
+
+def plain_rankings(bid_rows: Sequence[Sequence[int]]) -> List[Ranking]:
+    """Each channel's ranking of the positive bids in ``bid_rows``.
+
+    A plaintext auctioneer can see that a zero bid is worthless (and that
+    the channel is unavailable to the bidder), so zeros are not entries —
+    the baseline behaviour LPPA is compared against.
+    """
+    widths = {len(row) for row in bid_rows}
+    if len(widths) != 1:
+        raise ValueError("bid rows must be non-empty and of one channel count")
+    return [
+        rank_values({bidder: row[ch] for bidder, row in enumerate(bid_rows) if row[ch] > 0})
+        for ch in range(widths.pop())
+    ]
 
 
 def run_plain_auction(
@@ -57,7 +73,7 @@ def run_plain_auction(
         raise ValueError('pricing must be "first" or "second"')
     if conflict is None:
         conflict = build_conflict_graph([u.cell for u in users], two_lambda)
-    table = PlainBidTable([u.bids for u in users])
+    table = RankedTable(plain_rankings([u.bids for u in users]), len(users))
 
     def true_bid(bidder: int, channel: int) -> int:
         return users[bidder].bids[channel]

@@ -16,9 +16,9 @@ an optional extension:
   disguises cannot deflate a winner's charge to zero.
 
 :func:`greedy_allocate_priced` is Algorithm 3 with the per-sale runner-up
-order recorded; it works over any table exposing ``ranking`` and the
-:class:`~repro.auction.table.BidTable` interface (plaintext, integer and
-masked tables all do).
+order recorded; it reads the column's ranking and its live bidders off the
+same :class:`~repro.auction.table.RankedTable` every auctioneer allocates
+over.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 from repro.auction.conflict import ConflictGraph
+from repro.auction.table import RankedTable
 
 __all__ = [
     "PricedAssignment",
@@ -51,15 +52,11 @@ class PricedAssignment:
 
 
 def greedy_allocate_priced(
-    table,
+    table: RankedTable,
     conflict: ConflictGraph,
     rng: random.Random,
 ) -> List[PricedAssignment]:
-    """Algorithm 3, recording each sale's remaining column order.
-
-    ``table`` must implement :class:`~repro.auction.table.BidTable` plus
-    ``ranking(channel) -> List[List[int]]``.
-    """
+    """Algorithm 3, recording each sale's remaining column order."""
     adjacency = conflict.adjacency()
     sales: List[PricedAssignment] = []
     pool: List[int] = []

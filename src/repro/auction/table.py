@@ -1,153 +1,131 @@
-"""Bid tables: the auctioneer's working state during allocation.
+"""Algorithm 3's bid table: each channel's ranking plus its live bidders.
 
-Algorithm 3 operates on a table ``T`` whose rows are bidders and whose
-columns are channels, repeatedly finding column maxima and deleting entries.
-The greedy allocator is written against the small :class:`BidTable`
-interface below so the *same* algorithm runs on
+Algorithm 3 works on a table ``T`` whose rows are bidders and whose columns
+are channels, repeatedly finding a column's maximum and deleting entries.
+The PSD (section V.A) lets the auctioneer run it "transparently" on masked
+bids because the membership relation gives it each column's full order:
+the ranking *is* the table.  :class:`RankedTable` holds, per channel, that
+ranking and the set of bidders still live in the column, and the greedy
+allocators of :mod:`repro.auction.allocation` and
+:mod:`repro.auction.pricing` run on it for every auctioneer.  Each
+auctioneer only produces rankings:
 
-* :class:`PlainBidTable` — plaintext bids (the non-private baseline), and
-* the masked table of :mod:`repro.lppa.psd`, where "find the maximum" is the
-  prefix-membership search over HMAC-masked sets.
+* PPBS — :func:`repro.lppa.psd.masked_rankings` over the masked sets;
+* Bloom — :func:`rank_values` over the OPE values;
+* the fast simulator — :func:`rank_values` over the expanded values;
+* the plaintext baseline — :func:`rank_values` over the positive bids (a
+  plaintext auctioneer sees that a zero bid is worthless, so zeros are not
+  entries).
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Mapping, Sequence, Set
 
-__all__ = ["BidTable", "PlainBidTable"]
+__all__ = ["Ranking", "RankedTable", "rank_values"]
 
-
-class BidTable(abc.ABC):
-    """What Algorithm 3 needs from a bid table."""
-
-    @property
-    @abc.abstractmethod
-    def n_channels(self) -> int:
-        """Number of columns ``k``."""
-
-    @abc.abstractmethod
-    def has_entries(self) -> bool:
-        """True while any (bidder, channel) entry remains."""
-
-    @abc.abstractmethod
-    def channel_bidders(self, channel: int) -> Set[int]:
-        """Bidders with a remaining entry in this column."""
-
-    def has_channel_entries(self, channel: int) -> bool:
-        """True while this column has at least one remaining entry.
-
-        The allocator probes emptiness once per channel visit; tables with
-        per-channel live sets override this to skip the defensive set copy
-        :meth:`channel_bidders` makes (O(1) instead of O(live)).
-        """
-        return bool(self.channel_bidders(channel))
-
-    @abc.abstractmethod
-    def max_bidders(self, channel: int) -> List[int]:
-        """All bidders holding a maximal remaining bid in this column.
-
-        More than one element means a genuine tie; the allocator breaks it
-        uniformly at random.  Must only be called on non-empty columns.
-        """
-
-    @abc.abstractmethod
-    def remove_row(self, bidder: int) -> None:
-        """Delete every remaining entry of this bidder (a winner's row)."""
-
-    @abc.abstractmethod
-    def remove_entry(self, bidder: int, channel: int) -> None:
-        """Delete one entry if present (a conflicting neighbour's bid)."""
+#: One channel's order: equivalence classes of bidders, best first, each
+#: class listed in ascending bidder order.
+Ranking = List[List[int]]
 
 
-class PlainBidTable(BidTable):
-    """Plaintext table; zero bids are not entries.
+def rank_values(values: Mapping[int, int]) -> Ranking:
+    """The ranking of ``{bidder: value}``: bidders grouped by equal value,
+    the largest value first."""
+    by_value: Dict[int, List[int]] = {}
+    for bidder in sorted(values):
+        by_value.setdefault(values[bidder], []).append(bidder)
+    return [by_value[v] for v in sorted(by_value, reverse=True)]
 
-    A plaintext auctioneer can see that a zero bid is worthless (and that
-    the channel is unavailable to the bidder), so zeros never enter the
-    table — this is the baseline behaviour LPPA is compared against.
+
+class RankedTable:
+    """Algorithm 3's table ``T`` over ``n_users`` rows, one ranking per column.
+
+    A bidder is an entry of a column iff the column's ranking lists it.
+    Deletions never change the order, so :meth:`max_bidders` walks a
+    per-channel cursor over the classes: a class with no live bidder left
+    stays dead, and the cursor only moves forward.
     """
 
-    def __init__(self, bid_rows: Sequence[Sequence[int]]) -> None:
-        if not bid_rows:
-            raise ValueError("bid table needs at least one row")
-        widths = {len(row) for row in bid_rows}
-        if len(widths) != 1:
-            raise ValueError("all bid rows must have the same channel count")
-        self._n_channels = widths.pop()
-        if self._n_channels < 1:
+    def __init__(self, rankings: Sequence[Ranking], n_users: int) -> None:
+        if not rankings:
             raise ValueError("bid table needs at least one channel")
-        self._entries: Dict[int, Dict[int, int]] = {}
-        for bidder, row in enumerate(bid_rows):
-            live = {ch: int(b) for ch, b in enumerate(row) if b > 0}
-            if live:
-                self._entries[bidder] = live
+        self._rankings = list(rankings)
+        self._n_users = n_users
+        self._live: List[Set[int]] = []
+        for channel, ranking in enumerate(self._rankings):
+            live = {bidder for members in ranking for bidder in members}
+            if len(live) != sum(map(len, ranking)):
+                raise ValueError(f"channel {channel} ranks a bidder twice")
+            if live and not (min(live) >= 0 and max(live) < n_users):
+                raise ValueError(
+                    f"channel {channel} ranks a bidder outside 0..{n_users - 1}"
+                )
+            self._live.append(live)
+        self._cursors = [0] * len(self._rankings)
 
     @property
     def n_channels(self) -> int:
-        return self._n_channels
+        """Number of columns ``k``."""
+        return len(self._rankings)
+
+    @property
+    def n_users(self) -> int:
+        """Number of rows: bidders are ``0..n_users - 1``."""
+        return self._n_users
 
     def has_entries(self) -> bool:
-        return bool(self._entries)
-
-    def channel_bidders(self, channel: int) -> Set[int]:
-        self._check_channel(channel)
-        return {b for b, row in self._entries.items() if channel in row}
+        """True while any (bidder, channel) entry remains."""
+        return any(self._live)
 
     def has_channel_entries(self, channel: int) -> bool:
-        self._check_channel(channel)
-        return any(channel in row for row in self._entries.values())
+        """True while this column has at least one remaining entry."""
+        return bool(self._live[self._check_channel(channel)])
+
+    def channel_bidders(self, channel: int) -> Set[int]:
+        """Bidders with a remaining entry in this column (a copy)."""
+        return set(self._live[self._check_channel(channel)])
+
+    def ranking(self, channel: int) -> Ranking:
+        """The column's whole ranking, deleted entries included."""
+        return self._rankings[self._check_channel(channel)]
 
     def max_bidders(self, channel: int) -> List[int]:
-        self._check_channel(channel)
-        best: List[int] = []
-        best_bid = -1
-        for bidder in sorted(self._entries):
-            bid = self._entries[bidder].get(channel)
-            if bid is None:
-                continue
-            if bid > best_bid:
-                best, best_bid = [bidder], bid
-            elif bid == best_bid:
-                best.append(bidder)
-        if not best:
-            raise ValueError(f"channel {channel} has no remaining bids")
-        return best
+        """The live bidders of the best class that still holds one, ascending.
 
-    def ranking(self, channel: int) -> List[List[int]]:
-        """Equivalence-class ranking of the *live* column, best first.
-
-        Mirrors the masked tables' ranking interface so pricing rules that
-        need the runner-up order work over either representation.
+        More than one element means a genuine tie; the allocator breaks it
+        uniformly at random.  Raises ``ValueError`` on an empty column.
         """
-        self._check_channel(channel)
-        by_value: Dict[int, List[int]] = {}
-        for bidder in sorted(self._entries):
-            bid = self._entries[bidder].get(channel)
-            if bid is not None:
-                by_value.setdefault(bid, []).append(bidder)
-        return [by_value[v] for v in sorted(by_value, reverse=True)]
-
-    def bid_of(self, bidder: int, channel: int) -> int:
-        """The remaining bid value (plaintext tables only)."""
-        self._check_channel(channel)
-        try:
-            return self._entries[bidder][channel]
-        except KeyError:
-            raise KeyError(f"no live entry for bidder {bidder}, channel {channel}")
+        live = self._live[self._check_channel(channel)]
+        if not live:
+            raise ValueError(f"channel {channel} has no remaining bids")
+        ranking = self._rankings[channel]
+        cursor = self._cursors[channel]
+        while True:
+            remaining = [b for b in ranking[cursor] if b in live]
+            if remaining:
+                self._cursors[channel] = cursor
+                return remaining
+            cursor += 1
 
     def remove_row(self, bidder: int) -> None:
-        self._entries.pop(bidder, None)
+        """Delete every remaining entry of this bidder (a winner's row)."""
+        self._check_bidder(bidder)
+        for live in self._live:
+            live.discard(bidder)
 
     def remove_entry(self, bidder: int, channel: int) -> None:
-        self._check_channel(channel)
-        row = self._entries.get(bidder)
-        if row is None:
-            return
-        row.pop(channel, None)
-        if not row:
-            del self._entries[bidder]
+        """Delete one entry if present (a conflicting neighbour's bid)."""
+        self._check_bidder(bidder)
+        self._live[self._check_channel(channel)].discard(bidder)
 
-    def _check_channel(self, channel: int) -> None:
-        if not 0 <= channel < self._n_channels:
-            raise IndexError(f"channel {channel} outside 0..{self._n_channels - 1}")
+    def _check_channel(self, channel: int) -> int:
+        if not 0 <= channel < len(self._rankings):
+            raise IndexError(
+                f"channel {channel} outside 0..{len(self._rankings) - 1}"
+            )
+        return channel
+
+    def _check_bidder(self, bidder: int) -> None:
+        if not 0 <= bidder < self._n_users:
+            raise IndexError(f"bidder {bidder} outside 0..{self._n_users - 1}")

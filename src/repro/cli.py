@@ -207,10 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist per-epoch results and metrics under DIR "
         "(see `repro epochs show/validate`; only with --epochs)",
     )
-    serve.add_argument(
-        "--uvloop", action="store_true",
-        help="use uvloop if installed (falls back to asyncio with a warning)",
-    )
     add_metrics_flag(serve)
 
     loadgen = sub.add_parser(
@@ -281,10 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="soak mode: persist per-epoch history under DIR "
         "(see `repro epochs show/validate`)",
     )
-    loadgen.add_argument(
-        "--uvloop", action="store_true",
-        help="use uvloop if installed (falls back to asyncio with a warning)",
-    )
     add_metrics_flag(loadgen)
 
     compare = sub.add_parser(
@@ -347,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify",
         action="store_true",
         help="fail unless each size's conflict graph equals the plaintext "
-        "graph of the same cells (the CI scale-smoke check)",
+        "graph of the same cells and its PSD rankings equal the ranking of "
+        "the disclosed expanded values (the CI scale-smoke check)",
     )
     add_metrics_flag(scale)
 
@@ -653,8 +646,8 @@ def _cmd_scale(args) -> int:
     print(format_scale_table(points))
     failed = [p.size for p in points if p.verified is False]
     for size in failed:
-        print(f"scale: {size} SUs: conflict graph differs from the "
-              "plaintext graph", file=sys.stderr)
+        print(f"scale: {size} SUs: conflict graph or PSD rankings differ "
+              "from the plaintext check", file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -1178,10 +1171,8 @@ def _cmd_serve(args) -> int:
         )
         return 0
 
-    from repro.service.eventloop import run as run_loop
-
     with collect:
-        return run_loop(_serve(), use_uvloop=args.uvloop)
+        return asyncio.run(_serve())
 
 
 async def _serve_epochs(args, server) -> int:
@@ -1335,9 +1326,10 @@ def _cmd_loadgen(args) -> int:
 
 def _cmd_loadgen_soak(args) -> int:
     """``repro loadgen --soak``: the self-hosted epoch-service soak."""
+    import asyncio
+
     from repro.net.loadgen import EquivalenceFailure
     from repro.service import SoakConfig, run_soak
-    from repro.service.eventloop import run as run_loop
 
     if args.connect is not None:
         print("error: --soak self-hosts its server; drop --connect",
@@ -1367,7 +1359,7 @@ def _cmd_loadgen_soak(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run_loop(run_soak(config), use_uvloop=args.uvloop)
+        report = asyncio.run(run_soak(config))
     except EquivalenceFailure as exc:
         print(f"equivalence FAILED: {exc}", file=sys.stderr)
         return 1

@@ -33,7 +33,7 @@ from repro.lppa.bids_advanced import (
     submit_bids_advanced,
     submit_population_bids,
 )
-from repro.lppa.fastsim import FastLppaResult, IntegerMaskedTable, run_fast_lppa
+from repro.lppa.fastsim import FastLppaResult, run_fast_lppa
 from repro.lppa.bids_basic import (
     decrypt_bid_value,
     encrypt_bid_value,
@@ -53,7 +53,7 @@ from repro.lppa.policies import (
     UniformReplacePolicy,
     ZeroDisguisePolicy,
 )
-from repro.lppa.psd import MaskedBidTable
+from repro.lppa.psd import masked_rankings
 from repro.lppa.session import LppaResult, run_lppa_auction
 from repro.lppa.ttp import ChargeDecision, ChargeStatus, TrustedThirdParty
 
@@ -80,7 +80,6 @@ __all__ = [
     "submit_bids_advanced",
     "submit_population_bids",
     "FastLppaResult",
-    "IntegerMaskedTable",
     "run_fast_lppa",
     "decrypt_bid_value",
     "encrypt_bid_value",
@@ -97,7 +96,7 @@ __all__ = [
     "UniformDisguisePolicy",
     "UniformReplacePolicy",
     "ZeroDisguisePolicy",
-    "MaskedBidTable",
+    "masked_rankings",
     "LppaResult",
     "run_lppa_auction",
     "ChargeDecision",

@@ -2,9 +2,10 @@
 
 Everything this class touches is masked: location submissions become a
 conflict graph through the privacy scheme's membership test, bid
-submissions become the scheme's bid table (PPBS: a
-:class:`~repro.lppa.psd.MaskedBidTable`; Bloom: the OPE values), Algorithm 3
-allocates channels, and winners' sealed bids go to the TTP for charging.
+submissions become the scheme's per-channel rankings (PPBS:
+:func:`~repro.lppa.psd.masked_rankings`; Bloom: the OPE values), Algorithm 3
+allocates channels over the :class:`~repro.auction.table.RankedTable` they
+make, and winners' sealed bids go to the TTP for charging.
 The class never imports :class:`~repro.crypto.keys.KeyRing` — it simply has
 no key material.
 
@@ -22,6 +23,7 @@ from repro.auction.allocation import Assignment, greedy_allocate
 from repro.obs import trace
 from repro.auction.conflict import ConflictGraph
 from repro.auction.outcome import AuctionOutcome, WinRecord
+from repro.auction.table import RankedTable, Ranking
 from repro.lppa.ttp import ChargeStatus, TrustedThirdParty
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -41,7 +43,7 @@ class Auctioneer:
         self._scheme = scheme
         self._conflict: Optional[ConflictGraph] = None
         self._bids: Sequence[Any] = ()
-        self._table: Any = None
+        self._rankings: Optional[List[Ranking]] = None
         self._assignments: Optional[List[Assignment]] = None
         self._charge_material: List[Tuple[int, Any]] = []
 
@@ -75,30 +77,49 @@ class Auctioneer:
         return self._conflict
 
     def receive_bids(self, submissions: Sequence[Any]) -> None:
-        """Bid phase: stash the submissions and the scheme's bid table."""
-        for sub in submissions:
+        """Bid phase: check and stash the submissions.
+
+        They must be dense (slot ``i`` holds user ``i``): allocation and
+        charging address a bidder by its slot, so a win must be the win of
+        the SU that sent the slot's bids.  Each must cover the announced
+        channels.
+        """
+        if not submissions:
+            raise ValueError("need at least one bid submission")
+        for idx, sub in enumerate(submissions):
+            if sub.user_id != idx:
+                raise ValueError(
+                    f"submissions must be dense: slot {idx} holds user {sub.user_id}"
+                )
             if sub.n_channels != self._n_channels:
                 raise ValueError(
                     f"submission covers {sub.n_channels} channels, expected "
                     f"{self._n_channels}"
                 )
         self._bids = submissions
-        self._table = self._scheme.bid_table(submissions)
+        self._rankings = None
 
-    def channel_rankings(self) -> List[List[List[int]]]:
+    def channel_rankings(self) -> List[Ranking]:
         """The curious view: per-channel bid order (equivalence classes)."""
-        if self._table is None:
-            raise RuntimeError("bid submissions not received yet")
-        rankings = self._table.rankings()
+        rankings = self._ranked()
         tr = trace.get_active()
         if tr is not None:
             for channel, classes in enumerate(rankings):
                 self._scheme.trace_ranking(tr, channel, classes, self._bids)
         return rankings
 
+    def _ranked(self) -> List[Ranking]:
+        # The scheme ranks the round's submissions once, on first use, so
+        # the ranking time falls in the PSD allocation phase.
+        if not self._bids:
+            raise RuntimeError("bid submissions not received yet")
+        if self._rankings is None:
+            self._rankings = self._scheme.rankings(self._bids)
+        return self._rankings
+
     def run_allocation(self, rng: random.Random) -> List[Assignment]:
-        """PSD allocation: Algorithm 3 over the scheme's bid table."""
-        if self._table is None:
+        """PSD allocation: Algorithm 3 over the scheme's rankings."""
+        if not self._bids:
             raise RuntimeError("bid submissions not received yet")
         if self._conflict is None:
             raise RuntimeError("location submissions not received yet")
@@ -109,7 +130,8 @@ class Auctioneer:
                 f"conflict graph covers {self._conflict.n_users} SUs, bid "
                 f"table {len(self._bids)}"
             )
-        assignments = greedy_allocate(self._table, self._conflict, rng)
+        table = RankedTable(self._ranked(), len(self._bids))
+        assignments = greedy_allocate(table, self._conflict, rng)
         self._assignments = assignments
         self._charge_material = [
             (a.channel, self._bids[a.bidder].channel_bids[a.channel])

@@ -17,9 +17,8 @@ protocol latency, TTP verification) uses the full path in
 
 :func:`run_fast_lppa` is a thin wrapper over the round core
 (:mod:`repro.lppa.round`) with the plain (integer) value backend; the
-:class:`~repro.lppa.round.tables.IntegerMaskedTable` and
 :class:`~repro.lppa.round.results.FastLppaResult` it historically defined
-are re-exported from their new homes.  (``derive_round_rngs`` lives in
+is re-exported from its new home.  (``derive_round_rngs`` lives in
 :mod:`repro.lppa.entropy`; the deprecated re-export from here is gone.)
 """
 
@@ -36,7 +35,6 @@ from repro.lppa.round import (
     IN_PROCESS_DRIVER,
     PLAIN_BACKEND,
     FastLppaResult,
-    IntegerMaskedTable,
     RoundState,
     collector_paused,
     execute_round,
@@ -44,7 +42,6 @@ from repro.lppa.round import (
 from repro.utils.rng import Seed, fresh_rng
 
 __all__ = [
-    "IntegerMaskedTable",
     "FastLppaResult",
     "run_fast_lppa",
 ]

@@ -39,7 +39,6 @@ from repro.lppa.round.core import (
 from repro.lppa.round.drivers import IN_PROCESS_DRIVER, InProcessDriver, RoundDriver
 from repro.lppa.round.results import FastLppaResult, LppaResult
 from repro.lppa.round.state import RoundState
-from repro.lppa.round.tables import IntegerMaskedTable
 
 __all__ = [
     "IN_PROCESS_DRIVER",
@@ -47,7 +46,6 @@ __all__ = [
     "PLAIN_BACKEND",
     "CryptoBackend",
     "FastLppaResult",
-    "IntegerMaskedTable",
     "InProcessDriver",
     "LppaResult",
     "PhaseStep",

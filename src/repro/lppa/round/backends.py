@@ -5,7 +5,7 @@ a :class:`ValueBackend` decides how each phase manipulates values:
 
 * :class:`CryptoBackend` — the actual protocol objects of one privacy
   scheme (:class:`~repro.lppa.schemes.base.PrivacyScheme`): its location
-  and bid submissions, the conflict graph and bid table it builds inside
+  and bid submissions, the conflict graph and rankings it builds inside
   :class:`~repro.lppa.auctioneer.Auctioneer`, TTP decryption for charging,
   and exact wire/framed byte accounting.  One instance per scheme
   (``scheme.backend``) runs every scheme's round.  Produces
@@ -32,6 +32,7 @@ from repro.auction.allocation import greedy_allocate, greedy_allocate_validated
 from repro.auction.conflict import build_conflict_graph
 from repro.auction.outcome import AuctionOutcome, WinRecord
 from repro.auction.pricing import greedy_allocate_priced, second_price_charge
+from repro.auction.table import RankedTable, rank_values
 from repro.lppa.auctioneer import Auctioneer
 from repro.lppa.bids_advanced import (
     BidScale,
@@ -40,7 +41,6 @@ from repro.lppa.bids_advanced import (
 )
 from repro.lppa.round.results import FastLppaResult, LppaResult
 from repro.lppa.round.state import RoundState
-from repro.lppa.round.tables import IntegerMaskedTable
 from repro.lppa.ttp import TrustedThirdParty
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -89,7 +89,7 @@ class ValueBackend(ABC):
 
     @abstractmethod
     def allocate(self, state: RoundState) -> None:
-        """PSD allocation: rankings plus Algorithm 3 over the bid table."""
+        """PSD allocation: rankings plus Algorithm 3 over their table."""
 
     @abstractmethod
     def charge_request(self, state: RoundState) -> Optional[List[Any]]:
@@ -108,7 +108,7 @@ class ValueBackend(ABC):
 
 class CryptoBackend(ValueBackend):
     """The full protocol over one scheme's masked material: submissions,
-    conflict graph, bid table, TTP charging."""
+    conflict graph, rankings, TTP charging."""
 
     name = "crypto"
 
@@ -317,16 +317,19 @@ class PlainBackend(ValueBackend):
         ]
 
     def ingest_bids(self, state: RoundState) -> None:
-        """The integer table is built lazily in :meth:`allocate` so its cost
-        lands in the ``psd_allocation`` phase, like the masked table's."""
+        """The rankings are made in :meth:`allocate`, so their cost lands
+        in the ``psd_allocation`` phase, like the masked rankings'."""
 
     def allocate(self, state: RoundState) -> None:
         assert state.conflict is not None and state.alloc_rng is not None
-        table = IntegerMaskedTable(
-            [[c.masked_expanded for c in d.channels] for d in state.disclosures]
-        )
-        state.table = table
-        state.rankings = table.rankings()
+        disclosures = state.disclosures
+        state.rankings = [
+            rank_values(
+                {bidder: d.channels[ch].masked_expanded for bidder, d in enumerate(disclosures)}
+            )
+            for ch in range(state.n_channels)
+        ]
+        table = RankedTable(state.rankings, len(disclosures))
         tr = state.tr
         if tr is not None:
             for channel, classes in enumerate(state.rankings):

@@ -10,8 +10,8 @@ uses depends on the value backend:
   fields (``location_subs``, ``bid_subs``: the scheme's submission types),
   the TTP material (``ttp``/``keyring``/``scale``), the
   :class:`~repro.lppa.auctioneer.Auctioneer` and the byte counters;
-* plain rounds populate ``disclosures`` and the integer ``table`` and
-  leave every wire field ``None`` — the core treats ``None`` byte counters
+* plain rounds populate ``disclosures`` and ``rankings`` and leave every
+  wire field ``None`` — the core treats ``None`` byte counters
   as "this round has no wire".
 """
 
@@ -80,7 +80,6 @@ class RoundState:
     bid_subs: Optional[List[Any]] = None
     disclosures: List[SubmissionDisclosure] = field(default_factory=list)
     conflict: Optional[ConflictGraph] = None
-    table: Optional[Any] = None
     rankings: Optional[List[List[List[int]]]] = None
     assignments: Optional[List[Assignment]] = None
     sales: Optional[List[Any]] = None

@@ -15,7 +15,7 @@ phase, end to end:
   population batches an in-process round submits;
 * the **round hooks** the backend and the
   :class:`~repro.lppa.auctioneer.Auctioneer` call: the conflict-membership
-  test over location submissions, the bid table the auctioneer ranks and
+  test over location submissions, the per-channel rankings the auctioneer
   allocates over, the ranking view the trace records and any extra
   ``protocol_setup`` fields;
 * the **auditor hooks** the trace auditors use to re-derive framing and
@@ -44,6 +44,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.auction.conflict import ConflictGraph
+from repro.auction.table import Ranking
 from repro.geo.grid import Cell, GridSpec
 from repro.lppa.round.backends import CryptoBackend
 
@@ -138,10 +139,10 @@ class PrivacyScheme(ABC):
         """The conflict graph over dense location submissions."""
 
     @abstractmethod
-    def bid_table(self, bid_subs: Sequence[Any]) -> Any:
-        """Algorithm 3's :class:`~repro.auction.table.BidTable` over dense
-        bid submissions; its ``rankings()`` are the per-channel order the
-        auctioneer sees."""
+    def rankings(self, bid_subs: Sequence[Any]) -> List[Ranking]:
+        """Each channel's ranking over dense bid submissions: the order the
+        auctioneer sees, and the :class:`~repro.auction.table.RankedTable`
+        Algorithm 3 runs on."""
 
     def trace_ranking(
         self,

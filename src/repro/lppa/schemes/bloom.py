@@ -18,7 +18,7 @@ PAPERS.md):
 
 The round itself is the shared crypto backend and
 :class:`~repro.lppa.auctioneer.Auctioneer`; this module supplies only the
-scheme hooks (submissions, conflict test, OPE bid table, the ``ope_column``
+scheme hooks (submissions, conflict test, OPE rankings, the ``ope_column``
 trace view and the size-model fields of ``protocol_setup``).
 
 Because both schemes run the shared
@@ -36,6 +36,7 @@ import random
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.auction.conflict import ConflictGraph
+from repro.auction.table import Ranking, rank_values
 from repro.geo.grid import Cell, GridSpec
 from repro.lppa.bids_advanced import BidScale, SubmissionDisclosure
 from repro.lppa.bids_ope import (
@@ -60,7 +61,6 @@ from repro.lppa.location_bloom import (
     submit_locations_bloom,
 )
 from repro.lppa.policies import ZeroDisguisePolicy
-from repro.lppa.round.tables import IntegerMaskedTable
 from repro.lppa.schemes.base import PrivacyScheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -112,13 +112,16 @@ class BloomScheme(PrivacyScheme):
     ) -> ConflictGraph:
         return build_bloom_conflict_graph(location_subs)
 
-    def bid_table(self, bid_subs: Sequence[OpeBidSubmission]) -> IntegerMaskedTable:
-        # OPE values rank exactly like the masked table (OPE is strictly
-        # monotone over the shared expanded values), so the integer table
-        # plus the same greedy allocator reproduces the PPBS allocation.
-        return IntegerMaskedTable(
-            [[bid.ope_value for bid in sub.channel_bids] for sub in bid_subs]
-        )
+    def rankings(self, bid_subs: Sequence[OpeBidSubmission]) -> List[Ranking]:
+        # OPE values rank exactly like the masked sets (OPE is strictly
+        # monotone over the shared expanded values), so their rankings plus
+        # the same greedy allocator reproduce the PPBS allocation.
+        return [
+            rank_values(
+                {bidder: sub.channel_bids[ch].ope_value for bidder, sub in enumerate(bid_subs)}
+            )
+            for ch in range(bid_subs[0].n_channels)
+        ]
 
     def trace_ranking(
         self,

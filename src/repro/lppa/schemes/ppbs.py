@@ -3,7 +3,7 @@
 This is a *pure re-seam*: every method delegates to the exact functions
 the pre-scheme code path called (`submit_location`, `submit_bids_advanced`,
 their population batches, the strict codec in :mod:`repro.lppa.codec`, the
-masked conflict index and :class:`~repro.lppa.psd.MaskedBidTable`), so
+masked conflict index and :func:`~repro.lppa.psd.masked_rankings`), so
 selecting ``ppbs`` — the default — is bit-identical to the historical
 pipeline.  The differential suite in ``tests/schemes`` pins that claim
 against goldens captured from the pre-refactor tree.
@@ -16,6 +16,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.comm_cost import predicted_bid_bits
 from repro.auction.conflict import ConflictGraph
+from repro.auction.table import Ranking
 from repro.geo.grid import Cell, GridSpec
 from repro.lppa import codec
 from repro.lppa.bids_advanced import (
@@ -31,7 +32,7 @@ from repro.lppa.location import (
 )
 from repro.lppa.messages import BidSubmission, LocationSubmission
 from repro.lppa.policies import ZeroDisguisePolicy
-from repro.lppa.psd import MaskedBidTable
+from repro.lppa.psd import masked_rankings
 from repro.lppa.schemes.base import PrivacyScheme
 
 __all__ = ["PpbsScheme"]
@@ -108,8 +109,8 @@ class PpbsScheme(PrivacyScheme):
     ) -> ConflictGraph:
         return build_private_conflict_graph(location_subs)
 
-    def bid_table(self, bid_subs: Sequence[BidSubmission]) -> MaskedBidTable:
-        return MaskedBidTable(bid_subs)
+    def rankings(self, bid_subs: Sequence[BidSubmission]) -> List[Ranking]:
+        return masked_rankings(bid_subs)
 
     # -- payload codecs ------------------------------------------------------
 

@@ -2,13 +2,12 @@
 
 Implements the SafeQ-style machinery the paper builds on: prefix families
 ``G(x)``, minimal range covers ``Q([a, b])``, numericalization ``O(.)``, and
-HMAC-masked set membership / max-finding.
+HMAC-masked set membership.
 """
 
 from repro.prefix.membership import (
     DEFAULT_DIGEST_BYTES,
     MaskedSet,
-    find_maxima,
     is_member,
     mask_prefixes,
     mask_range,
@@ -25,7 +24,6 @@ from repro.prefix.ranges import max_cover_size, range_cover
 __all__ = [
     "DEFAULT_DIGEST_BYTES",
     "MaskedSet",
-    "find_maxima",
     "is_member",
     "mask_prefixes",
     "mask_range",

@@ -26,8 +26,7 @@ This module provides:
 * :func:`is_member` — the core check ``H(G(x)) ∩ H(Q([a,b])) ≠ ∅``;
 * :func:`reaches` — the same check for many probe sets against many
   indexed sets at once, through an inverted index (the auctioneer's two
-  jobs);
-* :func:`find_maxima` — the auctioneer's masked max-bid search.
+  jobs).
 
 Batching changes *how* digests are computed, never *what* they are: a
 :func:`mask_specs` call returns byte-for-byte what per-digest
@@ -99,7 +98,6 @@ __all__ = [
     "mask_range",
     "is_member",
     "reaches",
-    "find_maxima",
 ]
 
 DEFAULT_DIGEST_BYTES = 16
@@ -674,23 +672,3 @@ def reaches(
         result[digests] = bits
     return result
 
-
-def find_maxima(
-    families: Sequence[MaskedSet], tail_ranges: Sequence[MaskedSet]
-) -> List[int]:
-    """Indices of maximal bids, given masked families and ``[b_a, bmax]`` covers.
-
-    Bid ``i`` is maximal iff its family intersects *every* submitted tail
-    range (equation (3) of the paper): ``G(b_i) ∩ Q([b_a, bmax]) ≠ ∅`` means
-    ``b_i >= b_a``.  Ties are genuine — equal bids are indistinguishable
-    under the masking — so all maximal indices are returned and the caller
-    breaks ties (the allocation algorithm picks uniformly at random).
-    """
-    if len(families) != len(tail_ranges):
-        raise ValueError("families and tail_ranges must align")
-    obs.count("prefix.find_maxima")
-    return [
-        i
-        for i, family in enumerate(families)
-        if all(is_member(family, rng_set) for rng_set in tail_ranges)
-    ]

@@ -13,11 +13,9 @@ into a production-style service:
   history behind ``repro epochs show/validate``;
 * :mod:`repro.service.soak` — the sustained-load soak driver (Poisson
   join/leave churn, concurrent SU fleets, per-epoch differential
-  equivalence) behind ``repro loadgen --soak``;
-* :mod:`repro.service.eventloop` — optional uvloop selection.
+  equivalence) behind ``repro loadgen --soak``.
 """
 
-from repro.service.eventloop import run, uvloop_available
 from repro.service.membership import (
     MembershipDelta,
     MembershipError,
@@ -62,9 +60,7 @@ __all__ = [
     "load_manifest",
     "result_document",
     "rotate_ring",
-    "run",
     "run_soak",
     "service_entropy",
-    "uvloop_available",
     "validate_run",
 ]

@@ -6,7 +6,18 @@ import pytest
 
 from repro.auction.allocation import greedy_allocate_validated
 from repro.auction.conflict import ConflictGraph, build_conflict_graph
-from repro.lppa.fastsim import IntegerMaskedTable
+from repro.auction.table import RankedTable, rank_values
+
+
+def _integer(rows):
+    """The fast simulator's table: every value, zeros included, is an entry."""
+    return RankedTable(
+        [
+            rank_values({u: row[ch] for u, row in enumerate(rows)})
+            for ch in range(len(rows[0]))
+        ],
+        len(rows),
+    )
 
 
 def _no_conflicts(n):
@@ -15,7 +26,7 @@ def _no_conflicts(n):
 
 def test_invalid_max_is_skipped():
     """Bidder 1 holds the max but is invalid: bidder 0 must win instead."""
-    table = IntegerMaskedTable([[5], [9]])
+    table = _integer([[5], [9]])
     winners, rejected = greedy_allocate_validated(
         table, _no_conflicts(2), random.Random(0), lambda b, c: b == 0
     )
@@ -24,7 +35,7 @@ def test_invalid_max_is_skipped():
 
 
 def test_all_invalid_column_drains_without_winner():
-    table = IntegerMaskedTable([[5], [9]])
+    table = _integer([[5], [9]])
     winners, rejected = greedy_allocate_validated(
         table, _no_conflicts(2), random.Random(0), lambda b, c: False
     )
@@ -34,7 +45,7 @@ def test_all_invalid_column_drains_without_winner():
 
 def test_invalid_bidder_keeps_other_channels():
     """Rejection deletes the entry, not the row."""
-    table = IntegerMaskedTable([[9, 1], [5, 8]])
+    table = _integer([[9, 1], [5, 8]])
     # Bidder 0 invalid on channel 0 only.
     winners, rejected = greedy_allocate_validated(
         table,
@@ -52,8 +63,8 @@ def test_all_valid_equals_plain_algorithm():
     from repro.auction.allocation import greedy_allocate
 
     rows = [[5, 3], [9, 7], [2, 8]]
-    a_table = IntegerMaskedTable(rows)
-    b_table = IntegerMaskedTable(rows)
+    a_table = _integer(rows)
+    b_table = _integer(rows)
     conflict = build_conflict_graph([(0, 0), (30, 30), (60, 60)], 4)
     plain = greedy_allocate(a_table, conflict, random.Random(3))
     validated, rejected = greedy_allocate_validated(
@@ -64,7 +75,7 @@ def test_all_valid_equals_plain_algorithm():
 
 
 def test_conflicting_neighbors_still_blocked():
-    table = IntegerMaskedTable([[9], [5]])
+    table = _integer([[9], [5]])
     conflict = build_conflict_graph([(0, 0), (1, 1)], 4)
     winners, _ = greedy_allocate_validated(
         table, conflict, random.Random(4), lambda b, c: True

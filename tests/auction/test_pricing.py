@@ -10,7 +10,12 @@ from repro.auction.pricing import (
     greedy_allocate_priced,
     second_price_charge,
 )
-from repro.auction.table import PlainBidTable
+from repro.auction.plain_auction import plain_rankings
+from repro.auction.table import RankedTable
+
+
+def _plain(rows):
+    return RankedTable(plain_rankings(rows), len(rows))
 
 
 def _no_conflicts(n):
@@ -18,13 +23,13 @@ def _no_conflicts(n):
 
 
 def test_plain_table_ranking():
-    table = PlainBidTable([[3, 7], [9, 7], [0, 1]])
+    table = _plain([[3, 7], [9, 7], [0, 1]])
     assert table.ranking(0) == [[1], [0]]
     assert table.ranking(1) == [[0, 1], [2]]
 
 
 def test_losers_recorded_at_sale_time():
-    table = PlainBidTable([[9], [5], [3]])
+    table = _plain([[9], [5], [3]])
     sales = greedy_allocate_priced(table, _no_conflicts(3), random.Random(0))
     first = sales[0]
     assert first.bidder == 0
@@ -73,7 +78,7 @@ def test_truthful_incentive_under_second_price():
     """A lone top bidder's charge does not depend on its own bid level —
     the property that makes shading pointless."""
     for own_bid in (8, 12, 20):
-        table = PlainBidTable([[own_bid], [5], [3]])
+        table = _plain([[own_bid], [5], [3]])
         sales = greedy_allocate_priced(table, _no_conflicts(3), random.Random(1))
         bids = {(0, 0): own_bid, (1, 0): 5, (2, 0): 3}
         charge = second_price_charge(sales[0], lambda b, c: bids[(b, c)])

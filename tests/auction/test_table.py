@@ -1,37 +1,40 @@
-"""Plaintext bid table."""
+"""The ranked bid table, built as the plaintext baseline builds it."""
 
 import pytest
 
-from repro.auction.table import PlainBidTable
+from repro.auction.plain_auction import plain_rankings
+from repro.auction.table import RankedTable, rank_values
+
+
+def _plain(rows):
+    return RankedTable(plain_rankings(rows), len(rows))
 
 
 def test_zero_bids_are_not_entries():
-    table = PlainBidTable([[0, 5], [0, 0]])
+    table = _plain([[0, 5], [0, 0]])
     assert table.channel_bidders(0) == set()
     assert table.channel_bidders(1) == {0}
 
 
 def test_max_bidders_and_ties():
-    table = PlainBidTable([[3, 7], [9, 7], [9, 1]])
+    table = _plain([[3, 7], [9, 7], [9, 1]])
     assert table.max_bidders(0) == [1, 2]
     assert table.max_bidders(1) == [0, 1]
 
 
 def test_max_bidders_on_empty_column_raises():
-    table = PlainBidTable([[0, 5]])
+    table = _plain([[0, 5]])
     with pytest.raises(ValueError):
         table.max_bidders(0)
 
 
-def test_bid_of():
-    table = PlainBidTable([[3, 0]])
-    assert table.bid_of(0, 0) == 3
-    with pytest.raises(KeyError):
-        table.bid_of(0, 1)
+def test_rank_values_groups_bidders_by_value():
+    assert rank_values({4: 7, 0: 3, 2: 7, 1: 9}) == [[1], [2, 4], [0]]
+    assert rank_values({}) == []
 
 
 def test_remove_row():
-    table = PlainBidTable([[3, 7], [9, 1]])
+    table = _plain([[3, 7], [9, 1]])
     table.remove_row(1)
     assert table.channel_bidders(0) == {0}
     assert table.channel_bidders(1) == {0}
@@ -39,7 +42,7 @@ def test_remove_row():
 
 
 def test_remove_entry_and_emptiness():
-    table = PlainBidTable([[3, 7]])
+    table = _plain([[3, 7]])
     table.remove_entry(0, 0)
     assert table.has_entries()
     table.remove_entry(0, 1)
@@ -48,7 +51,7 @@ def test_remove_entry_and_emptiness():
 
 
 def test_channel_bounds():
-    table = PlainBidTable([[1]])
+    table = _plain([[1]])
     with pytest.raises(IndexError):
         table.channel_bidders(1)
     with pytest.raises(IndexError):
@@ -57,8 +60,8 @@ def test_channel_bounds():
 
 def test_construction_validation():
     with pytest.raises(ValueError):
-        PlainBidTable([])
+        plain_rankings([])
     with pytest.raises(ValueError):
-        PlainBidTable([[1, 2], [3]])
+        plain_rankings([[1, 2], [3]])
     with pytest.raises(ValueError):
-        PlainBidTable([[]])
+        _plain([[]])

@@ -18,7 +18,7 @@ from repro.lppa.bids_basic import decrypt_bid_value
 from repro.lppa.codec import CodecError, decode_bids, decode_location, encode_bids
 from repro.lppa.location import build_private_conflict_graph, submit_location
 from repro.lppa.messages import LocationSubmission, MaskedBid
-from repro.lppa.psd import MaskedBidTable
+from repro.lppa.psd import masked_rankings
 from repro.lppa.ttp import ChargeStatus, TrustedThirdParty
 from repro.geo.grid import GridSpec
 from repro.prefix.membership import MaskedSet
@@ -101,9 +101,8 @@ def test_masked_table_rejects_mixed_digest_tampering():
             ),
         ),
     )
-    table = MaskedBidTable([tampered, subs[1]])
     with pytest.raises(AssertionError):
-        table.ranking(0)
+        masked_rankings([tampered, subs[1]])
 
 
 @settings(max_examples=80, deadline=None)

@@ -10,8 +10,8 @@ from repro.crypto.keys import generate_keyring
 from repro.lppa.bids_advanced import BidScale, submit_bids_advanced
 from repro.lppa.bids_basic import decrypt_bid_value, submit_bids_basic
 from repro.lppa.policies import UniformReplacePolicy
-from repro.lppa.psd import MaskedBidTable
-from repro.prefix.membership import find_maxima
+from repro.lppa.psd import masked_rankings
+from tests.lppa.oracles import find_maxima
 
 
 @settings(max_examples=25, deadline=None)
@@ -57,9 +57,9 @@ def test_advanced_scheme_ranking_reflects_hidden_values(rows, seed, replace):
         )
         submissions.append(sub)
         values.append([c.masked_expanded for c in disclosure.channels])
-    table = MaskedBidTable(submissions)
+    rankings = masked_rankings(submissions)
     for channel in range(2):
-        flat = [u for cls in table.ranking(channel) for u in cls]
+        flat = [u for cls in rankings[channel] for u in cls]
         assert sorted(
             (values[u][channel] for u in flat), reverse=True
         ) == [values[u][channel] for u in flat]

@@ -4,8 +4,9 @@ The protocol answers the auctioneer's two masked jobs from one masked index
 (:func:`repro.prefix.membership.reaches`).  The first oracles are the
 paper's literal per-pair procedures: the conflict graph as an all-pairs
 :func:`~repro.prefix.membership.is_member` scan, the masked order
-``b_i >= b_j`` of one table entry pair (:func:`bid_ge`), and the ranking as
-a comparison sort over it.
+``b_i >= b_j`` of one pair of submitted bids (:func:`bid_ge`), the ranking
+as a comparison sort over it, and the column maximum as equation (3)'s
+search over every tail (:func:`find_maxima`).
 
 :func:`disguise_and_expand` is the bidder's numeric core as first written,
 one :class:`~repro.lppa.bids_advanced.BidScale` call and one
@@ -20,10 +21,10 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.auction.conflict import ConflictGraph
 from repro.lppa.bids_advanced import BidScale, ChannelDisclosure
-from repro.lppa.messages import LocationSubmission
+from repro import obs
+from repro.lppa.messages import BidSubmission, LocationSubmission
 from repro.lppa.policies import KeepZeroPolicy, ZeroDisguisePolicy
-from repro.lppa.psd import MaskedBidTable
-from repro.prefix.membership import is_member
+from repro.prefix.membership import MaskedSet, is_member
 
 
 def pairwise_conflict_graph(
@@ -39,11 +40,34 @@ def pairwise_conflict_graph(
     return ConflictGraph(n_users=len(submissions), edges=edges)
 
 
-def bid_ge(table: MaskedBidTable, i: int, j: int, channel: int) -> bool:
-    """``b_i >= b_j`` on ``channel`` of ``table``, decided purely on masked sets."""
+def bid_ge(
+    submissions: Sequence[BidSubmission], i: int, j: int, channel: int
+) -> bool:
+    """``b_i >= b_j`` on ``channel``, decided purely on the masked sets."""
     return is_member(
-        table.masked_bid(i, channel).family, table.masked_bid(j, channel).tail
+        submissions[i].channel_bids[channel].family,
+        submissions[j].channel_bids[channel].tail,
     )
+
+
+def find_maxima(
+    families: Sequence[MaskedSet], tail_ranges: Sequence[MaskedSet]
+) -> List[int]:
+    """Indices of maximal bids, given masked families and ``[b_a, bmax]`` covers.
+
+    Bid ``i`` is maximal iff its family intersects *every* submitted tail
+    range (equation (3) of the paper): ``G(b_i) ∩ Q([b_a, bmax]) ≠ ∅`` means
+    ``b_i >= b_a``.  Ties are genuine — equal bids are indistinguishable
+    under the masking — so all maximal indices are returned.
+    """
+    if len(families) != len(tail_ranges):
+        raise ValueError("families and tail_ranges must align")
+    obs.count("prefix.find_maxima")
+    return [
+        i
+        for i, family in enumerate(families)
+        if all(is_member(family, rng_set) for rng_set in tail_ranges)
+    ]
 
 
 def rank_by_ge(n_users: int, ge: Callable[[int, int], bool]) -> List[List[int]]:

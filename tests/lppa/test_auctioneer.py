@@ -107,3 +107,18 @@ def test_allocation_refuses_a_conflict_graph_smaller_than_the_bid_table():
     auctioneer.receive_bids(bids)
     with pytest.raises(ValueError, match="conflict graph covers 1 SUs, bid table 3"):
         auctioneer.run_allocation(rng)
+
+
+@pytest.mark.parametrize("name", ["ppbs", "bloom"])
+def test_every_scheme_refuses_bid_submissions_that_are_not_dense(name):
+    # Allocation and charging address a bidder by its slot, so a win on
+    # slot 0 must be the win of the SU that sent slot 0's bids.
+    scheme = get_scheme(name)
+    _, keyring, scale = TrustedThirdParty.setup(b"auctioneer-test", 2, bmax=30)
+    rng = random.Random(0)
+    subs = [scheme.make_bids(uid, [10, 3], keyring, scale, rng)[0] for uid in (7, 3)]
+    auctioneer = Auctioneer(2, scheme)
+    with pytest.raises(ValueError, match="dense: slot 0 holds user 7"):
+        auctioneer.receive_bids(subs)
+    with pytest.raises(ValueError, match="at least one"):
+        auctioneer.receive_bids([])

@@ -10,7 +10,7 @@ from repro.lppa.bids_basic import (
     encrypt_bid_value,
     submit_bids_basic,
 )
-from repro.prefix.membership import find_maxima
+from tests.lppa.oracles import find_maxima
 
 KEYRING = generate_keyring(b"basic-test", 1)
 

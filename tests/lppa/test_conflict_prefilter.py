@@ -5,7 +5,7 @@ Every driver builds the graph from the masked conflict index (DESIGN.md
 round at a few hundred SUs, with pairs placed just inside and just outside
 ``2λ`` across the edges of the plaintext grid buckets, at two interference
 ranges, and check that ``repro scale --verify`` compares against the
-independent plaintext graph.
+independent plaintext graph and the ranking of the disclosed values.
 """
 
 import random
@@ -101,6 +101,14 @@ def test_process_sharding_is_gone(shards):
 def test_scale_verify_compares_against_plaintext_graph():
     assert run_scale_point(300, verify=True).verified is True
     assert run_scale_point(300).verified is None
+
+
+def test_scale_verify_also_checks_the_psd_rankings(monkeypatch):
+    from repro.auction.table import rank_values
+    from repro.experiments import scale
+
+    monkeypatch.setattr(scale, "rank_values", lambda values: rank_values(values)[::-1])
+    assert run_scale_point(300, verify=True).verified is False
 
 
 def test_scale_table_shows_peak_rss_per_point():

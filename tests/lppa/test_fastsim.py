@@ -47,23 +47,24 @@ def test_prebuilt_conflict_graph_is_used(small_users):
 
 
 def test_full_crypto_rankings_equal_integer_rankings(small_db, small_users):
-    """The masked table's order is exactly the hidden integer order.
+    """The masked rankings are exactly the hidden integer order.
 
     This is the equivalence that justifies using the fast simulator for the
-    evaluation sweeps: rebuild an IntegerMaskedTable from the true expanded
-    values a full-crypto session committed to, and require identical
-    rankings.
+    evaluation sweeps: rank the true expanded values a full-crypto session
+    committed to, and require identical rankings.
     """
-    from repro.lppa.fastsim import IntegerMaskedTable
+    from repro.auction.table import rank_values
 
     users = small_users[:10]
     full = run_lppa_auction(
         users, small_db.coverage.grid, two_lambda=6, bmax=127, entropy=9
     )
-    values = [
-        [c.masked_expanded for c in d.channels] for d in full.disclosures
-    ]
-    assert IntegerMaskedTable(values).rankings() == full.rankings
+    assert [
+        rank_values(
+            {d.user_id: d.channels[ch].masked_expanded for d in full.disclosures}
+        )
+        for ch in range(users[0].n_channels)
+    ] == full.rankings
 
 
 def test_disguises_flow_through(small_users):

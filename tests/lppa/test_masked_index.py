@@ -21,7 +21,7 @@ from repro.crypto.keys import generate_keyring
 from repro.lppa.bids_advanced import BidScale, submit_bids_advanced
 from repro.lppa.location import build_private_conflict_graph
 from repro.lppa.messages import BidSubmission, LocationSubmission, MaskedBid
-from repro.lppa.psd import MaskedBidTable
+from repro.lppa.psd import masked_rankings
 from repro.prefix.membership import MaskedSet, is_member, reaches
 from tests.lppa.oracles import (
     bid_ge,
@@ -112,23 +112,19 @@ def test_index_graph_equals_pairwise_scan_on_arbitrary_sets(sets):
     )
 
 
-def _bid_table(bid_rows, seed):
+def _bid_submissions(bid_rows, seed):
     rng = random.Random(seed)
-    return MaskedBidTable(
-        [
-            submit_bids_advanced(uid, row, KEYRING, SCALE, rng)[0]
-            for uid, row in enumerate(bid_rows)
-        ]
-    )
+    return [
+        submit_bids_advanced(uid, row, KEYRING, SCALE, rng)[0]
+        for uid, row in enumerate(bid_rows)
+    ]
 
 
-def _column_table(column):
-    return MaskedBidTable(
-        [
-            BidSubmission(uid, (MaskedBid(family, tail, CIPHERTEXT),))
-            for uid, (family, tail) in enumerate(column)
-        ]
-    )
+def _column_submissions(column):
+    return [
+        BidSubmission(uid, (MaskedBid(family, tail, CIPHERTEXT),))
+        for uid, (family, tail) in enumerate(column)
+    ]
 
 
 @settings(max_examples=30, deadline=None)
@@ -142,10 +138,11 @@ def _column_table(column):
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_ranking_equals_comparison_sort(bid_rows, seed):
-    table = _bid_table(bid_rows, seed)
+    subs = _bid_submissions(bid_rows, seed)
+    rankings = masked_rankings(subs)
     for channel in range(3):
-        expected = rank_by_ge(len(bid_rows), lambda i, j: bid_ge(table, i, j, channel))
-        assert table.ranking(channel) == expected
+        expected = rank_by_ge(len(bid_rows), lambda i, j: bid_ge(subs, i, j, channel))
+        assert rankings[channel] == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -153,17 +150,17 @@ def test_ranking_equals_comparison_sort(bid_rows, seed):
     column=st.lists(st.tuples(digest_sets, digest_sets), min_size=1, max_size=6)
 )
 def test_ranking_on_arbitrary_sets_is_exact_or_refuses(column):
-    table = _column_table(column)
+    subs = _column_submissions(column)
     n = len(column)
 
     def ge(i, j):
-        return bid_ge(table, i, j, 0)
+        return bid_ge(subs, i, j, 0)
 
     if is_total_preorder(n, ge):
-        assert table.ranking(0) == rank_by_ge(n, ge)
+        assert masked_rankings(subs) == [rank_by_ge(n, ge)]
     else:
         with pytest.raises(AssertionError, match="masked comparison is not total"):
-            table.ranking(0)
+            masked_rankings(subs)
 
 
 def test_ranking_refuses_a_relation_that_is_not_transitive():
@@ -180,10 +177,10 @@ def test_ranking_refuses_a_relation_that_is_not_transitive():
         bid({d[2], d[3]}, {d[3], d[4]}),
         bid({d[4], d[5]}, {d[5], d[1]}),
     ]
-    table = MaskedBidTable([BidSubmission(i, (b,)) for i, b in enumerate(column)])
-    assert rank_by_ge(3, lambda i, j: bid_ge(table, i, j, 0))
+    subs = [BidSubmission(i, (b,)) for i, b in enumerate(column)]
+    assert rank_by_ge(3, lambda i, j: bid_ge(subs, i, j, 0))
     with pytest.raises(AssertionError, match="masked comparison is not total"):
-        table.ranking(0)
+        masked_rankings(subs)
 
 
 def test_different_families_with_equal_reach_merge_in_index_order():
@@ -192,13 +189,13 @@ def test_different_families_with_equal_reach_merge_in_index_order():
     # by index rather than by family; bidder 2 ranks below them.
     high = _set(A, B)
     column = [(_set(A), high), (_set(B), high), (_set(C), _set(A, B, C)), (_set(A), high)]
-    table = _column_table(column)
+    subs = _column_submissions(column)
 
     def ge(i, j):
-        return bid_ge(table, i, j, 0)
+        return bid_ge(subs, i, j, 0)
 
     assert is_total_preorder(len(column), ge)
-    assert table.ranking(0) == rank_by_ge(len(column), ge) == [[0, 1, 3], [2]]
+    assert masked_rankings(subs) == [rank_by_ge(len(column), ge)] == [[[0, 1, 3], [2]]]
 
 
 def test_ranking_spans_blocks_and_refuses_a_violation_above_bit_2048():
@@ -206,13 +203,12 @@ def test_ranking_spans_blocks_and_refuses_a_violation_above_bit_2048():
     column = [(_set(A), _set(A))] * n
     # Bidder 2090 ranks strictly below everyone: a total preorder.
     column[low] = (_set(C), _set(A, C))
-    assert _column_table(column).ranking(0) == [
-        [j for j in range(n) if j != low],
-        [low],
+    assert masked_rankings(_column_submissions(column)) == [
+        [[j for j in range(n) if j != low], [low]],
     ]
     # With its tail {C} alone, bidder 2090 and the others are incomparable.
     column[low] = (_set(C), _set(C))
-    table = _column_table(column)
-    assert not bid_ge(table, 0, low, 0) and not bid_ge(table, low, 0, 0)
+    subs = _column_submissions(column)
+    assert not bid_ge(subs, 0, low, 0) and not bid_ge(subs, low, 0, 0)
     with pytest.raises(AssertionError, match="masked comparison is not total"):
-        table.ranking(0)
+        masked_rankings(subs)

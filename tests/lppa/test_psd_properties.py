@@ -1,11 +1,11 @@
-"""Property tests for the masked bid table's order machinery.
+"""Property tests for the masked rankings' order machinery.
 
 Hypothesis drives random bid populations through the real crypto path
-(``submit_bids_advanced`` → ``MaskedBidTable``) and checks the two
+(``submit_bids_advanced`` → ``masked_rankings``) and checks the two
 invariants everything downstream leans on:
 
 * the pairwise oracle ``bid_ge`` (``tests.lppa.oracles``) is a *total preorder* (total, transitive),
-  so ``ranking()``'s totality guard never fires on honest bids;
+  so the rankings' totality guard never fires on honest bids;
 * the masked ranking equals plain integer ordering of the hidden expanded
   values — the order-isomorphism the fast simulator's equivalence rests on.
 """
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.keys import generate_keyring
 from repro.lppa.bids_advanced import BidScale, submit_bids_advanced
-from repro.lppa.psd import MaskedBidTable
+from repro.lppa.psd import masked_rankings
 from tests.lppa.oracles import bid_ge
 
 SCALE = BidScale(bmax=30, rd=4, cr=8)
@@ -40,29 +40,30 @@ def _world(bid_rows, seed):
         )
         submissions.append(submission)
         values.append([c.masked_expanded for c in disclosure.channels])
-    return MaskedBidTable(submissions), values
+    return submissions, values
 
 
 @settings(max_examples=25, deadline=None)
 @given(bid_rows=populations, seed=st.integers(min_value=0, max_value=2**16))
 def test_bid_ge_is_a_total_preorder(bid_rows, seed):
-    table, _ = _world(bid_rows, seed)
+    subs, _ = _world(bid_rows, seed)
     n = len(bid_rows)
     for channel in range(2):
         for i, j in itertools.product(range(n), repeat=2):
             # Totality: at least one direction holds for every pair.
-            assert bid_ge(table, i, j, channel) or bid_ge(table, j, i, channel)
+            assert bid_ge(subs, i, j, channel) or bid_ge(subs, j, i, channel)
         for i, j, k in itertools.product(range(n), repeat=3):
-            if bid_ge(table, i, j, channel) and bid_ge(table, j, k, channel):
-                assert bid_ge(table, i, k, channel)
+            if bid_ge(subs, i, j, channel) and bid_ge(subs, j, k, channel):
+                assert bid_ge(subs, i, k, channel)
 
 
 @settings(max_examples=25, deadline=None)
 @given(bid_rows=populations, seed=st.integers(min_value=0, max_value=2**16))
 def test_masked_ranking_agrees_with_plain_integer_ordering(bid_rows, seed):
-    table, values = _world(bid_rows, seed)
+    subs, values = _world(bid_rows, seed)
+    rankings = masked_rankings(subs)
     for channel in range(2):
-        classes = table.ranking(channel)
+        classes = rankings[channel]
         # Same equivalence classes, same order, as sorting the hidden
         # integers descending (class members share a value, so only the
         # per-class sets can differ in member order).
@@ -75,6 +76,6 @@ def test_masked_ranking_agrees_with_plain_integer_ordering(bid_rows, seed):
         assert [sorted(cls) for cls in classes] == expected
         # And the oracle agrees with the integers pairwise.
         for i, j in itertools.product(range(len(bid_rows)), repeat=2):
-            assert bid_ge(table, i, j, channel) == (
+            assert bid_ge(subs, i, j, channel) == (
                 values[i][channel] >= values[j][channel]
             )

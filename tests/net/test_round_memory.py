@@ -11,9 +11,10 @@ anything per round played.  The contract under test, over ``MemoryTransport``
   scenario runs on a private mask cache, emptied before each count: the
   bounded LRU still takes in the masks of new filler draws);
 * once :meth:`AuctioneerServer.run_round` returns, no location or bid
-  submission is alive anywhere: the server dropped its decoded stores
-  inside the collector pause, and each client dropped what it sent before
-  reading the RESULT;
+  submission made since the scenario began is alive anywhere: the server
+  dropped its decoded stores inside the collector pause, and each client
+  dropped what it sent before reading the RESULT (submissions that other
+  code in the process made earlier are held and not counted);
 * the rounds leave no cyclic garbage, so the collector pause holds no
   memory past a round.
 """
@@ -24,9 +25,10 @@ import gc
 import pytest
 
 from repro.crypto.cache import MaskCache, get_mask_cache, set_mask_cache
-from repro.lppa.messages import BidSubmission, LocationSubmission
+from repro.lppa.messages import BidSubmission, LocationSubmission, MaskedBid
 from repro.net.loadgen import LoadgenConfig, round_entropy
 from repro.net.transport import MemoryTransport, TcpTransport
+from repro.prefix.membership import MaskedSet
 
 from tests.net.test_faults import _make_client, _make_server
 
@@ -44,11 +46,16 @@ TRANSPORTS = {
 }
 
 
-def _live_submissions() -> int:
-    return sum(
-        1 for o in gc.get_objects()
+def _submissions() -> list:
+    return [
+        o for o in gc.get_objects()
         if type(o) is LocationSubmission or type(o) is BidSubmission
-    )
+    ]
+
+
+def _live_submissions(held_ids) -> int:
+    """Submissions alive now that were not alive (and held) before."""
+    return sum(1 for o in _submissions() if id(o) not in held_ids)
 
 
 async def _settle(server, clients):
@@ -62,11 +69,12 @@ async def _settle(server, clients):
     await asyncio.sleep(0.01)
 
 
-def _play(transport_factory, n_users, seed=5):
-    """Play ``ROUNDS`` rounds with the collector off; returns the object
+def _play(transport_factory, n_users, seed=5, rounds=ROUNDS):
+    """Play ``rounds`` rounds with the collector off; returns the object
     counts after the counted rounds, what the collection before each
-    count found unreachable, the live submissions when each
-    ``run_round`` returned and the rounds each client's ``run`` reports."""
+    count found unreachable, the live submissions made since the start
+    when each ``run_round`` returned and the rounds each client's ``run``
+    reports."""
     config = LoadgenConfig(n_users=n_users, n_channels=6, seed=seed)
     out = {"counts": {}, "cyclic": [], "live": []}
 
@@ -79,11 +87,11 @@ def _play(transport_factory, n_users, seed=5):
             for su in range(n_users)
         ]
         # More rounds than the server plays: each client ends on BYE.
-        tasks = [asyncio.ensure_future(c.run(ROUNDS + 10)) for c in clients]
+        tasks = [asyncio.ensure_future(c.run(rounds + 10)) for c in clients]
         await server.wait_for_clients(n_users, timeout=10.0)
-        for r in range(ROUNDS):
+        for r in range(rounds):
             await server.run_round(round_entropy(config.seed, r))
-            out["live"].append(_live_submissions())
+            out["live"].append(_live_submissions(held_ids))
             if r in COUNTED:
                 await _settle(server, clients)
                 get_mask_cache().clear()
@@ -97,6 +105,9 @@ def _play(transport_factory, n_users, seed=5):
 
     previous = set_mask_cache(MaskCache())
     gc.collect()
+    # Held alive for the whole scenario, so no id in the snapshot is reused.
+    held = _submissions()
+    held_ids = {id(o) for o in held}
     gc.disable()
     try:
         asyncio.run(scenario())
@@ -128,3 +139,14 @@ def test_run_returns_the_rounds_played(played):
 def test_rounds_leave_no_cyclic_garbage(played):
     # Each count's collection covers the rounds since the one before.
     assert played["cyclic"] == [0] * len(COUNTED)
+
+
+def test_a_submission_made_before_the_rounds_is_not_counted():
+    digests = MaskedSet(frozenset({bytes(4)}), digest_bytes=4)
+    earlier = [
+        LocationSubmission(0, digests, digests, digests, digests),
+        BidSubmission(0, (MaskedBid(digests, digests, bytes(16)),)),
+    ]
+    out = _play(MemoryTransport, 2, rounds=2)
+    assert out["live"] == [0, 0]
+    assert len(earlier) == 2  # still alive through the rounds

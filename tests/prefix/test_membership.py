@@ -10,7 +10,6 @@ from repro.prefix.membership import (
     MaskedSet,
     MaskSpec,
     _spec_messages,
-    find_maxima,
     is_member,
     mask_range,
     mask_value,
@@ -18,6 +17,7 @@ from repro.prefix.membership import (
 from repro.prefix.numericalize import numericalize, numericalized_to_bytes
 from repro.prefix.prefixes import prefix_family
 from repro.prefix.ranges import max_cover_size, range_cover
+from tests.lppa.oracles import find_maxima
 
 KEY = b"test-key"
 

@@ -17,12 +17,12 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.prefix.membership import (
-    find_maxima,
     is_member,
     mask_range,
     mask_value,
 )
 from repro.prefix.ranges import max_cover_size
+from tests.lppa.oracles import find_maxima
 
 KEY = b"membership-properties"
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)

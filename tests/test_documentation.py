@@ -51,7 +51,7 @@ def test_public_items_are_documented(module):
                 if not callable(attr):
                     continue
                 # getattr + getdoc credit docstrings inherited from a
-                # documented interface (BidTable, ZeroDisguisePolicy, ...).
+                # documented interface (PrivacyScheme, ZeroDisguisePolicy, ...).
                 doc = inspect.getdoc(attr)
                 if not (doc and doc.strip()):
                     undocumented.append(f"{name}.{attr_name}")
