@@ -3,7 +3,7 @@
 Implements the paper's baseline auction (section II.A) and the pieces LPPA
 reuses: truthful bid generation, the 2λ interference conflict graph, the
 greedy Algorithm 3 allocator (one ranked table for plaintext and masked bids),
-first-price charging, and outcome metrics.
+first- and second-price charging, and outcome metrics.
 """
 
 from repro.auction.analysis import (
@@ -13,11 +13,7 @@ from repro.auction.analysis import (
     is_independent_set,
     to_networkx,
 )
-from repro.auction.allocation import (
-    Assignment,
-    greedy_allocate,
-    greedy_allocate_validated,
-)
+from repro.auction.allocation import Assignment, greedy_allocate
 from repro.auction.bidders import (
     BID_NOISE_FRACTION,
     DEFAULT_BETA_RANGE,
@@ -29,11 +25,7 @@ from repro.auction.bidders import (
 from repro.auction.conflict import ConflictGraph, build_conflict_graph, cells_conflict
 from repro.auction.interference import InterferenceReport, count_violations
 from repro.auction.outcome import AuctionOutcome, WinRecord
-from repro.auction.pricing import (
-    PricedAssignment,
-    greedy_allocate_priced,
-    second_price_charge,
-)
+from repro.auction.pricing import charge_wins, second_prices
 from repro.auction.plain_auction import run_plain_auction
 from repro.auction.table import RankedTable, Ranking, rank_values
 
@@ -45,7 +37,6 @@ __all__ = [
     "to_networkx",
     "Assignment",
     "greedy_allocate",
-    "greedy_allocate_validated",
     "BID_NOISE_FRACTION",
     "DEFAULT_BETA_RANGE",
     "SecondaryUser",
@@ -59,9 +50,8 @@ __all__ = [
     "count_violations",
     "AuctionOutcome",
     "WinRecord",
-    "PricedAssignment",
-    "greedy_allocate_priced",
-    "second_price_charge",
+    "charge_wins",
+    "second_prices",
     "run_plain_auction",
     "RankedTable",
     "Ranking",

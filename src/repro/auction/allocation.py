@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional
 
 from repro.auction.conflict import ConflictGraph
 from repro.auction.table import RankedTable
 
-__all__ = ["Assignment", "greedy_allocate", "greedy_allocate_validated"]
+__all__ = ["Assignment", "greedy_allocate"]
 
 
 @dataclass(frozen=True)
@@ -38,56 +38,25 @@ def greedy_allocate(
     table: RankedTable,
     conflict: ConflictGraph,
     rng: random.Random,
+    is_valid: Optional[Callable[[int, int], bool]] = None,
 ) -> List[Assignment]:
     """Run Algorithm 3 to completion and return the winner list ``W``.
 
     ``table`` is consumed (entries are deleted as the algorithm runs).
-    Termination: every visit to a non-empty column deletes at least the
-    winner's row, and the channel pool guarantees each channel is visited
-    once per refill cycle, so the table strictly shrinks.
+    Termination: every visit to a non-empty column deletes at least one
+    entry, and the channel pool guarantees each channel is visited once
+    per refill cycle, so the table strictly shrinks.
+
+    ``is_valid(bidder, channel)`` puts the TTP's invalid-winner
+    notification (section V.B) into the loop, an extension: a refused
+    winner's entry is deleted (not its row — the bidder may still hold
+    genuine bids elsewhere) and the channel's max search re-runs, until a
+    valid winner emerges or the column drains.  It trades extra TTP
+    round-trips (the oracle's refusals) for the revenue a wasted channel
+    would lose.  ``None``, the paper's batch mode, takes every maximum.
     """
     adjacency = conflict.adjacency()
     winners: List[Assignment] = []
-    pool: List[int] = []
-    while table.has_entries():
-        if not pool:
-            pool = list(range(table.n_channels))
-        channel = pool.pop(rng.randrange(len(pool)))
-        if not table.has_channel_entries(channel):
-            continue
-        candidates = table.max_bidders(channel)
-        winner = candidates[rng.randrange(len(candidates))]
-        winners.append(Assignment(bidder=winner, channel=channel))
-        for neighbor in adjacency.get(winner, ()):  # delete T[o, r], o in N(bx)
-            table.remove_entry(neighbor, channel)
-        table.remove_row(winner)
-    return winners
-
-
-def greedy_allocate_validated(
-    table: RankedTable,
-    conflict: ConflictGraph,
-    rng: random.Random,
-    is_valid: Callable[[int, int], bool],
-) -> Tuple[List[Assignment], int]:
-    """Algorithm 3 with the TTP's invalid-winner notification in the loop.
-
-    Section V.B: when the TTP reports a winning price as invalid (a
-    disguised or spread zero), the auctioneer learns the win is worthless.
-    This extension feeds that notification back *during* allocation: an
-    invalid winner's entry is deleted (not its row — the bidder may still
-    hold genuine bids elsewhere) and the channel's max search re-runs,
-    until a valid winner emerges or the column drains.  It trades extra
-    TTP round-trips — the second return value counts the rejected
-    queries — for recovering the revenue a wasted channel would lose.
-
-    ``is_valid(bidder, channel)`` is the TTP oracle; in the real protocol
-    it decrypts the ``gc`` ciphertext (see
-    :meth:`repro.lppa.ttp.TrustedThirdParty.process_charge`).
-    """
-    adjacency = conflict.adjacency()
-    winners: List[Assignment] = []
-    rejected = 0
     pool: List[int] = []
     while table.has_entries():
         if not pool:
@@ -96,13 +65,12 @@ def greedy_allocate_validated(
         while table.has_channel_entries(channel):
             candidates = table.max_bidders(channel)
             winner = candidates[rng.randrange(len(candidates))]
-            if not is_valid(winner, channel):
-                rejected += 1
+            if is_valid is not None and not is_valid(winner, channel):
                 table.remove_entry(winner, channel)
                 continue
             winners.append(Assignment(bidder=winner, channel=channel))
-            for neighbor in adjacency.get(winner, ()):
+            for neighbor in adjacency.get(winner, ()):  # delete T[o, r], o in N(bx)
                 table.remove_entry(neighbor, channel)
             table.remove_row(winner)
             break
-    return winners, rejected
+    return winners

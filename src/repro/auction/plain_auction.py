@@ -3,7 +3,8 @@
 This is the auction the paper assumes as its starting point (section II.A):
 SUs submit ID, plaintext location and plaintext bid vector; the auctioneer
 builds the conflict graph directly from the locations, runs the greedy
-allocation on the plaintext table, and charges first price.  It serves two
+allocation on the plaintext table, and charges first price (second price
+as the truthfulness extension).  It serves two
 roles in the reproduction:
 
 1. the attack surface for BCM/BPM (the attacker sees everything it sees),
@@ -14,13 +15,13 @@ roles in the reproduction:
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.auction.allocation import greedy_allocate
 from repro.auction.bidders import SecondaryUser
-from repro.auction.pricing import greedy_allocate_priced, second_price_charge
+from repro.auction.pricing import charge_wins
 from repro.auction.conflict import ConflictGraph, build_conflict_graph
-from repro.auction.outcome import AuctionOutcome, WinRecord
+from repro.auction.outcome import AuctionOutcome
 from repro.auction.table import RankedTable, Ranking, rank_values
 
 __all__ = ["plain_rankings", "run_plain_auction"]
@@ -47,7 +48,7 @@ def run_plain_auction(
     rng: random.Random,
     *,
     two_lambda: int,
-    conflict: ConflictGraph = None,
+    conflict: Optional[ConflictGraph] = None,
     pricing: str = "first",
 ) -> AuctionOutcome:
     """One complete plaintext auction round.
@@ -73,31 +74,13 @@ def run_plain_auction(
         raise ValueError('pricing must be "first" or "second"')
     if conflict is None:
         conflict = build_conflict_graph([u.cell for u in users], two_lambda)
-    table = RankedTable(plain_rankings([u.bids for u in users]), len(users))
-
-    def true_bid(bidder: int, channel: int) -> int:
-        return users[bidder].bids[channel]
-
-    if pricing == "second":
-        sales = greedy_allocate_priced(table, conflict, rng)
-        wins = tuple(
-            WinRecord(
-                bidder=sale.bidder,
-                channel=sale.channel,
-                charge=second_price_charge(sale, true_bid),
-                valid=True,
-            )
-            for sale in sales
-        )
-    else:
-        assignments = greedy_allocate(table, conflict, rng)
-        wins = tuple(
-            WinRecord(
-                bidder=a.bidder,
-                channel=a.channel,
-                charge=true_bid(a.bidder, a.channel),
-                valid=True,  # a plaintext table never contains zero bids
-            )
-            for a in assignments
-        )
+    rankings = plain_rankings([u.bids for u in users])
+    assignments = greedy_allocate(RankedTable(rankings, len(users)), conflict, rng)
+    wins = charge_wins(
+        assignments,
+        lambda bidder, channel: users[bidder].bids[channel],
+        pricing=pricing,
+        rankings=rankings,
+        conflict=conflict,
+    )
     return AuctionOutcome(n_users=len(users), wins=wins)

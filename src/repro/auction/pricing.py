@@ -1,4 +1,4 @@
-"""Pricing rules: first price (the paper's choice) and second price.
+"""Charging: first price (the paper's choice) and second price.
 
 Section V.C.1: "We choose our charging algorithm as the first-price payment
 where the winner pays the exact amount of his bid.  Note that although this
@@ -15,89 +15,104 @@ an optional extension:
   zero runner-up is skipped (the TTP walks down the recorded order), so the
   disguises cannot deflate a winner's charge to zero.
 
-:func:`greedy_allocate_priced` is Algorithm 3 with the per-sale runner-up
-order recorded; it reads the column's ranking and its live bidders off the
-same :class:`~repro.auction.table.RankedTable` every auctioneer allocates
-over.
+Second prices need nothing from inside the allocation loop: the winner
+list, the rankings and the conflict graph fix the sale at which every
+entry left the table (:func:`second_prices`).
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
+from repro.auction.allocation import Assignment
 from repro.auction.conflict import ConflictGraph
-from repro.auction.table import RankedTable
+from repro.auction.outcome import WinRecord
+from repro.auction.table import Ranking
 
-__all__ = [
-    "PricedAssignment",
-    "greedy_allocate_priced",
-    "second_price_charge",
-]
+__all__ = ["charge_wins", "second_prices"]
 
-
-@dataclass(frozen=True)
-class PricedAssignment:
-    """One sale with the runner-up order captured at the moment of sale.
-
-    ``losers_desc`` lists the bidders still competing in the column when it
-    was sold, best first, excluding the winner — the candidates a
-    second-price rule charges from.
-    """
-
-    bidder: int
-    channel: int
-    losers_desc: Tuple[int, ...]
+#: ``true_bid(bidder, channel)``: the hidden integer bid behind an entry.
+TrueBid = Callable[[int, int], int]
 
 
-def greedy_allocate_priced(
-    table: RankedTable,
+def second_prices(
+    assignments: Sequence[Assignment],
+    rankings: Sequence[Ranking],
     conflict: ConflictGraph,
-    rng: random.Random,
-) -> List[PricedAssignment]:
-    """Algorithm 3, recording each sale's remaining column order."""
-    adjacency = conflict.adjacency()
-    sales: List[PricedAssignment] = []
-    pool: List[int] = []
-    while table.has_entries():
-        if not pool:
-            pool = list(range(table.n_channels))
-        channel = pool.pop(rng.randrange(len(pool)))
-        live = table.channel_bidders(channel)
-        if not live:
-            continue
-        candidates = table.max_bidders(channel)
-        winner = candidates[rng.randrange(len(candidates))]
-        losers = tuple(
-            bidder
-            for tie_class in table.ranking(channel)
-            for bidder in tie_class
-            if bidder in live and bidder != winner
-        )
-        sales.append(
-            PricedAssignment(bidder=winner, channel=channel, losers_desc=losers)
-        )
-        for neighbor in adjacency.get(winner, ()):
-            table.remove_entry(neighbor, channel)
-        table.remove_row(winner)
-    return sales
+    true_bid: TrueBid,
+) -> List[int]:
+    """Each sale's second price, in sale order.
 
-
-def second_price_charge(
-    sale: PricedAssignment,
-    true_bid_of: Callable[[int, int], int],
-) -> int:
-    """The winner's second-price charge for one sale.
-
-    Walks the recorded runner-up order and charges the first *genuine*
-    losing bid (``true_bid_of > 0`` — under LPPA the TTP performs this walk
-    on decrypted values, so disguised zeros are transparent to it).  A sale
-    with no genuine competition charges the winner its own bid, the
-    standard reserve-at-own-bid fallback.
+    An entry ``(b, channel)`` leaves the table at the sale ``b`` wins (its
+    row goes) or at the first sale of ``channel`` to one of its
+    neighbours, whichever comes first.  A sale charges the first genuine
+    (``true_bid > 0`` — the TTP's walk over decrypted values) entry of its
+    column's ranking still in the table at that sale, the winner excepted,
+    and the winner's own bid when there is none.  Entries behind each
+    channel's cursor are gone or not genuine for every later sale of the
+    channel too, so every entry is passed over once.
     """
-    for loser in sale.losers_desc:
-        loser_bid = true_bid_of(loser, sale.channel)
-        if loser_bid > 0:
-            return loser_bid
-    return true_bid_of(sale.bidder, sale.channel)
+    adjacency = conflict.adjacency()
+    never = len(assignments)
+    won_at: Dict[int, int] = {}
+    blocked_at: List[Dict[int, int]] = [{} for _ in rankings]
+    for sale, a in enumerate(assignments):
+        won_at[a.bidder] = sale
+        blocked = blocked_at[a.channel]
+        for neighbor in adjacency.get(a.bidder, ()):
+            blocked.setdefault(neighbor, sale)
+    columns = [[b for tied in ranking for b in tied] for ranking in rankings]
+    cursors = [0] * len(rankings)
+    prices: List[int] = []
+    for sale, a in enumerate(assignments):
+        channel = a.channel
+        column = columns[channel]
+        blocked = blocked_at[channel]
+        at = cursors[channel]
+        price = 0
+        while at < len(column):
+            bidder = column[at]
+            # won_at == sale is the winner itself; a neighbour blocked at
+            # this sale still competed in it.
+            if won_at.get(bidder, never) > sale and blocked.get(bidder, never) >= sale:
+                price = true_bid(bidder, channel)
+                if price > 0:
+                    break
+            at += 1
+        cursors[channel] = at
+        prices.append(price if price > 0 else true_bid(a.bidder, channel))
+    return prices
+
+
+def charge_wins(
+    assignments: Sequence[Assignment],
+    true_bid: TrueBid,
+    *,
+    pricing: str,
+    rankings: Sequence[Ranking],
+    conflict: ConflictGraph,
+) -> Tuple[WinRecord, ...]:
+    """Charge the winner list by the TTP's rule.
+
+    A win is valid iff the winner's true bid is positive; an invalid win (a
+    disguised zero that took the column) pays nothing.  A valid win pays
+    its own bid under ``"first"`` pricing and :func:`second_prices` under
+    ``"second"``.  The plaintext baseline never ranks a zero, so all its
+    wins are valid.
+    """
+    if pricing not in ("first", "second"):
+        raise ValueError('pricing must be "first" or "second"')
+    own = [true_bid(a.bidder, a.channel) for a in assignments]
+    if pricing == "second":
+        prices = second_prices(assignments, rankings, conflict, true_bid)
+    else:
+        prices = own
+    return tuple(
+        WinRecord(
+            bidder=a.bidder,
+            channel=a.channel,
+            charge=price if bid > 0 else 0,
+            valid=bid > 0,
+        )
+        for a, bid, price in zip(assignments, own, prices)
+    )

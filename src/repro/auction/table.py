@@ -6,9 +6,8 @@ The PSD (section V.A) lets the auctioneer run it "transparently" on masked
 bids because the membership relation gives it each column's full order:
 the ranking *is* the table.  :class:`RankedTable` holds, per channel, that
 ranking and the set of bidders still live in the column, and the greedy
-allocators of :mod:`repro.auction.allocation` and
-:mod:`repro.auction.pricing` run on it for every auctioneer.  Each
-auctioneer only produces rankings:
+allocator of :mod:`repro.auction.allocation` runs on it for every
+auctioneer.  Each auctioneer only produces rankings:
 
 * PPBS — :func:`repro.lppa.psd.masked_rankings` over the masked sets;
 * Bloom — :func:`rank_values` over the OPE values;
@@ -81,14 +80,6 @@ class RankedTable:
     def has_channel_entries(self, channel: int) -> bool:
         """True while this column has at least one remaining entry."""
         return bool(self._live[self._check_channel(channel)])
-
-    def channel_bidders(self, channel: int) -> Set[int]:
-        """Bidders with a remaining entry in this column (a copy)."""
-        return set(self._live[self._check_channel(channel)])
-
-    def ranking(self, channel: int) -> Ranking:
-        """The column's whole ranking, deleted entries included."""
-        return self._rankings[self._check_channel(channel)]
 
     def max_bidders(self, channel: int) -> List[int]:
         """The live bidders of the best class that still holds one, ascending.

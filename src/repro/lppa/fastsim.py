@@ -16,10 +16,8 @@ protocol latency, TTP verification) uses the full path in
 :mod:`repro.lppa.session` instead.
 
 :func:`run_fast_lppa` is a thin wrapper over the round core
-(:mod:`repro.lppa.round`) with the plain (integer) value backend; the
-:class:`~repro.lppa.round.results.FastLppaResult` it historically defined
-is re-exported from its new home.  (``derive_round_rngs`` lives in
-:mod:`repro.lppa.entropy`; the deprecated re-export from here is gone.)
+(:mod:`repro.lppa.round`) with the plain (integer) value backend, and
+returns a :class:`~repro.lppa.round.results.FastLppaResult`.
 """
 
 from __future__ import annotations
@@ -84,7 +82,8 @@ def run_fast_lppa(
 
     ``pricing`` selects the charging rule: ``"first"`` (the paper) or
     ``"second"`` (the truthfulness extension of
-    :mod:`repro.auction.pricing`, incompatible with ``revalidate``).
+    :func:`repro.auction.pricing.charge_wins`, incompatible with
+    ``revalidate``).
 
     ``scheme`` resolves exactly as in :func:`repro.lppa.session.run_lppa_auction`
     (argument, else active scheme, else ``$REPRO_SCHEME``, else ``ppbs``) and

@@ -28,10 +28,10 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.auction.allocation import greedy_allocate, greedy_allocate_validated
+from repro.auction.allocation import greedy_allocate
 from repro.auction.conflict import build_conflict_graph
-from repro.auction.outcome import AuctionOutcome, WinRecord
-from repro.auction.pricing import greedy_allocate_priced, second_price_charge
+from repro.auction.outcome import AuctionOutcome
+from repro.auction.pricing import charge_wins
 from repro.auction.table import RankedTable, rank_values
 from repro.lppa.auctioneer import Auctioneer
 from repro.lppa.bids_advanced import (
@@ -334,23 +334,22 @@ class PlainBackend(ValueBackend):
         if tr is not None:
             for channel, classes in enumerate(state.rankings):
                 tr.ranking(channel, classes)
-        if state.pricing == "second":
-            state.sales = greedy_allocate_priced(
-                table, state.conflict, state.alloc_rng
-            )
-        elif state.revalidate:
-            # §V.B extension: the TTP's invalid-winner notifications feed
-            # back into the allocation loop, which retries the channel.
-            state.assignments, state.ttp_rejections = greedy_allocate_validated(
-                table,
-                state.conflict,
-                state.alloc_rng,
-                lambda bidder, channel: state.true_bid(bidder, channel) > 0,
-            )
-        else:
-            state.assignments = greedy_allocate(
-                table, state.conflict, state.alloc_rng
-            )
+
+        def ttp_accepts(bidder: int, channel: int) -> bool:
+            if state.true_bid(bidder, channel) > 0:
+                return True
+            state.ttp_rejections += 1
+            return False
+
+        # §V.B extension: with ``revalidate`` the TTP's invalid-winner
+        # notifications feed back into the allocation loop, which retries
+        # the channel.
+        state.assignments = greedy_allocate(
+            table,
+            state.conflict,
+            state.alloc_rng,
+            ttp_accepts if state.revalidate else None,
+        )
 
     def charge_request(self, state: RoundState) -> Optional[List[Any]]:
         return None  # charging needs no TTP exchange at integer level
@@ -361,34 +360,15 @@ class PlainBackend(ValueBackend):
         # Charging follows the TTP's rules: a winner whose *true* offset
         # value lies in the zero band [0, rd] is invalid, pays nothing and
         # does not count as satisfied.
-        wins: List[WinRecord] = []
-        if state.pricing == "second":
-            assert state.sales is not None
-            for sale in state.sales:
-                valid = state.true_bid(sale.bidder, sale.channel) > 0
-                charge = (
-                    second_price_charge(sale, state.true_bid) if valid else 0
-                )
-                wins.append(
-                    WinRecord(
-                        bidder=sale.bidder,
-                        channel=sale.channel,
-                        charge=charge,
-                        valid=valid,
-                    )
-                )
-        else:
-            assert state.assignments is not None
-            for a in state.assignments:
-                valid = state.true_bid(a.bidder, a.channel) > 0
-                wins.append(
-                    WinRecord(
-                        bidder=a.bidder,
-                        channel=a.channel,
-                        charge=state.true_bid(a.bidder, a.channel) if valid else 0,
-                        valid=valid,
-                    )
-                )
+        assert state.assignments is not None and state.rankings is not None
+        assert state.conflict is not None
+        wins = charge_wins(
+            state.assignments,
+            state.true_bid,
+            pricing=state.pricing,
+            rankings=state.rankings,
+            conflict=state.conflict,
+        )
         tr = state.tr
         if tr is not None:
             for record in wins:
@@ -399,9 +379,8 @@ class PlainBackend(ValueBackend):
                     channel=record.channel,
                 )
         obs.count("lppa.winners", len(wins))
-        state.wins = wins
         assert state.users is not None
-        state.outcome = AuctionOutcome(n_users=len(state.users), wins=tuple(wins))
+        state.outcome = AuctionOutcome(n_users=len(state.users), wins=wins)
 
     def finalize(self, state: RoundState) -> None:
         obs.count("lppa.fast_rounds")

@@ -4,10 +4,9 @@
 in-process via :func:`repro.lppa.session.run_lppa_auction` or over a
 transport via :class:`repro.net.server.AuctioneerServer`.
 :class:`FastLppaResult` is the integer simulator's equivalent, minus the
-wire sizes the simulator never materializes.  Both historically lived next
-to their wrappers (``session.py`` / ``fastsim.py``, which still re-export
-them) and moved here so the round core can assemble them without importing
-the wrappers built on top of it.
+wire sizes the simulator never materializes.  They live here, below the
+wrappers, so the round core can assemble them without importing the
+wrappers built on top of it.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 from repro.auction.allocation import Assignment
 from repro.auction.bidders import SecondaryUser
 from repro.auction.conflict import ConflictGraph
-from repro.auction.outcome import AuctionOutcome, WinRecord
+from repro.auction.outcome import AuctionOutcome
 from repro.geo.grid import GridSpec
 from repro.lppa.auctioneer import Auctioneer
 from repro.lppa.bids_advanced import BidScale, SubmissionDisclosure
@@ -82,8 +82,6 @@ class RoundState:
     conflict: Optional[ConflictGraph] = None
     rankings: Optional[List[List[List[int]]]] = None
     assignments: Optional[List[Assignment]] = None
-    sales: Optional[List[Any]] = None
-    wins: List[WinRecord] = field(default_factory=list)
     outcome: Optional[AuctionOutcome] = None
     ttp_rejections: int = 0
     relocate: bool = False

@@ -13,8 +13,8 @@ role in-process —
    views (per-channel bid rankings) used by the evaluation.
 
 This module owns only the call-signature conveniences (entropy
-resolution, the shared default policy) and re-exports
-:class:`~repro.lppa.round.results.LppaResult` from its historical home.
+resolution, the shared default policy); the round returns a
+:class:`~repro.lppa.round.results.LppaResult`.
 """
 
 from __future__ import annotations

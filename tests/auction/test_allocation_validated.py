@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.auction.allocation import greedy_allocate_validated
+from repro.auction.allocation import greedy_allocate
 from repro.auction.conflict import ConflictGraph, build_conflict_graph
 from repro.auction.table import RankedTable, rank_values
 
@@ -22,6 +22,19 @@ def _integer(rows):
 
 def _no_conflicts(n):
     return ConflictGraph(n_users=n, edges=frozenset())
+
+
+def greedy_allocate_validated(table, conflict, rng, is_valid):
+    """The winners and how many of them ``is_valid`` refused."""
+    refusals = []
+
+    def counting(bidder, channel):
+        valid = is_valid(bidder, channel)
+        if not valid:
+            refusals.append((bidder, channel))
+        return valid
+
+    return greedy_allocate(table, conflict, rng, counting), len(refusals)
 
 
 def test_invalid_max_is_skipped():
@@ -60,8 +73,6 @@ def test_invalid_bidder_keeps_other_channels():
 
 
 def test_all_valid_equals_plain_algorithm():
-    from repro.auction.allocation import greedy_allocate
-
     rows = [[5, 3], [9, 7], [2, 8]]
     a_table = _integer(rows)
     b_table = _integer(rows)

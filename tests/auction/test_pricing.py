@@ -4,58 +4,91 @@ import random
 
 import pytest
 
-from repro.auction.conflict import ConflictGraph, build_conflict_graph
-from repro.auction.pricing import (
-    PricedAssignment,
-    greedy_allocate_priced,
-    second_price_charge,
-)
+from repro.auction.allocation import Assignment, greedy_allocate
+from repro.auction.conflict import ConflictGraph
+from repro.auction.pricing import charge_wins, second_prices
 from repro.auction.plain_auction import plain_rankings
-from repro.auction.table import RankedTable
-
-
-def _plain(rows):
-    return RankedTable(plain_rankings(rows), len(rows))
+from repro.auction.table import RankedTable, rank_values
 
 
 def _no_conflicts(n):
     return ConflictGraph(n_users=n, edges=frozenset())
 
 
+def _one_sale(bids):
+    """Bidder 0 wins the one channel over ``bids`` (zeros ranked too)."""
+    return second_prices(
+        [Assignment(bidder=0, channel=0)],
+        [rank_values(dict(enumerate(bids)))],
+        _no_conflicts(len(bids)),
+        lambda b, c: bids[b],
+    )
+
+
 def test_plain_table_ranking():
-    table = _plain([[3, 7], [9, 7], [0, 1]])
-    assert table.ranking(0) == [[1], [0]]
-    assert table.ranking(1) == [[0, 1], [2]]
+    assert plain_rankings([[3, 7], [9, 7], [0, 1]]) == [[[1], [0]], [[0, 1], [2]]]
 
 
 def test_losers_recorded_at_sale_time():
-    table = _plain([[9], [5], [3]])
-    sales = greedy_allocate_priced(table, _no_conflicts(3), random.Random(0))
-    first = sales[0]
-    assert first.bidder == 0
-    assert first.losers_desc == (1, 2)
-    # Second sale of the channel: only bidder 2 remains as loser for 1.
-    second = sales[1]
-    assert second.bidder == 1
-    assert second.losers_desc == (2,)
+    rows = [[9], [5], [3]]
+    rankings = plain_rankings(rows)
+    sales = greedy_allocate(
+        RankedTable(rankings, 3), _no_conflicts(3), random.Random(0)
+    )
+    assert [a.bidder for a in sales] == [0, 1, 2]
+    # The first sale's best loser is bidder 1; at the second sale of the
+    # channel only bidder 2 remains as loser for 1; the last has none.
+    assert second_prices(
+        sales, rankings, _no_conflicts(3), lambda b, c: rows[b][c]
+    ) == [5, 3, 3]
 
 
 def test_second_price_charge_is_best_loser():
-    sale = PricedAssignment(bidder=0, channel=0, losers_desc=(1, 2))
-    bids = {(0, 0): 9, (1, 0): 5, (2, 0): 3}
-    assert second_price_charge(sale, lambda b, c: bids[(b, c)]) == 5
+    assert _one_sale([9, 5, 3]) == [5]
 
 
 def test_second_price_skips_zero_losers():
     """Disguised-zero runners-up cannot deflate the charge to zero."""
-    sale = PricedAssignment(bidder=0, channel=0, losers_desc=(1, 2))
-    bids = {(0, 0): 9, (1, 0): 0, (2, 0): 3}
-    assert second_price_charge(sale, lambda b, c: bids[(b, c)]) == 3
+    assert _one_sale([9, 0, 3]) == [3]
 
 
 def test_second_price_fallback_is_own_bid():
-    sale = PricedAssignment(bidder=0, channel=0, losers_desc=())
-    assert second_price_charge(sale, lambda b, c: 9) == 9
+    assert _one_sale([9]) == [9]
+
+
+def test_neighbour_blocked_at_a_sale_still_competes_in_it():
+    """Bidder 1 conflicts with the first winner: it sets the first sale's
+    price but is gone from the channel's second sale."""
+    rows = [[9], [7], [5], [3]]
+    conflict = ConflictGraph(n_users=4, edges=frozenset({(0, 1)}))
+    sales = [Assignment(bidder=0, channel=0), Assignment(bidder=2, channel=0)]
+    assert second_prices(
+        sales, plain_rankings(rows), conflict, lambda b, c: rows[b][c]
+    ) == [7, 3]
+
+
+def test_charge_wins_follows_the_ttp_rule():
+    rows = [[0], [5], [3]]
+    rankings = [rank_values({0: 1, 1: 5, 2: 3})]  # 0 disguised its zero
+    sales = [Assignment(bidder=0, channel=0), Assignment(bidder=1, channel=0)]
+    for pricing, charges in (("first", [0, 5]), ("second", [0, 3])):
+        wins = charge_wins(
+            sales,
+            lambda b, c: rows[b][c],
+            pricing=pricing,
+            rankings=rankings,
+            conflict=_no_conflicts(3),
+        )
+        assert [w.charge for w in wins] == charges
+        assert [w.valid for w in wins] == [False, True]
+    with pytest.raises(ValueError):
+        charge_wins(
+            sales,
+            lambda b, c: rows[b][c],
+            pricing="vickrey",
+            rankings=rankings,
+            conflict=_no_conflicts(3),
+        )
 
 
 def test_plain_auction_second_price_never_exceeds_first(small_users):
@@ -78,11 +111,16 @@ def test_truthful_incentive_under_second_price():
     """A lone top bidder's charge does not depend on its own bid level —
     the property that makes shading pointless."""
     for own_bid in (8, 12, 20):
-        table = _plain([[own_bid], [5], [3]])
-        sales = greedy_allocate_priced(table, _no_conflicts(3), random.Random(1))
-        bids = {(0, 0): own_bid, (1, 0): 5, (2, 0): 3}
-        charge = second_price_charge(sales[0], lambda b, c: bids[(b, c)])
-        assert charge == 5
+        rows = [[own_bid], [5], [3]]
+        rankings = plain_rankings(rows)
+        sales = greedy_allocate(
+            RankedTable(rankings, 3), _no_conflicts(3), random.Random(1)
+        )
+        prices = second_prices(
+            sales, rankings, _no_conflicts(3), lambda b, c: rows[b][c]
+        )
+        assert sales[0].bidder == 0
+        assert prices[0] == 5
 
 
 def test_fastsim_second_price(small_users):

@@ -10,10 +10,20 @@ def _plain(rows):
     return RankedTable(plain_rankings(rows), len(rows))
 
 
+def drain(table, channel):
+    """The column's live bidders as classes, best first (consumes it)."""
+    classes = []
+    while table.has_channel_entries(channel):
+        classes.append(table.max_bidders(channel))
+        for bidder in classes[-1]:
+            table.remove_entry(bidder, channel)
+    return classes
+
+
 def test_zero_bids_are_not_entries():
     table = _plain([[0, 5], [0, 0]])
-    assert table.channel_bidders(0) == set()
-    assert table.channel_bidders(1) == {0}
+    assert drain(table, 0) == []
+    assert drain(table, 1) == [[0]]
 
 
 def test_max_bidders_and_ties():
@@ -36,8 +46,8 @@ def test_rank_values_groups_bidders_by_value():
 def test_remove_row():
     table = _plain([[3, 7], [9, 1]])
     table.remove_row(1)
-    assert table.channel_bidders(0) == {0}
-    assert table.channel_bidders(1) == {0}
+    assert drain(table, 0) == [[0]]
+    assert drain(table, 1) == [[0]]
     table.remove_row(1)  # idempotent
 
 
@@ -53,7 +63,7 @@ def test_remove_entry_and_emptiness():
 def test_channel_bounds():
     table = _plain([[1]])
     with pytest.raises(IndexError):
-        table.channel_bidders(1)
+        table.has_channel_entries(1)
     with pytest.raises(IndexError):
         table.remove_entry(0, -1)
 

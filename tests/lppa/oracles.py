@@ -12,14 +12,24 @@ search over every tail (:func:`find_maxima`).
 one :class:`~repro.lppa.bids_advanced.BidScale` call and one
 ``randint``/``randrange`` per value, against which the inlined core's
 draws are checked.
+
+:class:`SetTable`, :func:`greedy_allocate_validated`,
+:func:`greedy_allocate_priced` and :func:`second_price_charge` are Algorithm
+3's extensions as first written: one loop per extension, each sale
+recording its column's losers (an O(N) copy per sale), and the table
+finding a column's maximum by scanning its ranking from the top.  The one
+allocation loop and the post-loop second prices are checked against them.
 """
 
 import functools
 import itertools
 import random
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
+from repro.auction.allocation import Assignment
 from repro.auction.conflict import ConflictGraph
+from repro.auction.table import Ranking
 from repro.lppa.bids_advanced import BidScale, ChannelDisclosure
 from repro import obs
 from repro.lppa.messages import BidSubmission, LocationSubmission
@@ -155,3 +165,127 @@ def disguise_and_expand(
             )
         )
     return disclosures
+
+
+class SetTable:
+    """Algorithm 3's table as one live set per column and no cursor."""
+
+    def __init__(self, rankings: Sequence[Ranking]) -> None:
+        self._rankings = list(rankings)
+        self._live = [{b for tied in ranking for b in tied} for ranking in rankings]
+
+    @property
+    def n_channels(self) -> int:
+        return len(self._rankings)
+
+    def has_entries(self) -> bool:
+        return any(self._live)
+
+    def has_channel_entries(self, channel: int) -> bool:
+        return bool(self._live[channel])
+
+    def channel_bidders(self, channel: int) -> Set[int]:
+        return set(self._live[channel])
+
+    def ranking(self, channel: int) -> Ranking:
+        return self._rankings[channel]
+
+    def max_bidders(self, channel: int) -> List[int]:
+        live = self._live[channel]
+        for tied in self._rankings[channel]:
+            remaining = [b for b in tied if b in live]
+            if remaining:
+                return remaining
+        raise ValueError(f"channel {channel} has no remaining bids")
+
+    def remove_row(self, bidder: int) -> None:
+        for live in self._live:
+            live.discard(bidder)
+
+    def remove_entry(self, bidder: int, channel: int) -> None:
+        self._live[channel].discard(bidder)
+
+
+def greedy_allocate_validated(
+    table: SetTable,
+    conflict: ConflictGraph,
+    rng: random.Random,
+    is_valid: Callable[[int, int], bool],
+) -> Tuple[List[Assignment], int]:
+    """Algorithm 3 with the TTP's invalid-winner notification in the loop;
+    also returns how many winners the oracle refused."""
+    adjacency = conflict.adjacency()
+    winners: List[Assignment] = []
+    rejected = 0
+    pool: List[int] = []
+    while table.has_entries():
+        if not pool:
+            pool = list(range(table.n_channels))
+        channel = pool.pop(rng.randrange(len(pool)))
+        while table.has_channel_entries(channel):
+            candidates = table.max_bidders(channel)
+            winner = candidates[rng.randrange(len(candidates))]
+            if not is_valid(winner, channel):
+                rejected += 1
+                table.remove_entry(winner, channel)
+                continue
+            winners.append(Assignment(bidder=winner, channel=channel))
+            for neighbor in adjacency.get(winner, ()):
+                table.remove_entry(neighbor, channel)
+            table.remove_row(winner)
+            break
+    return winners, rejected
+
+
+@dataclass(frozen=True)
+class PricedAssignment:
+    """One sale with the column's remaining losers, best first."""
+
+    bidder: int
+    channel: int
+    losers_desc: Tuple[int, ...]
+
+
+def greedy_allocate_priced(
+    table: SetTable,
+    conflict: ConflictGraph,
+    rng: random.Random,
+) -> List[PricedAssignment]:
+    """Algorithm 3, recording each sale's remaining column order."""
+    adjacency = conflict.adjacency()
+    sales: List[PricedAssignment] = []
+    pool: List[int] = []
+    while table.has_entries():
+        if not pool:
+            pool = list(range(table.n_channels))
+        channel = pool.pop(rng.randrange(len(pool)))
+        live = table.channel_bidders(channel)
+        if not live:
+            continue
+        candidates = table.max_bidders(channel)
+        winner = candidates[rng.randrange(len(candidates))]
+        losers = tuple(
+            bidder
+            for tie_class in table.ranking(channel)
+            for bidder in tie_class
+            if bidder in live and bidder != winner
+        )
+        sales.append(
+            PricedAssignment(bidder=winner, channel=channel, losers_desc=losers)
+        )
+        for neighbor in adjacency.get(winner, ()):
+            table.remove_entry(neighbor, channel)
+        table.remove_row(winner)
+    return sales
+
+
+def second_price_charge(
+    sale: PricedAssignment,
+    true_bid_of: Callable[[int, int], int],
+) -> int:
+    """The first genuine (positive) loser's bid, else the winner's own."""
+    for loser in sale.losers_desc:
+        loser_bid = true_bid_of(loser, sale.channel)
+        if loser_bid > 0:
+            return loser_bid
+    return true_bid_of(sale.bidder, sale.channel)

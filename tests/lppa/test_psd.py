@@ -11,6 +11,7 @@ from repro.lppa.auctioneer import Auctioneer
 from repro.lppa.bids_advanced import BidScale, submit_bids_advanced
 from repro.lppa.psd import masked_rankings
 from repro.lppa.schemes.registry import get_scheme
+from tests.auction.test_table import drain
 from tests.lppa.oracles import bid_ge
 
 SCALE = BidScale(bmax=30, rd=4, cr=8)
@@ -107,9 +108,7 @@ def test_integer_table_mirrors_masked_table():
     masked.remove_entry(0, 2)
     integer.remove_entry(0, 2)
     for channel in range(3):
-        assert masked.channel_bidders(channel) == integer.channel_bidders(channel)
-        if masked.channel_bidders(channel):
-            assert masked.max_bidders(channel) == integer.max_bidders(channel)
+        assert drain(masked, channel) == drain(integer, channel)
 
 
 def test_integer_table_validation():
