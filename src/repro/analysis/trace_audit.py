@@ -48,6 +48,7 @@ __all__ = [
     "PrivacyAuditReport",
     "audit_comm_cost",
     "audit_privacy",
+    "rankings_by_round",
 ]
 
 Record = Dict[str, Any]
@@ -248,9 +249,15 @@ class PrivacyAuditReport:
     robust: bool
 
 
-def _rankings_by_round(
+def rankings_by_round(
     events: Sequence[Record],
 ) -> Dict[int, Dict[int, List[List[int]]]]:
+    """Per-channel ranking records grouped by round (``-1``: no round).
+
+    Pass the adversary-visible stream
+    (:func:`repro.obs.trace.adversary_view`) to replay what the curious
+    auctioneer saw.
+    """
     grouped: Dict[int, Dict[int, List[List[int]]]] = {}
     for record in events:
         if record.get("type") != "ranking":
@@ -285,7 +292,7 @@ def audit_privacy(
         for r in visible
         if r.get("type") == "meta" and r.get("name") == "auction_announcement"
     ]
-    by_round = _rankings_by_round(visible)
+    by_round = rankings_by_round(visible)
     if not by_round:
         raise TraceAuditError(
             "no adversary-visible ranking events in the trace — "

@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro import obs
 from repro.obs import trace
+from repro.analysis.trace_audit import rankings_by_round
 from repro.attacks.against_lppa import lppa_bcm_attack
 from repro.attacks.bpm import bpm_attack
 from repro.crypto.cache import get_mask_cache
@@ -145,22 +146,6 @@ class SchemeMeasurement:
         }
 
 
-def _rankings_by_round(
-    events: Sequence[Mapping[str, Any]],
-) -> Dict[int, Dict[int, List[List[int]]]]:
-    """Adversary-visible per-channel rankings, grouped by round."""
-    visible = trace.adversary_view(list(events))
-    grouped: Dict[int, Dict[int, List[List[int]]]] = {}
-    for record in visible:
-        if record.get("type") != "ranking":
-            continue
-        round_idx = int(record.get("round") or 0)
-        grouped.setdefault(round_idx, {})[int(record["channel"])] = [
-            list(cls) for cls in record["classes"]
-        ]
-    return grouped
-
-
 def _replay_attacks(
     events: Sequence[Mapping[str, Any]],
     config: CompareConfig,
@@ -173,7 +158,7 @@ def _replay_attacks(
     auctioneer holds — never from protocol-internal state, so they are
     honest adversary-replay measurements.
     """
-    by_round = _rankings_by_round(events)
+    by_round = rankings_by_round(trace.adversary_view(list(events)))
     if not by_round:
         raise ValueError("trace carries no adversary-visible rankings")
     bcm_means: List[float] = []

@@ -5,11 +5,11 @@
   advanced (:mod:`repro.lppa.bids_advanced`) private bid submission.
 * Private Spectrum Distribution: masked-table allocation
   (:mod:`repro.lppa.psd`) and TTP charging (:mod:`repro.lppa.ttp`).
-* Endpoints and orchestration: :mod:`repro.lppa.auctioneer`,
-  :mod:`repro.lppa.session`, pseudonym mixing in :mod:`repro.lppa.idpool`.
+* Endpoints and orchestration: the keyless auctioneer steps
+  (:mod:`repro.lppa.auctioneer`), :mod:`repro.lppa.session`, pseudonym
+  mixing in :mod:`repro.lppa.idpool`.
 """
 
-from repro.lppa.auctioneer import Auctioneer
 from repro.lppa.campaign import Campaign, RoundRecord
 from repro.lppa.cloaking import cloak_cell, cloak_users, run_cloaked_auction
 from repro.lppa.batching import (
@@ -58,7 +58,6 @@ from repro.lppa.session import LppaResult, run_lppa_auction
 from repro.lppa.ttp import ChargeDecision, ChargeStatus, TrustedThirdParty
 
 __all__ = [
-    "Auctioneer",
     "Campaign",
     "RoundRecord",
     "cloak_cell",

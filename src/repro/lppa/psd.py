@@ -39,7 +39,7 @@ def masked_rankings(submissions: Sequence[BidSubmission]) -> List[Ranking]:
     """Every channel's total order of *all* bidders, best first.
 
     ``submissions`` must be dense (slot ``i`` holds user ``i``) and of one
-    width, as :meth:`~repro.lppa.auctioneer.Auctioneer.receive_bids`
+    width, as :func:`~repro.lppa.auctioneer.check_bid_submissions`
     checks.  Each ranking is a list of equivalence classes: bidders within
     a class submitted equal masked values (mutually >=), listed by index.
     Raises ``AssertionError`` when a column's masked relation is not a

@@ -5,15 +5,16 @@ a :class:`ValueBackend` decides how each phase manipulates values:
 
 * :class:`CryptoBackend` — the actual protocol objects of one privacy
   scheme (:class:`~repro.lppa.schemes.base.PrivacyScheme`): its location
-  and bid submissions, the conflict graph and rankings it builds inside
-  :class:`~repro.lppa.auctioneer.Auctioneer`, TTP decryption for charging,
+  and bid submissions, the conflict graph, rankings and allocation of the
+  keyless :mod:`repro.lppa.auctioneer` steps, TTP decryption for charging,
   and exact wire/framed byte accounting.  One instance per scheme
   (``scheme.backend``) runs every scheme's round.  Produces
   :class:`~repro.lppa.round.results.LppaResult`.
 * :class:`PlainBackend` — the order-isomorphic integer pipeline: the same
   :func:`~repro.lppa.bids_advanced.disguise_and_expand` values without the
-  masking plumbing, plus the simulator-only extensions (second pricing,
-  allocation-time revalidation).  Produces
+  masking plumbing, allocated by the same
+  :func:`~repro.lppa.auctioneer.allocate`, plus the simulator-only
+  extensions (second pricing, allocation-time revalidation).  Produces
   :class:`~repro.lppa.round.results.FastLppaResult`.
 
 Backends hold no per-round data — it all lives on the
@@ -28,12 +29,11 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.auction.allocation import greedy_allocate
 from repro.auction.conflict import build_conflict_graph
 from repro.auction.outcome import AuctionOutcome
 from repro.auction.pricing import charge_wins
-from repro.auction.table import RankedTable, rank_values
-from repro.lppa.auctioneer import Auctioneer
+from repro.auction.table import rank_values
+from repro.lppa import auctioneer
 from repro.lppa.bids_advanced import (
     BidScale,
     SubmissionDisclosure,
@@ -179,12 +179,11 @@ class CryptoBackend(ValueBackend):
 
     def ingest_locations(self, state: RoundState) -> None:
         assert state.location_subs is not None
-        state.auctioneer = Auctioneer(state.n_channels, self.scheme)
         # The conflict-graph timer isolates the auctioneer-side graph build
         # from the bidder-side masking that shares this phase.
         with obs.timer("lppa.conflict_graph"):
-            state.conflict = state.auctioneer.receive_locations(
-                state.location_subs
+            state.conflict = auctioneer.conflict_graph(
+                self.scheme, state.location_subs
             )
         state.location_bytes = sum(s.wire_bytes() for s in state.location_subs)
 
@@ -202,29 +201,31 @@ class CryptoBackend(ValueBackend):
         state.disclosures.extend(disclosures)
 
     def ingest_bids(self, state: RoundState) -> None:
-        assert state.auctioneer is not None and state.bid_subs is not None
-        state.auctioneer.receive_bids(state.bid_subs)
+        assert state.bid_subs is not None
+        auctioneer.check_bid_submissions(state.bid_subs, state.n_channels)
         state.bid_bytes = sum(s.wire_bytes() for s in state.bid_subs)
 
     def allocate(self, state: RoundState) -> None:
-        assert state.auctioneer is not None and state.alloc_rng is not None
-        # channel_rankings/run_allocation emit their own trace events
-        # (ranking records, assignment instants, conflict-graph instants
-        # having been emitted at ingest time).
-        state.rankings = state.auctioneer.channel_rankings()
-        state.assignments = state.auctioneer.run_allocation(state.alloc_rng)
+        assert state.bid_subs is not None and state.conflict is not None
+        assert state.alloc_rng is not None
+        # The scheme ranks the submissions here, so the ranking time falls
+        # in the PSD allocation phase.
+        state.rankings = auctioneer.channel_rankings(self.scheme, state.bid_subs)
+        state.assignments = auctioneer.allocate(
+            state.rankings, len(state.bid_subs), state.conflict, state.alloc_rng
+        )
 
     def charge_request(self, state: RoundState) -> Optional[List[Any]]:
-        assert state.auctioneer is not None
-        return state.auctioneer.charge_material()
+        assert state.assignments is not None and state.bid_subs is not None
+        return auctioneer.charge_material(state.assignments, state.bid_subs)
 
     def finish_charges(
         self, state: RoundState, decisions: Optional[Sequence[Any]]
     ) -> None:
-        assert state.auctioneer is not None and decisions is not None
+        assert state.assignments is not None and decisions is not None
         assert state.bid_subs is not None
-        state.outcome = state.auctioneer.assemble_outcome(
-            decisions, n_users=len(state.bid_subs)
+        state.outcome = auctioneer.assemble_outcome(
+            state.assignments, decisions, n_users=len(state.bid_subs)
         )
 
     def finalize(self, state: RoundState) -> None:
@@ -329,7 +330,6 @@ class PlainBackend(ValueBackend):
             )
             for ch in range(state.n_channels)
         ]
-        table = RankedTable(state.rankings, len(disclosures))
         tr = state.tr
         if tr is not None:
             for channel, classes in enumerate(state.rankings):
@@ -344,8 +344,9 @@ class PlainBackend(ValueBackend):
         # §V.B extension: with ``revalidate`` the TTP's invalid-winner
         # notifications feed back into the allocation loop, which retries
         # the channel.
-        state.assignments = greedy_allocate(
-            table,
+        state.assignments = auctioneer.allocate(
+            state.rankings,
+            len(disclosures),
             state.conflict,
             state.alloc_rng,
             ttp_accepts if state.revalidate else None,
@@ -369,15 +370,6 @@ class PlainBackend(ValueBackend):
             rankings=state.rankings,
             conflict=state.conflict,
         )
-        tr = state.tr
-        if tr is not None:
-            for record in wins:
-                tr.instant(
-                    "assignment",
-                    vis="auctioneer",
-                    bidder=record.bidder,
-                    channel=record.channel,
-                )
         obs.count("lppa.winners", len(wins))
         assert state.users is not None
         state.outcome = AuctionOutcome(n_users=len(state.users), wins=wins)

@@ -8,8 +8,9 @@ uses depends on the value backend:
 
 * crypto rounds, whatever their privacy scheme, populate the wire-object
   fields (``location_subs``, ``bid_subs``: the scheme's submission types),
-  the TTP material (``ttp``/``keyring``/``scale``), the
-  :class:`~repro.lppa.auctioneer.Auctioneer` and the byte counters;
+  the TTP material (``ttp``/``keyring``/``scale``), the byte counters and
+  what the keyless :mod:`repro.lppa.auctioneer` steps return (``conflict``,
+  ``rankings``, ``assignments``, ``outcome``);
 * plain rounds populate ``disclosures`` and ``rankings`` and leave every
   wire field ``None`` — the core treats ``None`` byte counters
   as "this round has no wire".
@@ -26,7 +27,6 @@ from repro.auction.bidders import SecondaryUser
 from repro.auction.conflict import ConflictGraph
 from repro.auction.outcome import AuctionOutcome
 from repro.geo.grid import GridSpec
-from repro.lppa.auctioneer import Auctioneer
 from repro.lppa.bids_advanced import BidScale, SubmissionDisclosure
 from repro.lppa.policies import ZeroDisguisePolicy
 from repro.lppa.ttp import TrustedThirdParty
@@ -72,7 +72,6 @@ class RoundState:
     scale: Optional[BidScale] = None
 
     # -- flow state, written by the phase steps -----------------------------
-    auctioneer: Optional[Auctioneer] = None
     #: Scheme-specific submission objects (PPBS LocationSubmission /
     #: BidSubmission, Bloom BloomLocationSubmission / OpeBidSubmission, ...)
     #: under one size contract (repro.lppa.schemes.base).

@@ -13,8 +13,8 @@ phase, end to end:
 * the **bidder-side submission encoders** (how a cell and a bid vector
   become privacy-preserving material), one SU at a time and as the
   population batches an in-process round submits;
-* the **round hooks** the backend and the
-  :class:`~repro.lppa.auctioneer.Auctioneer` call: the conflict-membership
+* the **round hooks** the backend and the keyless
+  :mod:`repro.lppa.auctioneer` steps call: the conflict-membership
   test over location submissions, the per-channel rankings the auctioneer
   allocates over, the ranking view the trace records and any extra
   ``protocol_setup`` fields;

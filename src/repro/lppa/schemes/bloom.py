@@ -16,8 +16,8 @@ PAPERS.md):
   consistency by re-encrypting under the channel's OPE key
   (:meth:`repro.lppa.ttp.TrustedThirdParty._decide`).
 
-The round itself is the shared crypto backend and
-:class:`~repro.lppa.auctioneer.Auctioneer`; this module supplies only the
+The round itself is the shared crypto backend and the keyless
+:mod:`repro.lppa.auctioneer` steps; this module supplies only the
 scheme hooks (submissions, conflict test, OPE rankings, the ``ope_column``
 trace view and the size-model fields of ``protocol_setup``).
 

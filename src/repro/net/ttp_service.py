@@ -15,7 +15,7 @@ equivalence runs use, because decision values are independent of window
 packing either way (each charge is verified in isolation).
 
 Request order is FIFO across batches and preserved within a batch, so the
-decisions line up with :meth:`repro.lppa.auctioneer.Auctioneer.charge_material`.
+decisions line up with :func:`repro.lppa.auctioneer.charge_material`.
 """
 
 from __future__ import annotations

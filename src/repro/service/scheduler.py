@@ -36,7 +36,7 @@ voluntary departure (its pseudonym quarantined, the ring rotated).
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
@@ -116,7 +116,6 @@ class EpochRecord:
     straggler_logicals: Tuple[int, ...]
     retired: Tuple[int, ...]
     equivalent: Optional[bool]
-    registry: MetricsRegistry = field(repr=False, compare=False, hash=False)
 
 
 def result_document(
@@ -267,7 +266,6 @@ class EpochScheduler:
             straggler_logicals=straggler_logicals,
             retired=retired,
             equivalent=equivalent,
-            registry=registry,
         )
         self.records.append(record)
         if self._store is not None:

@@ -1,10 +1,12 @@
-"""The auctioneer endpoint: protocol phases and their ordering."""
+"""The auctioneer's keyless steps: a full round, refusals, no key material."""
 
+import ast
+import inspect
 import random
 
 import pytest
 
-from repro.lppa.auctioneer import Auctioneer
+from repro.lppa import auctioneer
 from repro.lppa.bids_advanced import submit_bids_advanced
 from repro.lppa.location import submit_location
 from repro.lppa.schemes.registry import get_scheme
@@ -21,7 +23,6 @@ def _setup_round(bid_rows, cells, seed=0):
         b"auctioneer-test", len(bid_rows[0]), bmax=30
     )
     rng = random.Random(seed)
-    auctioneer = Auctioneer(len(bid_rows[0]), PPBS)
     locations = [
         submit_location(i, cell, keyring.g0, GRID, 4)
         for i, cell in enumerate(cells)
@@ -30,18 +31,23 @@ def _setup_round(bid_rows, cells, seed=0):
         submit_bids_advanced(i, row, keyring, scale, rng)[0]
         for i, row in enumerate(bid_rows)
     ]
-    return ttp, auctioneer, locations, bids, rng
+    return ttp, locations, bids, rng
 
 
 def test_full_round():
     bid_rows = [[10, 0], [3, 8], [0, 5]]
     cells = [(0, 0), (10, 10), (1, 1)]
-    ttp, auctioneer, locations, bids, rng = _setup_round(bid_rows, cells)
-    auctioneer.receive_locations(locations)
-    auctioneer.receive_bids(bids)
-    auctioneer.run_allocation(rng)
-    outcome = auctioneer.charge_winners(ttp, n_users=3)
+    ttp, locations, bids, rng = _setup_round(bid_rows, cells)
+    conflict = auctioneer.conflict_graph(PPBS, locations)
+    auctioneer.check_bid_submissions(bids, 2)
+    rankings = auctioneer.channel_rankings(PPBS, bids)
+    assignments = auctioneer.allocate(rankings, len(bids), conflict, rng)
+    decisions = ttp.process_batch(auctioneer.charge_material(assignments, bids))
+    outcome = auctioneer.assemble_outcome(assignments, decisions, n_users=3)
     assert outcome.n_users == 3
+    assert [(w.bidder, w.channel) for w in outcome.wins] == [
+        (a.bidder, a.channel) for a in assignments
+    ]
     for win in outcome.wins:
         if win.valid:
             assert win.charge == bid_rows[win.bidder][win.channel]
@@ -49,52 +55,29 @@ def test_full_round():
             assert bid_rows[win.bidder][win.channel] == 0
 
 
-def test_phase_ordering_enforced():
-    bid_rows = [[10, 0]]
-    cells = [(0, 0)]
-    ttp, auctioneer, locations, bids, rng = _setup_round(bid_rows, cells)
-    with pytest.raises(RuntimeError):
-        auctioneer.run_allocation(rng)
-    auctioneer.receive_locations(locations)
-    with pytest.raises(RuntimeError):
-        auctioneer.run_allocation(rng)
-    auctioneer.receive_bids(bids)
-    with pytest.raises(RuntimeError):
-        auctioneer.charge_winners(ttp, n_users=1)
-    auctioneer.run_allocation(rng)
-    auctioneer.charge_winners(ttp, n_users=1)
-
-
 def test_conflicting_submission_width_rejected():
-    auctioneer = Auctioneer(3, PPBS)
-    _, _, _, bids, _ = _setup_round([[10, 0]], [(0, 0)])
-    with pytest.raises(ValueError):
-        auctioneer.receive_bids(bids)
+    _, keyring, scale = TrustedThirdParty.setup(b"auctioneer-test", 1, bmax=30)
+    for name in ("ppbs", "bloom"):
+        scheme = get_scheme(name)
+        subs = [scheme.make_bids(0, [10], keyring, scale, random.Random(0))[0]]
+        with pytest.raises(ValueError, match="covers 1 channels, expected 3"):
+            auctioneer.check_bid_submissions(subs, 3)
 
 
 def test_rankings_available_after_bids():
     bid_rows = [[10, 0], [3, 8]]
     cells = [(0, 0), (10, 10)]
-    _, auctioneer, locations, bids, _ = _setup_round(bid_rows, cells)
-    with pytest.raises(RuntimeError):
-        auctioneer.channel_rankings()
-    auctioneer.receive_bids(bids)
-    rankings = auctioneer.channel_rankings()
+    _, _, bids, _ = _setup_round(bid_rows, cells)
+    rankings = auctioneer.channel_rankings(PPBS, bids)
     assert len(rankings) == 2
     assert rankings[0][0] == [0]  # bidder 0 holds the channel-0 maximum
 
 
 def test_conflict_graph_property():
-    _, auctioneer, locations, _, _ = _setup_round([[10, 0], [3, 8]], [(0, 0), (1, 1)])
-    with pytest.raises(RuntimeError):
-        auctioneer.conflict_graph
-    auctioneer.receive_locations(locations)
-    assert auctioneer.conflict_graph.are_conflicting(0, 1)
-
-
-def test_invalid_channel_count():
-    with pytest.raises(ValueError):
-        Auctioneer(0, PPBS)
+    _, locations, _, _ = _setup_round([[10, 0], [3, 8]], [(0, 0), (1, 1)])
+    graph = auctioneer.conflict_graph(PPBS, locations)
+    assert graph.n_users == 2
+    assert graph.are_conflicting(0, 1)
 
 
 def test_allocation_refuses_a_conflict_graph_smaller_than_the_bid_table():
@@ -102,11 +85,11 @@ def test_allocation_refuses_a_conflict_graph_smaller_than_the_bid_table():
     # three co-located bidders would win channel 0 together.
     bid_rows = [[10, 0], [9, 0], [8, 0]]
     cells = [(0, 0), (0, 1), (1, 0)]
-    _, auctioneer, locations, bids, rng = _setup_round(bid_rows, cells)
-    auctioneer.receive_locations(locations[:1])
-    auctioneer.receive_bids(bids)
+    _, locations, bids, rng = _setup_round(bid_rows, cells)
+    conflict = auctioneer.conflict_graph(PPBS, locations[:1])
+    rankings = auctioneer.channel_rankings(PPBS, bids)
     with pytest.raises(ValueError, match="conflict graph covers 1 SUs, bid table 3"):
-        auctioneer.run_allocation(rng)
+        auctioneer.allocate(rankings, len(bids), conflict, rng)
 
 
 @pytest.mark.parametrize("name", ["ppbs", "bloom"])
@@ -117,8 +100,27 @@ def test_every_scheme_refuses_bid_submissions_that_are_not_dense(name):
     _, keyring, scale = TrustedThirdParty.setup(b"auctioneer-test", 2, bmax=30)
     rng = random.Random(0)
     subs = [scheme.make_bids(uid, [10, 3], keyring, scale, rng)[0] for uid in (7, 3)]
-    auctioneer = Auctioneer(2, scheme)
     with pytest.raises(ValueError, match="dense: slot 0 holds user 7"):
-        auctioneer.receive_bids(subs)
+        auctioneer.check_bid_submissions(subs, 2)
     with pytest.raises(ValueError, match="at least one"):
-        auctioneer.receive_bids([])
+        auctioneer.check_bid_submissions([], 2)
+
+
+def test_the_auctioneer_holds_no_key_material():
+    # The module imports neither the key ring nor the TTP...
+    tree = ast.parse(inspect.getsource(auctioneer))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "repro.crypto.keys" not in imported
+    assert not {"KeyRing", "TrustedThirdParty", "generate_keyring"} & imported
+    # ...and no step takes a key ring.
+    for name in auctioneer.__all__:
+        params = inspect.signature(getattr(auctioneer, name)).parameters.values()
+        for param in params:
+            assert "key" not in param.name.lower(), (name, param.name)
+            assert "KeyRing" not in str(param.annotation), (name, param.name)

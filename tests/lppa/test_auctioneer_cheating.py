@@ -1,10 +1,10 @@
-"""Auctioneer-level handling of TTP cheating verdicts."""
+"""The auctioneer's handling of TTP cheating verdicts."""
 
 import random
 
 import pytest
 
-from repro.lppa.auctioneer import Auctioneer
+from repro.lppa import auctioneer
 from repro.lppa.bids_advanced import submit_bids_advanced
 from repro.lppa.bids_basic import encrypt_bid_value
 from repro.lppa.location import submit_location
@@ -38,39 +38,18 @@ def test_cheating_winner_aborts_charging():
         ),
     )
 
-    auctioneer = Auctioneer(1, PPBS)
-    auctioneer.receive_locations(
+    conflict = auctioneer.conflict_graph(
+        PPBS,
         [
             submit_location(0, (1, 1), keyring.g0, GRID, 2),
             submit_location(1, (8, 8), keyring.g0, GRID, 2),
-        ]
+        ],
     )
-    auctioneer.receive_bids([forged, honest])
-    auctioneer.run_allocation(rng)
+    bids = [forged, honest]
+    auctioneer.check_bid_submissions(bids, 1)
+    rankings = auctioneer.channel_rankings(PPBS, bids)
+    assignments = auctioneer.allocate(rankings, len(bids), conflict, rng)
+    decisions = ttp.process_batch(auctioneer.charge_material(assignments, bids))
     # The cheater masked 20 (wins the column) but sealed 2.
     with pytest.raises(RuntimeError, match="cheating"):
-        auctioneer.charge_winners(ttp, n_users=2)
-
-
-def test_assignments_property_roundtrip():
-    ttp, keyring, scale = TrustedThirdParty.setup(b"assign", 2, bmax=30)
-    rng = random.Random(1)
-    subs = [
-        submit_bids_advanced(i, [10, 3], keyring, scale, rng)[0]
-        for i in range(2)
-    ]
-    auctioneer = Auctioneer(2, PPBS)
-    auctioneer.receive_locations(
-        [
-            submit_location(0, (0, 0), keyring.g0, GRID, 2),
-            submit_location(1, (9, 9), keyring.g0, GRID, 2),
-        ]
-    )
-    auctioneer.receive_bids(subs)
-    with pytest.raises(RuntimeError):
-        auctioneer.assignments
-    assignments = auctioneer.run_allocation(rng)
-    assert auctioneer.assignments == assignments
-    # The returned list is a copy, not internal state.
-    auctioneer.assignments.clear()
-    assert auctioneer.assignments == assignments
+        auctioneer.assemble_outcome(assignments, decisions, n_users=2)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.auction.bidders import SecondaryUser
 from repro.auction.conflict import build_conflict_graph
 from repro.lppa.fastsim import run_fast_lppa
 from repro.lppa.policies import UniformReplacePolicy
@@ -44,6 +45,18 @@ def test_prebuilt_conflict_graph_is_used(small_users):
         small_users, two_lambda=6, bmax=127, entropy=4, conflict=conflict
     )
     assert result.conflict_graph is conflict
+
+
+def test_conflict_graph_smaller_than_the_population_is_refused():
+    # A graph over fewer SUs reads as "no conflicts" for the rest, so the
+    # three co-located bidders would all win channel 0 together.
+    users = [
+        SecondaryUser(user_id=i, cell=(0, i), beta=1.0, bids=(10 - i, 0))
+        for i in range(3)
+    ]
+    conflict = build_conflict_graph([users[0].cell], 6)
+    with pytest.raises(ValueError, match="conflict graph covers 1 SUs, bid table 3"):
+        run_fast_lppa(users, two_lambda=6, bmax=127, entropy=4, conflict=conflict)
 
 
 def test_full_crypto_rankings_equal_integer_rankings(small_db, small_users):

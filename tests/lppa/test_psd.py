@@ -7,10 +7,9 @@ import pytest
 
 from repro.auction.table import RankedTable, rank_values
 from repro.crypto.keys import generate_keyring
-from repro.lppa.auctioneer import Auctioneer
+from repro.lppa.auctioneer import check_bid_submissions
 from repro.lppa.bids_advanced import BidScale, submit_bids_advanced
 from repro.lppa.psd import masked_rankings
-from repro.lppa.schemes.registry import get_scheme
 from tests.auction.test_table import drain
 from tests.lppa.oracles import bid_ge
 
@@ -87,7 +86,7 @@ def test_dense_ids_enforced():
     rng = random.Random(0)
     submission, _ = submit_bids_advanced(3, [1, 2, 3], KEYRING, SCALE, rng)
     with pytest.raises(ValueError, match="dense"):
-        Auctioneer(3, get_scheme("ppbs")).receive_bids([submission])
+        check_bid_submissions([submission], 3)
 
 
 def test_integer_table_mirrors_masked_table():
