@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import KeyRing
 from repro.lppa.bids_basic import SEALED_BID_BYTES, seal_bid_values
@@ -41,7 +42,7 @@ from repro.prefix.membership import (
     DEFAULT_DIGEST_BYTES,
     FAMILY,
     MaskedSet,
-    MaskSpec,
+    MaskShelf,
     mask_specs,
     pad_masked_set,
 )
@@ -293,23 +294,25 @@ def submit_population_bids(
         disguise_and_expand(row, scale, rng, policy=policy)
         for row, rng, policy in zip(bids, rngs, policies)
     ]
-    # MaskSpec tuples built in place: the fields its family/cover makers
-    # would set, without their frames.
-    spec = tuple.__new__
+    # One family and one cover request per channel, over every SU's value;
+    # the results are read back SU by SU, channel by channel.  The shelves
+    # are built in place: the fields MaskShelf(...) would set, without its
+    # frame.
+    shelf = tuple.__new__
     domain, size = _BID_DOMAIN, DEFAULT_DIGEST_BYTES
-    specs: List[MaskSpec] = []
-    add = specs.append
-    for channels in disclosures:
-        for key, disclosure in zip(keys, channels):
-            value = disclosure.masked_expanded
-            add(spec(MaskSpec, (key, domain, size, FAMILY, (value,), width)))
-            add(spec(MaskSpec, (key, domain, size, COVER, (value, emax), width)))
-    masked = mask_specs(specs)
-    families = masked[0::2]
-    covers = iter(masked[1::2])
-    # Free the specs and the batch list before padding, where the
+    requests: List[Tuple[MaskShelf, Sequence[Any]]] = []
+    for key, column in zip(keys, zip(*disclosures)):
+        values = [disclosure.masked_expanded for disclosure in column]
+        requests.append((shelf(MaskShelf, (key, domain, size, FAMILY, width)), values))
+        requests.append(
+            (shelf(MaskShelf, (key, domain, size, COVER, width)), [(v, emax) for v in values])
+        )
+    masked = mask_specs(requests)
+    families = list(chain.from_iterable(zip(*masked[0::2])))
+    covers = chain.from_iterable(zip(*masked[1::2]))
+    # Free the requests and the batch lists before padding, where the
     # phase's memory peaks.
-    del specs, add, masked
+    del requests, masked
     tails: List[MaskedSet] = []
     nonces: List[int] = []
     for rng in rngs:

@@ -22,7 +22,7 @@ from repro import obs
 from repro.crypto.keys import KeyRing
 from repro.crypto.speck import Speck64128, ctr_encrypt_batch
 from repro.lppa.messages import BidSubmission, MaskedBid
-from repro.prefix.membership import MaskSpec, mask_specs
+from repro.prefix.membership import MaskShelf, mask_specs
 from repro.prefix.prefixes import bit_width_for
 
 __all__ = [
@@ -112,21 +112,26 @@ def submit_bids_basic(
     if bmax < 1:
         raise ValueError("bmax must be >= 1")
     width = bit_width_for(bmax)
-    specs = []
     for bid in bids:
         if not 0 <= bid <= bmax:
             raise ValueError(f"bid {bid} outside [0, {bmax}]")
-        specs.append(MaskSpec.family(keyring.gb, bid, width, domain=_BID_DOMAIN))
-        specs.append(MaskSpec.cover(keyring.gb, bid, bmax, width, domain=_BID_DOMAIN))
     # One backend batch masks every channel's family and tail; ciphertext
     # nonces are then drawn per channel in the original order (masking
     # consumes no randomness, so the RNG stream is unchanged) and every
     # channel is sealed in one keystream call.
-    masked = mask_specs(specs)
+    families, tails = mask_specs(
+        [
+            (MaskShelf.family(keyring.gb, width, domain=_BID_DOMAIN), bids),
+            (
+                MaskShelf.cover(keyring.gb, width, domain=_BID_DOMAIN),
+                [(bid, bmax) for bid in bids],
+            ),
+        ]
+    )
     nonces = [rng.getrandbits(32) for _ in bids]
     ciphertexts = seal_bid_values(keyring.gc, bids, nonces)
     channel_bids = [
-        MaskedBid(family=masked[2 * ch], tail=masked[2 * ch + 1], ciphertext=ct)
-        for ch, ct in enumerate(ciphertexts)
+        MaskedBid(family=family, tail=tail, ciphertext=ct)
+        for family, tail, ct in zip(families, tails, ciphertexts)
     ]
     return BidSubmission(user_id=user_id, channel_bids=tuple(channel_bids))

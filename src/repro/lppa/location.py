@@ -21,13 +21,19 @@ Coordinates are cell indices (non-negative integers, as the paper assumes).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Any, List, Sequence, Tuple
 
 from repro.auction.conflict import ConflictGraph
 from repro.geo.grid import Cell, GridSpec
-from repro.lppa.messages import LocationSubmission
-from repro.prefix.membership import MaskSpec, mask_specs, reaches
+from repro.lppa.messages import USER_ID_BYTES, LocationSubmission, check_location_shape
+from repro.prefix.membership import (
+    DEFAULT_DIGEST_BYTES,
+    MaskShelf,
+    mask_specs,
+    reaches,
+)
 from repro.prefix.prefixes import bit_width_for
+from repro.prefix.ranges import max_cover_size
 
 __all__ = [
     "coordinate_width",
@@ -38,6 +44,7 @@ __all__ = [
 
 _X_DOMAIN = b"lppa/loc/x"
 _Y_DOMAIN = b"lppa/loc/y"
+
 
 
 def coordinate_width(grid: GridSpec, two_lambda: int) -> int:
@@ -52,19 +59,52 @@ def coordinate_width(grid: GridSpec, two_lambda: int) -> int:
     return bit_width_for(max(grid.rows, grid.cols) - 1 + (two_lambda - 1))
 
 
-def _location_specs(
-    cell: Cell, g0: bytes, grid: GridSpec, two_lambda: int
-) -> List[MaskSpec]:
-    """The four prefix sets of one submission, as batchable mask specs."""
-    grid.require(cell)
+def _submissions(
+    user_ids: Sequence[int],
+    cells: Sequence[Cell],
+    g0: bytes,
+    grid: GridSpec,
+    two_lambda: int,
+) -> List[LocationSubmission]:
+    """The submissions of ``cells`` under ``user_ids``, from one mask batch.
+
+    The four sets of every cell (x family, x range, y family, y range)
+    come from four shelves of one :func:`mask_specs` call.  Every set
+    holds at most ``max(w + 1, 2w - 2)`` digests of one width, so the codec
+    bounds are checked once (:func:`check_location_shape`) and the
+    submissions are made unchecked, with the sizes the batch knows.
+    """
+    for cell in cells:
+        grid.require(cell)
     width = coordinate_width(grid, two_lambda)
+    check_location_shape(user_ids, max(width + 1, max_cover_size(width)), DEFAULT_DIGEST_BYTES)
     d = two_lambda - 1
-    m, n = cell
+    requests: List[Tuple[MaskShelf, Sequence[Any]]] = []
+    for domain, axis in ((_X_DOMAIN, 0), (_Y_DOMAIN, 1)):
+        values = [cell[axis] for cell in cells]
+        ranges = [(max(0, v - d), v + d) for v in values]
+        requests.append((MaskShelf.family(g0, width, domain=domain), values))
+        requests.append((MaskShelf.cover(g0, width, domain=domain), ranges))
+    size = DEFAULT_DIGEST_BYTES
     return [
-        MaskSpec.family(g0, m, width, domain=_X_DOMAIN),
-        MaskSpec.cover(g0, max(0, m - d), m + d, width, domain=_X_DOMAIN),
-        MaskSpec.family(g0, n, width, domain=_Y_DOMAIN),
-        MaskSpec.cover(g0, max(0, n - d), n + d, width, domain=_Y_DOMAIN),
+        LocationSubmission.of_parts(
+            user_id,
+            x_family,
+            x_range,
+            y_family,
+            y_range,
+            USER_ID_BYTES
+            + size
+            * (
+                len(x_family.digests)
+                + len(x_range.digests)
+                + len(y_family.digests)
+                + len(y_range.digests)
+            ),
+        )
+        for user_id, x_family, x_range, y_family, y_range in zip(
+            user_ids, *mask_specs(requests)
+        )
     ]
 
 
@@ -76,16 +116,7 @@ def submit_location(
     two_lambda: int,
 ) -> LocationSubmission:
     """Bidder side: mask own coordinates and interference ranges."""
-    x_family, x_range, y_family, y_range = mask_specs(
-        _location_specs(cell, g0, grid, two_lambda)
-    )
-    return LocationSubmission(
-        user_id=user_id,
-        x_family=x_family,
-        x_range=x_range,
-        y_family=y_family,
-        y_range=y_range,
-    )
+    return _submissions([user_id], [cell], g0, grid, two_lambda)[0]
 
 
 def submit_locations(
@@ -101,22 +132,7 @@ def submit_locations(
     call.  User ids are the dense slot indices, matching what
     :func:`build_private_conflict_graph` expects.
     """
-    specs = [
-        spec
-        for cell in cells
-        for spec in _location_specs(cell, g0, grid, two_lambda)
-    ]
-    masked = mask_specs(specs)
-    return [
-        LocationSubmission(
-            user_id=i,
-            x_family=masked[4 * i],
-            x_range=masked[4 * i + 1],
-            y_family=masked[4 * i + 2],
-            y_range=masked[4 * i + 3],
-        )
-        for i in range(len(cells))
-    ]
+    return _submissions(range(len(cells)), cells, g0, grid, two_lambda)
 
 
 def build_private_conflict_graph(

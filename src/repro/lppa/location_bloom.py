@@ -13,13 +13,18 @@ The auctioneer declares a conflict between SUs *i* and *j* when *j*'s filter
 contains *i*'s token — the same one-directional test the PPBS membership
 check uses, exact for in-grid cells up to the filter's false-positive rate.
 
-The filter is sized so that false positives are negligible at auction scale:
-``n_bits`` is the next power of two above ``32 * (2d+1)^2`` (4096 bits for
-the standard ``2λ = 6``), with ``k = 7`` hash positions sliced keylessly
-from the 16-byte token (positions ``i`` use token bytes ``2i..2i+4``).  At
-that sizing the per-query false-positive probability is ~8e-6, so the Bloom
-conflict graph matches the plaintext graph on every realistic population —
-which the differential tests assert against PPBS.
+The filter's size is fixed by the interference box alone: ``n_bits`` is
+the next power of two above ``32 * (2d+1)^2`` (4096 bits for the standard
+``2λ = 6``), with ``k = 7`` hash positions sliced keylessly from the
+16-byte token (positions ``i`` use token bytes ``2i..2i+4``), for a
+per-query false-positive probability of ~8e-6.  The guarantee is
+one-sided.  A filter holds every token inserted into it, so no plaintext
+edge is ever missing from the Bloom graph.  But each non-conflicting pair
+becomes a spurious edge with about that probability, so their expected
+number grows as N²: none at 250 SUs on ``repro scale``'s population, then
+2, 14 and 49 at 1,000, 2,000 and 4,000 SUs, and which pairs depends on
+the key.  The tests check the graph equal to the plaintext graph at 20
+SUs and a superset of it at 300.
 """
 
 from __future__ import annotations

@@ -24,10 +24,12 @@ length, u16 set counts, channel count and ciphertext length), raising
 :class:`CodecError`: a message that exists can always be encoded, so the
 round core can take its framed size from ``wire_size()`` without encoding.
 The unchecked makers are :meth:`MaskedBid.of_parts` and
-:meth:`BidSubmission.of_parts`, for the bidder's batch:
-:func:`check_bid_shape` checks once, for a whole batch, the bounds that
-imply every one of its messages' checks.  Decoding always goes through the
-checked constructors, because wire data is untrusted.
+:meth:`BidSubmission.of_parts`, for the bidder's batch, and
+:meth:`LocationSubmission.of_parts`, for the location batch:
+:func:`check_bid_shape` and :func:`check_location_shape` check once, for
+a whole batch, the bounds that imply every one of its messages' checks.
+Decoding always goes through the checked constructors, because wire data
+is untrusted.
 
 Every message is a slotted frozen dataclass, and fixes its payload size
 (and a bid submission its masked-set size) once, where it is made: the
@@ -123,6 +125,23 @@ def check_bid_shape(
     check_u16("ciphertext length", ciphertext_bytes)
 
 
+def check_location_shape(user_ids: Sequence[int], set_size: int, digest_bytes: int) -> None:
+    """Reject a location shape the codec cannot carry, once for a whole batch.
+
+    A :class:`LocationSubmission` under one of ``user_ids`` whose four
+    sets each hold at most ``set_size`` digests of ``digest_bytes`` bytes
+    passes every check of :meth:`LocationSubmission.__post_init__` when
+    these bounds pass, so a batch that builds only such messages may make
+    them with :meth:`LocationSubmission.of_parts`.
+    """
+    if user_ids:
+        check_user_id(min(user_ids))
+        check_user_id(max(user_ids))
+    check_u16("location set size", set_size)
+    if digest_bytes > U8_MAX:
+        raise CodecError(f"digest length {digest_bytes} exceeds the u8 field")
+
+
 def _check_set(what: str, masked: MaskedSet) -> None:
     if len(masked) > U16_MAX or masked.digest_bytes > U8_MAX:
         raise CodecError(
@@ -160,6 +179,35 @@ class LocationSubmission:
             _check_set(what, masked)
             payload += masked.wire_bytes()
         object.__setattr__(self, "payload_bytes", payload)
+
+    @classmethod
+    def of_parts(
+        cls,
+        user_id: int,
+        x_family: MaskedSet,
+        x_range: MaskedSet,
+        y_family: MaskedSet,
+        y_range: MaskedSet,
+        payload_bytes: int,
+    ) -> "LocationSubmission":
+        """A location submission built without :meth:`__post_init__`'s checks.
+
+        The validate-once path of the location batch, like
+        :meth:`MaskedBid.of_parts`: the caller must have passed
+        :func:`check_location_shape` for bounds that hold for these parts,
+        and ``payload_bytes`` must be the user id's bytes plus the four
+        sets' wire bytes.  Its one caller is the location batch behind
+        :func:`~repro.lppa.location.submit_location` and
+        :func:`~repro.lppa.location.submit_locations`.
+        """
+        submission = object.__new__(cls)
+        _set_location_user(submission, user_id)
+        _set_x_family(submission, x_family)
+        _set_x_range(submission, x_range)
+        _set_y_family(submission, y_family)
+        _set_y_range(submission, y_range)
+        _set_location_payload(submission, payload_bytes)
+        return submission
 
     def wire_bytes(self) -> int:
         """Total serialized size in bytes."""
@@ -328,6 +376,17 @@ class BidSubmission:
 
 # The unchecked makers write each slot through its member descriptor, as
 # MaskedSet.of_width does: about half the cost of object.__setattr__.
+(
+    _set_location_user,
+    _set_x_family,
+    _set_x_range,
+    _set_y_family,
+    _set_y_range,
+    _set_location_payload,
+) = (
+    vars(LocationSubmission)[name].__set__
+    for name in ("user_id", "x_family", "x_range", "y_family", "y_range", "payload_bytes")
+)
 _set_family, _set_tail, _set_ciphertext, _set_bid_payload = (
     vars(MaskedBid)[name].__set__
     for name in ("family", "tail", "ciphertext", "payload_bytes")

@@ -31,7 +31,7 @@ from repro.crypto.keys import KeyRing, generate_keyring
 from repro.lppa.bids_advanced import BidScale
 from repro.lppa.bids_basic import decrypt_bid_value, decrypt_bid_values
 from repro.lppa.bids_ope import OpeBid, ope_encoder_for
-from repro.prefix.membership import MaskedSet, MaskSpec, mask_specs
+from repro.prefix.membership import MaskedSet, MaskShelf, mask_specs
 
 __all__ = ["ChargeStatus", "ChargeDecision", "TrustedThirdParty"]
 
@@ -158,16 +158,18 @@ class TrustedThirdParty:
         families: List[Optional[MaskedSet]] = [None] * len(requests)
         masked = mask_specs(
             [
-                MaskSpec.family(
-                    self._keyring.channel_key(requests[index][0]),
-                    expanded[index],
-                    width,
-                    domain=_BID_DOMAIN,
+                (
+                    MaskShelf.family(
+                        self._keyring.channel_key(requests[index][0]),
+                        width,
+                        domain=_BID_DOMAIN,
+                    ),
+                    (expanded[index],),
                 )
                 for index in wanted
             ]
         )
-        for index, family in zip(wanted, masked):
+        for index, (family,) in zip(wanted, masked):
             families[index] = family
         return families
 

@@ -14,9 +14,10 @@ This module provides:
   digests in one C-level pass);
 * :class:`PaddedSet` — a padded tail: a genuine cover's digest set, shared,
   plus its fillers as one ``bytes`` blob;
-* :class:`MaskSpec` / :func:`mask_specs` — the batch API: describe many
-  prefix sets by value (a family ``G(x)``, a cover ``Q([a, b])``) and
-  mask them all in one backend call;
+* :class:`MaskShelf` / :func:`mask_specs` — the batch API: name a shelf
+  (key, domain, digest size, kind, width) and the values of its prefix
+  sets (``x`` for a family ``G(x)``, ``(a, b)`` for a cover
+  ``Q([a, b])``), and mask every request's sets in one backend call;
 * :func:`mask_value` — mask the prefix family ``G(x)`` of a value;
 * :func:`pad_masked_set` — pad a masked set with random filler digests to a
   fixed cardinality (the advanced scheme pads every tail cover to
@@ -32,12 +33,12 @@ Batching changes *how* digests are computed, never *what* they are: a
 :func:`mask_specs` call returns byte-for-byte what per-digest
 :func:`mask_prefixes` calls would.  There is one memo per layer:
 
-* the keyless HMAC messages of a spec, a pure function of public values
+* the keyless HMAC messages of a set, a pure function of public values
   (``_spec_messages``, bounded), built only when the mask cache misses;
-* the mask cache (:mod:`repro.crypto.cache`), keyed on the spec itself,
-  ``(key, domain, digest size, kind, values, width)``, whose values are
-  the finished, validated :class:`MaskedSet` objects — a warm lookup
-  returns the very set an earlier round built, so a stationary SU's
+* the mask cache (:mod:`repro.crypto.cache`), whose shelves are the
+  :class:`MaskShelf` tuples and hold their sets by value, as finished,
+  validated :class:`MaskedSet` objects — a warm lookup is one dict hit
+  that returns the very set an earlier round built, so a stationary SU's
   repeated submissions skip the HMAC work and the set construction alike.
 
 A :class:`MaskedSet` is immutable, so sharing one between rounds and SUs
@@ -63,7 +64,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     NamedTuple,
@@ -76,7 +76,7 @@ from typing import (
 
 from repro import obs
 from repro.crypto.backend import hmac_digest_pairs
-from repro.crypto.cache import cache_enabled, get_mask_cache
+from repro.crypto.cache import Misses, cache_enabled, get_mask_cache
 from repro.prefix.numericalize import numericalize, numericalized_to_bytes
 from repro.prefix.prefixes import Prefix, prefix_family
 from repro.prefix.ranges import max_cover_size, range_cover
@@ -89,7 +89,7 @@ __all__ = [
     "PREFIXES",
     "MaskedSet",
     "PaddedSet",
-    "MaskSpec",
+    "MaskShelf",
     "mask_specs",
     "pad_masked_set",
     "split_digests",
@@ -139,8 +139,8 @@ class MaskedSet:
         The validate-once path: it skips :meth:`__post_init__`'s per-digest
         length scan, so the caller must guarantee every digest's length
         and ``digest_bytes >= 4`` itself, checking the width once per call
-        or per spec.  Its callers are the codec's fixed-width unpack and
-        :func:`mask_specs` (one HMAC truncation per spec); anything
+        or per set.  Its callers are the codec's fixed-width unpack and
+        :func:`mask_specs` (one HMAC truncation per set); anything
         else goes through ``MaskedSet(...)``.
         """
         masked = object.__new__(cls)
@@ -273,160 +273,146 @@ _set_digests, _set_digest_bytes, _set_encoded = (
 _set_genuine, _set_fillers = (vars(PaddedSet)[name].__set__ for name in PaddedSet.__slots__)
 
 
-#: :class:`MaskSpec` kinds: a prefix family ``G(x)``, a range cover
+#: :class:`MaskShelf` kinds: a prefix family ``G(x)``, a range cover
 #: ``Q([low, high])``, or an explicit prefix collection.
 FAMILY = "family"
 COVER = "cover"
 PREFIXES = "prefixes"
 
 
-class MaskSpec(NamedTuple):
-    """One prefix set awaiting masking, described by value.
+class MaskShelf(NamedTuple):
+    """What a run of masked sets shares; the mask cache's shelf.
 
-    The unit of the batch API, and itself the mask-cache key.
-
-    ``kind`` is :data:`FAMILY` (``values == (x,)``), :data:`COVER`
-    (``values == (low, high)``) or :data:`PREFIXES` (``values`` is the
-    explicit prefix tuple and ``width`` is 0 — the reference path of
-    :func:`mask_prefixes`).  The prefixes and their HMAC messages are built
-    only when the cache misses, so a warm lookup hashes a few ints, never a
-    tuple of :class:`Prefix` objects.
+    A set is named by its shelf and its *value* on it: ``x`` for
+    :data:`FAMILY` (the family ``G(x)``), ``(low, high)`` for
+    :data:`COVER` (the cover ``Q([low, high])``), and the prefix tuple
+    itself for :data:`PREFIXES` (``width`` 0 — the reference path of
+    :func:`mask_prefixes`).  A batch builds each shelf once and looks its
+    values up directly, so a warm lookup hashes a value, never a tuple of
+    :class:`Prefix` objects nor a per-set key.
     """
 
     key: bytes
     domain: bytes
     digest_bytes: int
     kind: str
-    values: Tuple[Any, ...]
     width: int
 
     @classmethod
     def family(
         cls,
         key: bytes,
-        x: int,
         width: int,
         *,
         domain: bytes = b"",
         digest_bytes: int = DEFAULT_DIGEST_BYTES,
-    ) -> "MaskSpec":
-        """The prefix family ``G(x)`` of a ``width``-bit value."""
-        return cls(key, domain, digest_bytes, FAMILY, (x,), width)
+    ) -> "MaskShelf":
+        """The shelf of prefix families ``G(x)`` of ``width``-bit values."""
+        return cls(key, domain, digest_bytes, FAMILY, width)
 
     @classmethod
     def cover(
         cls,
         key: bytes,
-        low: int,
-        high: int,
         width: int,
         *,
         domain: bytes = b"",
         digest_bytes: int = DEFAULT_DIGEST_BYTES,
-    ) -> "MaskSpec":
-        """The range cover ``Q([low, high])`` of ``width``-bit values."""
-        return cls(key, domain, digest_bytes, COVER, (low, high), width)
+    ) -> "MaskShelf":
+        """The shelf of range covers ``Q([low, high])`` of ``width``-bit values."""
+        return cls(key, domain, digest_bytes, COVER, width)
 
-    @classmethod
-    def of(
-        cls,
-        key: bytes,
-        prefixes: Iterable[Prefix],
-        *,
-        domain: bytes = b"",
-        digest_bytes: int = DEFAULT_DIGEST_BYTES,
-    ) -> "MaskSpec":
-        """An explicit prefix collection, in the given order."""
-        return cls(key, domain, digest_bytes, PREFIXES, tuple(prefixes), 0)
-
-    @property
-    def prefixes(self) -> Sequence[Prefix]:
-        """The prefix set the values describe, in digest order."""
-        return _spec_prefixes(self.kind, self.values, self.width)
-
-    def messages(self) -> Tuple[bytes, ...]:
-        """The exact HMAC inputs, in prefix order (memoised, see below)."""
-        return _spec_messages(self.domain, self.kind, self.values, self.width)
+    def messages(self, value: Any) -> Tuple[bytes, ...]:
+        """The exact HMAC inputs of ``value``'s set, in prefix order
+        (memoised, see below)."""
+        return _spec_messages(self.domain, self.kind, value, self.width)
 
 
-def _spec_prefixes(kind: str, values: Tuple[Any, ...], width: int) -> Sequence[Prefix]:
+def _spec_prefixes(kind: str, value: Any, width: int) -> Sequence[Prefix]:
     if kind == FAMILY:
-        return prefix_family(values[0], width)
+        return prefix_family(value, width)
     if kind == COVER:
-        return range_cover(values[0], values[1], width)
+        return range_cover(value[0], value[1], width)
     if kind == PREFIXES:
-        return values
-    raise ValueError(f"unknown mask spec kind {kind!r}")
+        return value
+    raise ValueError(f"unknown mask shelf kind {kind!r}")
 
 
 @lru_cache(maxsize=65536)
-def _spec_messages(
-    domain: bytes, kind: str, values: Tuple[Any, ...], width: int
-) -> Tuple[bytes, ...]:
+def _spec_messages(domain: bytes, kind: str, value: Any, width: int) -> Tuple[bytes, ...]:
     # A pure function of public inputs (no key material), so memoising it
-    # cannot serve a stale mask: the mask cache key still carries the HMAC
-    # key.  The prefix layer's one memo; prefix_family/range_cover below it
-    # validate the values and are not memoised themselves.
+    # cannot serve a stale mask: the mask cache's shelf still carries the
+    # HMAC key.  The prefix layer's one memo; prefix_family/range_cover
+    # below it validate the values and are not memoised themselves.
     return tuple(
         domain + numericalized_to_bytes(numericalize(p), p.width)
-        for p in _spec_prefixes(kind, values, width)
+        for p in _spec_prefixes(kind, value, width)
     )
 
 
-def mask_specs(specs: Sequence[MaskSpec]) -> List[MaskedSet]:
-    """Mask every spec'd prefix set in one backend batch.
+def mask_specs(
+    requests: Sequence[Tuple[MaskShelf, Sequence[Any]]]
+) -> List[List[MaskedSet]]:
+    """Mask the sets of every ``(shelf, values)`` request in one backend batch.
 
-    Every spec is looked up in :mod:`repro.crypto.cache` at once, and a hit
-    returns the cached :class:`MaskedSet` itself.  Each *distinct* missing
-    spec has its digest size checked (4 to 32 bytes) and builds its
-    messages once; all of them go through a single
-    :func:`hmac_digest_pairs` call, and each built set — every digest one
-    HMAC truncated to that size, so :meth:`MaskedSet.of_width` — is
-    stored and shared by every occurrence of its spec in the batch.
-    Equivalent, digest for digest, to calling :func:`mask_prefixes` once
-    per spec — and with the cache on, its HMAC and cache counters equal
-    that loop's too.  Counts every returned set on
-    ``prefix.masked_sets``/``prefix.masked_digests``.
+    Returns each request's sets, value by value.  Every request is looked
+    up in :mod:`repro.crypto.cache` at once, and a hit returns the cached
+    :class:`MaskedSet` itself.  Each *distinct* missing set has its
+    digest size checked (4 to 32 bytes) and builds its messages once; all
+    of them go through a single :func:`hmac_digest_pairs` call, and each
+    built set — every digest one HMAC truncated to that size, so
+    :meth:`MaskedSet.of_width` — is stored and shared by every occurrence
+    of its name in the batch.  Equivalent, digest for digest, to calling
+    :func:`mask_prefixes` once per set — and with the cache on, its HMAC
+    and cache counters equal that loop's too.  Counts every returned set
+    on ``prefix.masked_sets``/``prefix.masked_digests`` when a registry
+    collects; otherwise counting costs nothing per set.
     """
     cache = get_mask_cache() if cache_enabled() else None
-    results: List[Optional[MaskedSet]] = (
-        [None] * len(specs) if cache is None else cache.lookup(specs)
-    )
-    pending: Dict[MaskSpec, List[int]] = {}
-    for index, hit in enumerate(results):
-        if hit is None:
-            pending.setdefault(specs[index], []).append(index)
-    if pending:
-        built = list(pending)
-        for spec in built:
-            _check_digest_bytes(spec.digest_bytes)
-        messages = [spec.messages() for spec in built]
+    results: List[List[Optional[MaskedSet]]]
+    if cache is None:
+        results = [[None] * len(values) for _, values in requests]
+        missing: Misses = {}
+        for index, (shelf, values) in enumerate(requests):
+            for position, value in enumerate(values):
+                missing.setdefault((shelf, value), []).append((index, position))
+    else:
+        results, missing = cache.lookup(requests)
+    if missing:
+        names = list(missing)
+        for shelf in {shelf for shelf, _ in names}:
+            _check_digest_bytes(shelf.digest_bytes)
+        messages = [shelf.messages(value) for shelf, value in names]
         digests = hmac_digest_pairs(
-            [(spec.key, m) for spec, ms in zip(built, messages) for m in ms]
+            [(shelf.key, m) for (shelf, _), ms in zip(names, messages) for m in ms]
         )
         cursor = 0
-        for spec, ms in zip(built, messages):
-            size = spec.digest_bytes
+        for name, ms in zip(names, messages):
+            shelf, value = name
+            size = shelf.digest_bytes
             end = cursor + len(ms)
             masked = MaskedSet.of_width(
                 frozenset([d[:size] for d in digests[cursor:end]]), size
             )
             cursor = end
-            for index in pending[spec]:
-                results[index] = masked
+            for index, position in missing[name]:
+                results[index][position] = masked
             if cache is not None:
-                cache.put(spec, masked)
-    masked_sets = cast(List[MaskedSet], results)
-    if masked_sets:
-        obs.count("prefix.masked_sets", len(masked_sets))
-        obs.count("prefix.masked_digests", sum(len(m.digests) for m in masked_sets))
+                cache.put(shelf, value, masked)
+    masked_sets = cast("List[List[MaskedSet]]", results)
+    if obs.get_active() is not None:
+        flat = list(chain.from_iterable(masked_sets))
+        if flat:
+            obs.count("prefix.masked_sets", len(flat))
+            obs.count("prefix.masked_digests", sum(len(m.digests) for m in flat))
     return masked_sets
 
 
 def _check_digest_bytes(size: int) -> None:
-    # Every digest of a spec is one HMAC-SHA256 truncated to ``size``, so
-    # this one check per spec is the width guarantee MaskedSet.of_width
-    # needs (MaskedSet's own scan rejected the same sizes per digest).
+    # Every digest of a shelf's sets is one HMAC-SHA256 truncated to
+    # ``size``, so this one check per shelf is the width guarantee
+    # MaskedSet.of_width needs (MaskedSet's own scan rejected the same
+    # sizes per digest).
     if size < 4:
         raise ValueError("digest truncation below 4 bytes is unsafe")
     if size > _MAX_DIGEST_BYTES:
@@ -538,9 +524,8 @@ def mask_prefixes(
     conservative hardening — it never changes protocol results because a
     family and the ranges it is tested against always share a domain.
     """
-    return mask_specs(
-        [MaskSpec.of(key, prefixes, domain=domain, digest_bytes=digest_bytes)]
-    )[0]
+    shelf = MaskShelf(key, domain, digest_bytes, PREFIXES, 0)
+    return mask_specs([(shelf, [tuple(prefixes)])])[0][0]
 
 
 def mask_value(
@@ -552,9 +537,8 @@ def mask_value(
     digest_bytes: int = DEFAULT_DIGEST_BYTES,
 ) -> MaskedSet:
     """Mask the prefix family ``G(x)`` — always ``width + 1`` digests."""
-    return mask_specs(
-        [MaskSpec.family(key, x, width, domain=domain, digest_bytes=digest_bytes)]
-    )[0]
+    shelf = MaskShelf.family(key, width, domain=domain, digest_bytes=digest_bytes)
+    return mask_specs([(shelf, [x])])[0][0]
 
 
 def mask_range(
@@ -577,9 +561,8 @@ def mask_range(
     flip a membership test — is about ``2**-(8*digest_bytes - 6)`` per set
     and is ignored, exactly as the paper does.
     """
-    masked = mask_specs(
-        [MaskSpec.cover(key, low, high, width, domain=domain, digest_bytes=digest_bytes)]
-    )[0]
+    shelf = MaskShelf.cover(key, width, domain=domain, digest_bytes=digest_bytes)
+    masked = mask_specs([(shelf, [(low, high)])])[0][0]
     if pad_to is None:
         return masked
     ceiling = max(pad_to, max_cover_size(width))

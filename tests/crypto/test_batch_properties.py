@@ -2,8 +2,8 @@
 
 Two contracts keep the optimization honest:
 
-* **batch ≡ scalar** — ``mask_specs(specs)`` returns exactly what one
-  :func:`mask_prefixes` call per spec would, for arbitrary prefix sets,
+* **batch ≡ scalar** — ``mask_specs(requests)`` returns exactly what one
+  :func:`mask_prefixes` call per set would, for arbitrary prefix sets,
   families and covers named by value, keys, domains and digest sizes;
 * **warm ≡ cold** — across arbitrary sequences of masking rounds, results
   served from the cache are bit-identical to freshly computed ones, and
@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 
 from repro.crypto.cache import MaskCache, cache_disabled, set_mask_cache
 from repro.prefix.membership import (
-    MaskSpec,
-    mask_prefixes,
+    PREFIXES,
+    MaskShelf,
     mask_range,
     mask_specs,
 )
 from repro.prefix.prefixes import Prefix, prefix_family
 from repro.prefix.ranges import range_cover
+from tests.crypto.spec_oracle import reference_sets
 
 
 @st.composite
@@ -53,6 +54,7 @@ def prefix_sets(draw):
 
 @st.composite
 def spec_lists(draw):
+    """Requests of one set each, so that a shelf may recur across them."""
     keys = draw(
         st.lists(st.binary(min_size=1, max_size=24), min_size=1, max_size=3)
     )
@@ -65,19 +67,22 @@ def spec_lists(draw):
 def one_spec(draw, keys, domains):
     """An explicit prefix set, or a family/cover named by value."""
     key = draw(st.sampled_from(keys))
-    options = {
-        "domain": draw(st.sampled_from(domains)),
-        "digest_bytes": draw(st.sampled_from((8, 16, 32))),
-    }
+    domain = draw(st.sampled_from(domains))
+    digest_bytes = draw(st.sampled_from((8, 16, 32)))
     kind = draw(st.sampled_from(("explicit", "family", "cover")))
     if kind == "explicit":
-        return MaskSpec.of(key, draw(prefix_sets()), **options)
+        return (MaskShelf(key, domain, digest_bytes, PREFIXES, 0), [draw(prefix_sets())])
     width = draw(st.integers(min_value=1, max_value=12))
+    options = {"domain": domain, "digest_bytes": digest_bytes}
     low = draw(st.integers(min_value=0, max_value=(1 << width) - 1))
     if kind == "family":
-        return MaskSpec.family(key, low, width, **options)
+        return (MaskShelf.family(key, width, **options), [low])
     high = draw(st.integers(min_value=low, max_value=(1 << width) - 1))
-    return MaskSpec.cover(key, low, high, width, **options)
+    return (MaskShelf.cover(key, width, **options), [(low, high)])
+
+
+def _flat(results):
+    return [masked for group in results for masked in group]
 
 
 @settings(max_examples=40, deadline=None)
@@ -85,17 +90,8 @@ def one_spec(draw, keys, domains):
 def test_batch_mask_equals_scalar_loop(specs):
     """batch_mask(prefixes) ≡ [mask(p) for p in prefixes]."""
     with cache_disabled():
-        batched = mask_specs(specs)
-        scalars = [
-            mask_prefixes(
-                s.key,
-                s.prefixes,
-                domain=s.domain,
-                digest_bytes=s.digest_bytes,
-            )
-            for s in specs
-        ]
-    assert batched == scalars
+        batched = _flat(mask_specs(specs))
+    assert batched == reference_sets(specs)
 
 
 @settings(max_examples=40, deadline=None)

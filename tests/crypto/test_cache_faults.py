@@ -12,11 +12,12 @@ and checked through the obs counters:
   result must still equal the in-process session;
 * **mutated prefix sets** — any change to the set (value, membership,
   order-insensitive content, domain, digest size) is a different cache
-  key, so a lookup can never alias the old set.
+  name, so a lookup can never alias the old set.
 
-The protocol names its sets by value (``MaskSpec.family``/``cover``); the
-drills at the end repeat the rotation faults on that key shape and check
-the TTP's family check cannot be served a neighbouring value's entry.
+The protocol names its sets by value on a shelf (``MaskShelf.family``/
+``cover``); the drills at the end repeat the rotation faults on that
+naming and check the TTP's family check cannot be served a neighbouring
+value's entry.
 """
 
 import asyncio
@@ -38,12 +39,13 @@ from repro.lppa.messages import MaskedBid
 from repro.lppa.ttp import ChargeStatus, TrustedThirdParty
 from repro.net.loadgen import LoadgenConfig, run_loadgen
 from repro.prefix.membership import (
-    MaskSpec,
-    mask_prefixes,
+    PREFIXES,
+    MaskShelf,
     mask_specs,
     mask_value,
 )
 from repro.prefix.prefixes import prefix_family
+from tests.crypto.spec_oracle import reference_sets
 
 
 @pytest.fixture()
@@ -85,15 +87,18 @@ def test_key_redistribution_clears_old_epoch(cache):
 
 
 def test_mutated_prefix_sets_miss_the_cache(cache):
+    def explicit(prefixes, domain=b"d", digest_bytes=16):
+        return (MaskShelf(b"key", domain, digest_bytes, PREFIXES, 0), [tuple(prefixes)])
+
     family = tuple(prefix_family(42, 8))
-    base = MaskSpec.of(b"key", family, domain=b"d", digest_bytes=16)
+    base = explicit(family)
     mask_specs([base])
 
     mutations = [
-        MaskSpec.of(b"key", prefix_family(43, 8), domain=b"d"),  # new value
-        MaskSpec.of(b"key", family[:-1], domain=b"d"),  # dropped element
-        MaskSpec.of(b"key", family, domain=b"other"),  # new domain
-        MaskSpec.of(b"key", family, domain=b"d", digest_bytes=8),  # new size
+        explicit(prefix_family(43, 8)),  # new value
+        explicit(family[:-1]),  # dropped element
+        explicit(family, domain=b"other"),  # new domain
+        explicit(family, digest_bytes=8),  # new size
     ]
     for mutant in mutations:
         with obs.collecting() as registry:
@@ -101,7 +106,7 @@ def test_mutated_prefix_sets_miss_the_cache(cache):
         assert "crypto.mask_cache.hits" not in registry.counters, mutant
         assert registry.counters["crypto.mask_cache.misses"] == 1
 
-    # The unmutated spec still hits — the entries coexist, never alias.
+    # The unmutated set still hits — the entries coexist, never alias.
     with obs.collecting() as registry:
         repeat = mask_specs([base])
     assert registry.counters["crypto.mask_cache.hits"] == 1
@@ -195,7 +200,7 @@ def test_churned_users_never_reuse_other_users_digests(cache):
     assert registry.counters.get("crypto.mask_cache.misses", 0) > 0
 
 
-# --- value-keyed specs ------------------------------------------------------
+# --- sets named by value --------------------------------------------------
 
 _BID_DOMAIN = b"lppa/bid/adv"
 
@@ -203,16 +208,15 @@ _BID_DOMAIN = b"lppa/bid/adv"
 def _value_specs(ring, width=11):
     """A stationary SU's sets: bid family and tail per channel, location
     family and cover under g0."""
-    specs = []
+    requests = []
     for channel in range(ring.n_channels):
         key = ring.channel_key(channel)
-        specs.append(MaskSpec.family(key, 300 + channel, width, domain=_BID_DOMAIN))
-        specs.append(
-            MaskSpec.cover(key, 300 + channel, 1055, width, domain=_BID_DOMAIN)
-        )
-    specs.append(MaskSpec.family(ring.g0, 42, 8, domain=b"lppa/loc/x"))
-    specs.append(MaskSpec.cover(ring.g0, 37, 47, 8, domain=b"lppa/loc/x"))
-    return specs
+        value = 300 + channel
+        requests.append((MaskShelf.family(key, width, domain=_BID_DOMAIN), [value]))
+        requests.append((MaskShelf.cover(key, width, domain=_BID_DOMAIN), [(value, 1055)]))
+    requests.append((MaskShelf.family(ring.g0, 8, domain=b"lppa/loc/x"), [42]))
+    requests.append((MaskShelf.cover(ring.g0, 8, domain=b"lppa/loc/x"), [(37, 47)]))
+    return requests
 
 
 def test_value_specs_agree_warm_cold_and_disabled(cache):
@@ -225,11 +229,8 @@ def test_value_specs_agree_warm_cold_and_disabled(cache):
     assert registry.counters["crypto.mask_cache.hits"] == len(specs)
     with cache_disabled():
         bypassed = mask_specs(specs)
-    reference = [
-        mask_prefixes(s.key, s.prefixes, domain=s.domain, digest_bytes=s.digest_bytes)
-        for s in specs
-    ]
-    assert cold == warm == bypassed == reference
+    assert cold == warm == bypassed
+    assert [m for group in cold for m in group] == reference_sets(specs)
 
 
 def test_gc_only_rotation_keeps_value_keyed_entries(cache):

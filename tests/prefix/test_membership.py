@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.prefix.membership import (
+    PREFIXES,
     MaskedSet,
-    MaskSpec,
+    MaskShelf,
     _spec_messages,
     is_member,
     mask_range,
@@ -94,13 +95,13 @@ def test_memoised_messages_equal_the_uncached_construction(low, span, domain):
     width = 9
     high = min(low + span, (1 << width) - 1)
     for prefixes in (prefix_family(low, width), range_cover(low, high, width)):
-        spec = MaskSpec.of(KEY, prefixes, domain=domain)
+        shelf = MaskShelf(KEY, domain, 16, PREFIXES, 0)
         expected = tuple(
             domain + numericalized_to_bytes(numericalize(p), p.width)
             for p in prefixes
         )
-        assert spec.messages() == expected
-        assert spec.messages() == expected  # a cache hit returns the same
+        assert shelf.messages(tuple(prefixes)) == expected
+        assert shelf.messages(tuple(prefixes)) == expected  # a cache hit returns the same
 
 
 def test_message_memo_is_bounded_and_keyless():
@@ -109,8 +110,8 @@ def test_message_memo_is_bounded_and_keyless():
     # The memo is keyed on public inputs only: two HMAC keys share an entry.
     prefixes = tuple(prefix_family(5, 4))
     before = _spec_messages.cache_info().hits
-    MaskSpec.of(b"key-a", prefixes).messages()
-    MaskSpec.of(b"key-b", prefixes).messages()
+    MaskShelf(b"key-a", b"", 16, PREFIXES, 0).messages(prefixes)
+    MaskShelf(b"key-b", b"", 16, PREFIXES, 0).messages(prefixes)
     assert _spec_messages.cache_info().hits >= before + 1
 
 

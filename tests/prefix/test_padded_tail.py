@@ -24,7 +24,7 @@ from repro.lppa.codec import (
 )
 from repro.prefix.membership import (
     MaskedSet,
-    MaskSpec,
+    MaskShelf,
     PaddedSet,
     is_member,
     mask_specs,
@@ -182,14 +182,11 @@ def test_a_padded_tail_shares_its_cover_and_keeps_its_fillers_as_one_blob():
             keys, submission.channel_bids, disclosure.channels
         ):
             tail = channel_bid.tail
-            (cover,) = mask_specs(
+            ((cover,),) = mask_specs(
                 [
-                    MaskSpec.cover(
-                        key,
-                        record.masked_expanded,
-                        SCALE.emax,
-                        SCALE.width,
-                        domain=b"lppa/bid/adv",
+                    (
+                        MaskShelf.cover(key, SCALE.width, domain=b"lppa/bid/adv"),
+                        [(record.masked_expanded, SCALE.emax)],
                     )
                 ]
             )

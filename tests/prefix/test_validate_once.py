@@ -2,7 +2,7 @@
 
 ``MaskedSet(...)`` scans every digest's length.  Where a site fixes every
 digest's width by construction it checks that width once instead — per
-mask spec, or per padding call — and builds the set unscanned.  Each test
+mask shelf, or per padding call — and builds the set unscanned.  Each test
 below feeds such a site what the scan used to catch there, and must raise
 the same ``ValueError`` it always did: no check is dropped.
 """
@@ -14,7 +14,7 @@ import pytest
 from repro.crypto.cache import cache_disabled
 from repro.prefix.membership import (
     MaskedSet,
-    MaskSpec,
+    MaskShelf,
     mask_range,
     mask_specs,
     mask_value,
@@ -28,8 +28,8 @@ KEY = b"validate-once"
 @pytest.mark.parametrize("cached", [True, False])
 def test_a_mask_spec_outside_the_hmac_width_is_rejected(digest_bytes, cached):
     specs = [
-        MaskSpec.family(KEY, 5, 8, digest_bytes=digest_bytes),
-        MaskSpec.cover(KEY, 3, 200, 8, digest_bytes=digest_bytes),
+        (MaskShelf.family(KEY, 8, digest_bytes=digest_bytes), [5]),
+        (MaskShelf.cover(KEY, 8, digest_bytes=digest_bytes), [(3, 200)]),
     ]
     if cached:
         with pytest.raises(ValueError):
@@ -44,10 +44,10 @@ def test_a_mask_spec_outside_the_hmac_width_is_rejected(digest_bytes, cached):
 @pytest.mark.parametrize("digest_bytes", [4, 16, 32])
 def test_mask_specs_widths_four_to_thirty_two_build_exact_sets(digest_bytes):
     with cache_disabled():
-        family, cover = mask_specs(
+        (family,), (cover,) = mask_specs(
             [
-                MaskSpec.family(KEY, 5, 8, digest_bytes=digest_bytes),
-                MaskSpec.cover(KEY, 3, 200, 8, digest_bytes=digest_bytes),
+                (MaskShelf.family(KEY, 8, digest_bytes=digest_bytes), [5]),
+                (MaskShelf.cover(KEY, 8, digest_bytes=digest_bytes), [(3, 200)]),
             ]
         )
     for masked in (family, cover):

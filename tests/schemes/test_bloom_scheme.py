@@ -71,6 +71,17 @@ def test_bloom_conflict_graph_equals_plaintext(seed):
     assert set(private.edges) == set(plaintext.edges)
 
 
+def test_bloom_conflict_graph_misses_no_plaintext_edge_at_300_sus():
+    """The guarantee is one-sided: every plaintext edge is in the Bloom
+    graph; spurious edges may join it at the filter's false-positive rate."""
+    grid = GridSpec(rows=100, cols=100)
+    cells = grid.random_cells(random.Random(300), 300)
+    plaintext = build_conflict_graph(cells, 6)
+    private = build_bloom_conflict_graph(submit_locations_bloom(cells, G0, grid, 6))
+    assert plaintext.edges
+    assert set(plaintext.edges) <= set(private.edges)
+
+
 # --- shared value pipeline: outcome identical to ppbs --------------------------
 
 
