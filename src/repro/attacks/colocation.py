@@ -79,8 +79,9 @@ def colocation_attack(
             masks.append(mask)
             continue
         mask = np.ones((grid.rows, grid.cols), dtype=bool)
+        neighbors = conflict.neighbors(user)
         for anchor, box in boxes.items():
-            if conflict.are_conflicting(user, anchor):
+            if anchor in neighbors:
                 mask &= box
             else:
                 mask &= ~box

@@ -55,7 +55,6 @@ def greedy_allocate(
     round-trips (the oracle's refusals) for the revenue a wasted channel
     would lose.  ``None``, the paper's batch mode, takes every maximum.
     """
-    adjacency = conflict.adjacency()
     winners: List[Assignment] = []
     pool: List[int] = []
     while table.has_entries():
@@ -69,7 +68,7 @@ def greedy_allocate(
                 table.remove_entry(winner, channel)
                 continue
             winners.append(Assignment(bidder=winner, channel=channel))
-            for neighbor in adjacency.get(winner, ()):  # delete T[o, r], o in N(bx)
+            for neighbor in conflict.neighbors(winner):  # delete T[o, r], o in N(bx)
                 table.remove_entry(neighbor, channel)
             table.remove_row(winner)
             break

@@ -50,8 +50,7 @@ class ConflictStats:
 
 def conflict_stats(graph: ConflictGraph) -> ConflictStats:
     """Summarise a conflict graph's structure."""
-    adjacency = graph.adjacency()
-    degrees = [len(neighbors) for neighbors in adjacency.values()]
+    degrees = [len(row) for row in graph.rows]
     n = graph.n_users
     possible = n * (n - 1) / 2 if n > 1 else 1
     return ConflictStats(
@@ -71,13 +70,12 @@ def greedy_coloring(graph: ConflictGraph) -> Dict[int, int]:
     channels that would suffice to serve *every* bidder simultaneously —
     the reuse ceiling Algorithm 3 is implicitly working against.
     """
-    adjacency = graph.adjacency()
     order = sorted(
-        range(graph.n_users), key=lambda u: len(adjacency[u]), reverse=True
+        range(graph.n_users), key=lambda u: len(graph.neighbors(u)), reverse=True
     )
     colors: Dict[int, int] = {}
     for user in order:
-        taken = {colors[v] for v in adjacency[user] if v in colors}
+        taken = {colors[v] for v in graph.neighbors(user) if v in colors}
         color = 0
         while color in taken:
             color += 1

@@ -13,8 +13,8 @@ for exactness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.geo.buckets import candidate_pairs
 from repro.geo.grid import Cell
@@ -29,50 +29,56 @@ def cells_conflict(a: Cell, b: Cell, two_lambda: int) -> bool:
     return abs(a[0] - b[0]) < two_lambda and abs(a[1] - b[1]) < two_lambda
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConflictGraph:
-    """Adjacency over bidder ids; node ``i`` conflicts with ``neighbors(i)``."""
+    """Adjacency over bidder ids; node ``i`` conflicts with ``neighbors(i)``.
+
+    Built from ``edges``, any iterable of ``(u, v)`` pairs with
+    ``0 <= u < v < n_users``, each pair at most once.  The graph is stored
+    once, as each SU's ascending neighbour tuple (``rows``), and every
+    reader reads a row in place.  Equality and hash compare
+    ``(n_users, rows)``.
+    """
 
     n_users: int
-    edges: FrozenSet[Tuple[int, int]]
+    rows: Tuple[Tuple[int, ...], ...]
+    n_edges: int = field(compare=False)
 
-    def __post_init__(self) -> None:
-        for u, v in self.edges:
-            if not (0 <= u < self.n_users and 0 <= v < self.n_users):
+    def __init__(self, n_users: int, edges: Iterable[Tuple[int, int]]) -> None:
+        rows: List[List[int]] = [[] for _ in range(n_users)]
+        n_edges = 0
+        for u, v in edges:
+            if not 0 <= u < v < n_users:
+                if 0 <= min(u, v) and max(u, v) < n_users:
+                    raise ValueError("edges must be stored as (u < v) pairs")
                 raise ValueError(f"edge ({u}, {v}) references unknown user")
-            if u >= v:
-                raise ValueError("edges must be stored as (u < v) pairs")
+            rows[u].append(v)
+            rows[v].append(u)
+            n_edges += 1
+        for u, row in enumerate(rows):
+            row.sort()
+            if len(set(row)) != len(row):
+                raise ValueError(f"user {u} has a repeated edge")
+        object.__setattr__(self, "n_users", n_users)
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "n_edges", n_edges)
 
-    def neighbors(self, user: int) -> Set[int]:
-        """``N(user)``: bidders that cannot share a channel with ``user``."""
+    @property
+    def edges(self) -> FrozenSet[Tuple[int, int]]:
+        """The ``(u, v)`` pairs, ``u < v`` (derived from the rows)."""
+        return frozenset(
+            (u, v) for u, row in enumerate(self.rows) for v in row if u < v
+        )
+
+    def neighbors(self, user: int) -> Tuple[int, ...]:
+        """``N(user)``, ascending: bidders that cannot share a channel with ``user``."""
         if not 0 <= user < self.n_users:
             raise ValueError(f"unknown user {user}")
-        result = set()
-        for u, v in self.edges:
-            if u == user:
-                result.add(v)
-            elif v == user:
-                result.add(u)
-        return result
+        return self.rows[user]
 
     def are_conflicting(self, u: int, v: int) -> bool:
         """True when users ``u`` and ``v`` may not share a channel."""
-        if u == v:
-            return False
-        a, b = min(u, v), max(u, v)
-        return (a, b) in self.edges
-
-    def adjacency(self) -> Dict[int, Set[int]]:
-        """Full adjacency map (precomputed once for hot loops)."""
-        adj: Dict[int, Set[int]] = {i: set() for i in range(self.n_users)}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
+        return 0 <= u < self.n_users and v in self.rows[u]
 
 
 def build_conflict_graph(
@@ -86,9 +92,9 @@ def build_conflict_graph(
     """
     if two_lambda < 1:
         raise ValueError("two_lambda must be >= 1")
-    edges = frozenset(
+    edges = [
         (i, j)
         for i, j in candidate_pairs(cells, two_lambda)
         if cells_conflict(cells[i], cells[j], two_lambda)
-    )
+    ]
     return ConflictGraph(n_users=len(cells), edges=edges)

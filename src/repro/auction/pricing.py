@@ -52,14 +52,13 @@ def second_prices(
     channel's cursor are gone or not genuine for every later sale of the
     channel too, so every entry is passed over once.
     """
-    adjacency = conflict.adjacency()
     never = len(assignments)
     won_at: Dict[int, int] = {}
     blocked_at: List[Dict[int, int]] = [{} for _ in rankings]
     for sale, a in enumerate(assignments):
         won_at[a.bidder] = sale
         blocked = blocked_at[a.channel]
-        for neighbor in adjacency.get(a.bidder, ()):
+        for neighbor in conflict.neighbors(a.bidder):
             blocked.setdefault(neighbor, sale)
     columns = [[b for tied in ranking for b in tied] for ranking in rankings]
     cursors = [0] * len(rankings)

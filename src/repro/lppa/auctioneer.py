@@ -27,6 +27,7 @@ from repro.obs import trace
 from repro.auction.conflict import ConflictGraph
 from repro.auction.outcome import AuctionOutcome, WinRecord
 from repro.auction.table import RankedTable, Ranking
+from repro.lppa.messages import check_dense
 from repro.lppa.ttp import ChargeStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -68,11 +69,8 @@ def check_bid_submissions(subs: Sequence[Any], n_channels: int) -> None:
     """
     if not subs:
         raise ValueError("need at least one bid submission")
-    for idx, sub in enumerate(subs):
-        if sub.user_id != idx:
-            raise ValueError(
-                f"submissions must be dense: slot {idx} holds user {sub.user_id}"
-            )
+    check_dense(subs)
+    for sub in subs:
         if sub.n_channels != n_channels:
             raise ValueError(
                 f"submission covers {sub.n_channels} channels, expected "

@@ -25,7 +25,12 @@ from typing import Any, List, Sequence, Tuple
 
 from repro.auction.conflict import ConflictGraph
 from repro.geo.grid import Cell, GridSpec
-from repro.lppa.messages import USER_ID_BYTES, LocationSubmission, check_location_shape
+from repro.lppa.messages import (
+    USER_ID_BYTES,
+    LocationSubmission,
+    check_dense,
+    check_location_shape,
+)
 from repro.prefix.membership import (
     DEFAULT_DIGEST_BYTES,
     MaskShelf,
@@ -148,11 +153,7 @@ def build_private_conflict_graph(
     meet ``j``'s ranges — the paper's pair test — and each pair ``i < j``
     is read from row ``i``.
     """
-    for idx, sub in enumerate(submissions):
-        if sub.user_id != idx:
-            raise ValueError(
-                f"submissions must be dense: slot {idx} holds user {sub.user_id}"
-            )
+    check_dense(submissions)
     x_reach = reaches(
         [s.x_range for s in submissions], [s.x_family for s in submissions]
     )
@@ -168,4 +169,4 @@ def build_private_conflict_graph(
             low = above & -above
             edges.append((i, i + low.bit_length()))
             above ^= low
-    return ConflictGraph(n_users=len(submissions), edges=frozenset(edges))
+    return ConflictGraph(n_users=len(submissions), edges=edges)

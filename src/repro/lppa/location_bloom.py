@@ -37,7 +37,7 @@ from repro.auction.conflict import ConflictGraph
 from repro.crypto.backend import hmac_digest_batch
 from repro.crypto.keys import derive_key
 from repro.geo.grid import Cell, GridSpec
-from repro.lppa.messages import U8_MAX, U32_MAX, CodecError, check_user_id
+from repro.lppa.messages import U8_MAX, U32_MAX, CodecError, check_dense, check_user_id
 
 __all__ = [
     "BLOOM_LOCATION_TAG",
@@ -260,19 +260,15 @@ def build_bloom_conflict_graph(
     the dense index ``i``, and one direction of the symmetric-box test
     suffices.
     """
-    for idx, sub in enumerate(submissions):
-        if sub.user_id != idx:
-            raise ValueError(
-                f"submissions must be dense: slot {idx} holds user {sub.user_id}"
-            )
-    edges = set()
+    check_dense(submissions)
     n = len(submissions)
+    edges = []
     for i in range(n):
         si = submissions[i]
         for j in range(i + 1, n):
             if submissions[j].range_filter.contains(si.cell_token):
-                edges.add((i, j))
-    return ConflictGraph(n_users=n, edges=frozenset(edges))
+                edges.append((i, j))
+    return ConflictGraph(n_users=n, edges=edges)
 
 
 def encode_location_bloom(submission: BloomLocationSubmission) -> bytes:

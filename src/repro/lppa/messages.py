@@ -44,7 +44,7 @@ hashing or ``repr``, and ``wire_bytes()``, ``material_bytes()`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.prefix.membership import MaskedSet
 
@@ -83,6 +83,20 @@ def check_user_id(user_id: int) -> None:
     """Reject a user id outside the codec's ``u32`` field."""
     if not 0 <= user_id <= U32_MAX:
         raise CodecError(f"user id {user_id} outside the u32 field")
+
+
+def check_dense(subs: Sequence[Any]) -> None:
+    """Reject submissions unless slot ``i`` holds user ``i``.
+
+    The auctioneer addresses an SU by its slot (conflict-graph row,
+    allocation, charging), so every auctioneer step takes dense ids;
+    pseudonymised ids are mapped before this point.
+    """
+    for idx, sub in enumerate(subs):
+        if sub.user_id != idx:
+            raise ValueError(
+                f"submissions must be dense: slot {idx} holds user {sub.user_id}"
+            )
 
 
 def check_u16(what: str, value: int) -> None:

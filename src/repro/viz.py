@@ -1,21 +1,19 @@
-"""Text and image rendering of maps, candidate regions and results.
+"""Text rendering of maps, candidate regions and results.
 
 Dependency-free visual output: ASCII panels for terminals (the examples use
-these) and binary PGM (portable graymap) export for anything that wants an
-actual image of an RSS field, quality surface or attack posterior.
+these).
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.geo.coverage import CoverageMap
 from repro.geo.grid import Cell
 
-__all__ = ["render_mask", "render_coverage", "save_pgm"]
+__all__ = ["render_mask", "render_coverage"]
 
 
 def render_mask(
@@ -62,32 +60,3 @@ def render_coverage(
         hit_char="#",
         miss_char=".",
     )
-
-
-def save_pgm(
-    field: np.ndarray,
-    path: Union[str, Path],
-    *,
-    invert: bool = False,
-) -> Path:
-    """Write a 2-D numeric field as an 8-bit binary PGM image.
-
-    Values are min-max normalised to 0..255 (a constant field renders mid
-    grey).  Boolean arrays work too — True maps to white (or black with
-    ``invert``).
-    """
-    if field.ndim != 2:
-        raise ValueError("field must be a 2-D array")
-    data = np.asarray(field, dtype=float)
-    low, high = float(data.min()), float(data.max())
-    if high > low:
-        scaled = (data - low) / (high - low)
-    else:
-        scaled = np.full_like(data, 0.5)
-    if invert:
-        scaled = 1.0 - scaled
-    pixels = (scaled * 255).round().astype(np.uint8)
-    path = Path(path)
-    header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
-    path.write_bytes(header + pixels.tobytes())
-    return path

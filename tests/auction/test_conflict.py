@@ -35,8 +35,8 @@ def test_graph_construction():
     assert graph.are_conflicting(0, 1)
     assert graph.are_conflicting(2, 3)
     assert not graph.are_conflicting(0, 2)
-    assert graph.neighbors(0) == {1}
-    assert graph.neighbors(2) == {3}
+    assert graph.neighbors(0) == (1,)
+    assert graph.neighbors(2) == (3,)
     assert graph.n_edges == 2
 
 
@@ -46,19 +46,13 @@ def test_self_is_never_a_conflict():
     assert graph.are_conflicting(0, 1)  # co-located users do conflict
 
 
-def test_adjacency_matches_neighbors():
-    cells = [(0, 0), (1, 1), (2, 2), (90, 90)]
-    graph = build_conflict_graph(cells, 3)
-    adjacency = graph.adjacency()
-    for user in range(4):
-        assert adjacency[user] == graph.neighbors(user)
-
-
 def test_graph_validation():
     with pytest.raises(ValueError):
         ConflictGraph(n_users=2, edges=frozenset({(1, 0)}))  # not u < v
     with pytest.raises(ValueError):
         ConflictGraph(n_users=2, edges=frozenset({(0, 2)}))  # unknown user
+    with pytest.raises(ValueError):
+        ConflictGraph(n_users=2, edges=[(0, 1), (0, 1)])  # repeated pair
     with pytest.raises(ValueError):
         ConflictGraph(n_users=1, edges=frozenset()).neighbors(1)
 
@@ -82,3 +76,12 @@ def test_graph_equals_pairwise_predicate(cells, two_lambda):
             assert graph.are_conflicting(i, j) == cells_conflict(
                 cells[i], cells[j], two_lambda
             )
+        row = graph.neighbors(i)
+        assert list(row) == sorted(row)
+        assert set(row) == {
+            j
+            for j in range(len(cells))
+            if j != i and cells_conflict(cells[i], cells[j], two_lambda)
+        }
+    assert graph.n_edges == len(graph.edges)
+    assert ConflictGraph(len(cells), graph.edges) == graph

@@ -25,7 +25,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.auction.allocation import Assignment
 from repro.auction.conflict import ConflictGraph
@@ -206,6 +206,16 @@ class SetTable:
         self._live[channel].discard(bidder)
 
 
+def _adjacency(conflict: ConflictGraph) -> Dict[int, Set[int]]:
+    """Each SU's neighbour set, rebuilt from ``conflict.edges`` so the
+    reference loops do not read the graph's stored rows."""
+    adjacency: Dict[int, Set[int]] = {i: set() for i in range(conflict.n_users)}
+    for u, v in conflict.edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return adjacency
+
+
 def greedy_allocate_validated(
     table: SetTable,
     conflict: ConflictGraph,
@@ -214,7 +224,7 @@ def greedy_allocate_validated(
 ) -> Tuple[List[Assignment], int]:
     """Algorithm 3 with the TTP's invalid-winner notification in the loop;
     also returns how many winners the oracle refused."""
-    adjacency = conflict.adjacency()
+    adjacency = _adjacency(conflict)
     winners: List[Assignment] = []
     rejected = 0
     pool: List[int] = []
@@ -252,7 +262,7 @@ def greedy_allocate_priced(
     rng: random.Random,
 ) -> List[PricedAssignment]:
     """Algorithm 3, recording each sale's remaining column order."""
-    adjacency = conflict.adjacency()
+    adjacency = _adjacency(conflict)
     sales: List[PricedAssignment] = []
     pool: List[int] = []
     while table.has_entries():

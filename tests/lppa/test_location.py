@@ -13,6 +13,10 @@ from repro.lppa.location import (
     coordinate_width,
     submit_location,
 )
+from repro.lppa.location_bloom import (
+    build_bloom_conflict_graph,
+    submit_location_bloom,
+)
 from tests.lppa.oracles import pairwise_conflict_graph
 
 G0 = b"location-key"
@@ -60,9 +64,13 @@ def test_grid_edges_are_handled():
 
 
 def test_dense_user_ids_enforced():
-    sub = submit_location(5, (0, 0), G0, GRID, 4)
-    with pytest.raises(ValueError):
-        build_private_conflict_graph([sub])
+    for submit, build in (
+        (submit_location, build_private_conflict_graph),
+        (submit_location_bloom, build_bloom_conflict_graph),
+    ):
+        sub = submit(5, (0, 0), G0, GRID, 4)
+        with pytest.raises(ValueError, match="slot 0 holds user 5"):
+            build([sub])
 
 
 def test_submission_rejects_cells_outside_grid():

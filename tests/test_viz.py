@@ -5,7 +5,7 @@ import pytest
 
 from repro.geo.datasets import make_coverage_map
 from repro.geo.grid import GridSpec
-from repro.viz import render_coverage, render_mask, save_pgm
+from repro.viz import render_coverage, render_mask
 
 
 def test_render_mask_shapes_and_marker():
@@ -41,31 +41,3 @@ def test_render_coverage():
     assert set(art) <= {"#", ".", "\n"}
     assert len(art.split("\n")) == 10
 
-
-def test_save_pgm(tmp_path):
-    field = np.linspace(0, 1, 24).reshape(4, 6)
-    path = save_pgm(field, tmp_path / "field.pgm")
-    data = path.read_bytes()
-    assert data.startswith(b"P5\n6 4\n255\n")
-    pixels = data.split(b"255\n", 1)[1]
-    assert len(pixels) == 24
-    assert pixels[0] == 0 and pixels[-1] == 255
-
-
-def test_save_pgm_constant_field(tmp_path):
-    path = save_pgm(np.ones((2, 2)), tmp_path / "flat.pgm")
-    pixels = path.read_bytes().split(b"255\n", 1)[1]
-    assert set(pixels) == {128}
-
-
-def test_save_pgm_invert(tmp_path):
-    field = np.array([[0.0, 1.0]])
-    normal = save_pgm(field, tmp_path / "a.pgm").read_bytes()[-2:]
-    inverted = save_pgm(field, tmp_path / "b.pgm", invert=True).read_bytes()[-2:]
-    assert normal == bytes([0, 255])
-    assert inverted == bytes([255, 0])
-
-
-def test_save_pgm_validation(tmp_path):
-    with pytest.raises(ValueError):
-        save_pgm(np.zeros(5), tmp_path / "bad.pgm")
